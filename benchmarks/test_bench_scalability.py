@@ -20,15 +20,6 @@ The large tier is the scale-out gate (see ``docs/performance.md``):
   scan implementation under the same seed (checked at the 200-device
   tier, where running the world twice is cheap).
 
-The third tier is the vectorized device plane (``repro.core.deviceplane``):
-10,000 devices as struct-of-arrays, one heap event per sensing round,
-throughput measured in *device events* per second
-(:attr:`repro.sim.engine.Simulator.device_events`) so batched and
-object-per-device tiers compare in the same unit.  The gate: ≥10× the
-seed's 2,000-device object-plane throughput (~27.4k events/s), plus a
-bit-identity spot check against the object plane at the 2,000-device
-scale.
-
 Results land in ``benchmarks/artifacts/BENCH_scalability.json`` — all
 tier tests merge into one scorecard via the module-level payload.
 """
@@ -59,15 +50,6 @@ LARGE_DURATION_S = 1800.0
 CITY_SIDE_M = 9000.0
 #: Conservative CI floor; local runs exceed it by a wide margin.
 LARGE_MIN_EVENTS_PER_S = 2000.0
-
-#: The seed repo's 2,000-device object-plane throughput (committed
-#: baseline before the vectorized plane landed) and the ≥10× gate the
-#: 10k struct-of-arrays tier must clear (ROADMAP item 2 / ISSUE 8).
-SEED_EVENTS_PER_S = 27_449.0
-VECTOR_DEVICES = 10_000
-VECTOR_ROUNDS = 30
-VECTOR_SEED = 13
-VECTOR_MIN_DEVICE_EVENTS_PER_S = 10.0 * SEED_EVENTS_PER_S
 
 #: All scalability tests merge their tier metrics here and rewrite the
 #: single BENCH_scalability scorecard, so the artifact is complete
@@ -273,118 +255,3 @@ def test_scalability_2000_devices(benchmark):
     benchmark.extra_info["max_query_touched"] = query_probe.max_items
     benchmark.extra_info["artifact"] = path
 
-
-# ----------------------------------------------------------------------
-# Tier 3: the vectorized struct-of-arrays device plane (10k devices)
-# ----------------------------------------------------------------------
-
-
-def run_vector_plane():
-    from repro.core.deviceplane import (
-        FleetSpec,
-        PlaneDriver,
-        default_campaign,
-        make_plane,
-    )
-
-    spec = FleetSpec(devices=VECTOR_DEVICES, seed=VECTOR_SEED)
-    sim = Simulator(seed=VECTOR_SEED)
-    driver = PlaneDriver(
-        sim, make_plane(spec, kind="vector"), default_campaign(spec), VECTOR_ROUNDS
-    )
-    sim.run()
-    return sim, driver
-
-
-def test_scalability_10k_vector_plane(benchmark):
-    """The ≥10× gate: 10,000 devices through the numpy plane.
-
-    Throughput is device events (mobility touches + RRC transitions +
-    qualification probes + scores + uploads, credited per batched heap
-    event) over wall-clock — the same work unit the object tiers pay
-    one Python event apiece for.  The floor is 10× the committed seed
-    throughput; local runs clear it by another ~5×, so the margin
-    absorbs slow CI runners without ever letting the vectorization win
-    silently regress.
-    """
-    sim, driver = run_once(benchmark, run_vector_plane)
-    wall_s = benchmark.stats.stats.mean
-    throughput = events_per_second(sim.device_events, wall_s)
-    speedup = throughput / SEED_EVENTS_PER_S
-
-    # One heap event per round; all fleet work rode inside them.
-    assert sim.events_processed == VECTOR_ROUNDS
-    assert sim.device_events >= VECTOR_ROUNDS * VECTOR_DEVICES
-    assert sim.device_events == driver.result.device_events
-    # The campaign did real scheduling work, not an empty spin.
-    assert driver.result.selections > 0
-    assert driver.result.uploads > 0
-    result_log = driver.result.selection_log
-    assert len(result_log) == VECTOR_ROUNDS * 4
-
-    # --- The ≥10x gate ----------------------------------------------
-    assert throughput >= VECTOR_MIN_DEVICE_EVENTS_PER_S, (
-        f"vector plane sustained {throughput:,.0f} device-events/s, below "
-        f"the 10x floor {VECTOR_MIN_DEVICE_EVENTS_PER_S:,.0f}"
-    )
-
-    path = _write_merged(
-        {
-            "tiers": {
-                "vector_10k": {
-                    "devices": VECTOR_DEVICES,
-                    "rounds": VECTOR_ROUNDS,
-                    "plane": "vector",
-                    "device_events": sim.device_events,
-                    "wall_s": round(wall_s, 3),
-                    "device_events_per_s": round(throughput, 1),
-                    "speedup_vs_seed": round(speedup, 1),
-                    "selections": driver.result.selections,
-                    "uploads": driver.result.uploads,
-                    "cold_uploads": driver.result.cold_uploads,
-                    "tail_uploads": driver.result.tail_uploads,
-                },
-            },
-            "gates": {
-                "seed_events_per_s": SEED_EVENTS_PER_S,
-                "vector_min_device_events_per_s": VECTOR_MIN_DEVICE_EVENTS_PER_S,
-                "vector_throughput_ok": bool(
-                    throughput >= VECTOR_MIN_DEVICE_EVENTS_PER_S
-                ),
-            },
-        }
-    )
-    benchmark.extra_info["devices"] = VECTOR_DEVICES
-    benchmark.extra_info["device_events"] = sim.device_events
-    benchmark.extra_info["device_events_per_s"] = round(throughput, 1)
-    benchmark.extra_info["speedup_vs_seed"] = round(speedup, 1)
-    benchmark.extra_info["artifact"] = path
-
-
-def test_scalability_vector_plane_matches_object():
-    """Bit-identity spot check at benchmark scale (2,000 devices).
-
-    The property suite proves equivalence on small fleets; this runs
-    the full benchmark campaign shape on both planes at the city tier's
-    fleet size and requires the exact same selection log, snapshot, and
-    fsum energy total — the indexed==scanned discipline, fleet-sized.
-    """
-    from repro.core.deviceplane import (
-        FleetSpec,
-        default_campaign,
-        make_plane,
-        run_campaign,
-    )
-
-    spec = FleetSpec(devices=LARGE_DEVICES, seed=VECTOR_SEED)
-    campaign = default_campaign(spec)
-    obj_plane = make_plane(spec, kind="object")
-    vec_plane = make_plane(spec, kind="vector")
-    obj = run_campaign(obj_plane, campaign, VECTOR_ROUNDS)
-    vec = run_campaign(vec_plane, campaign, VECTOR_ROUNDS)
-    assert obj.selection_log == vec.selection_log
-    assert obj_plane.snapshot() == vec_plane.snapshot()
-    assert (
-        obj_plane.total_crowdsensing_energy_j()
-        == vec_plane.total_crowdsensing_energy_j()
-    )

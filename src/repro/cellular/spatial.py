@@ -24,7 +24,7 @@ gets the precise circle test against its stored position.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.environment.geometry import Point
 
@@ -65,20 +65,6 @@ class UniformGridIndex:
         self._buckets.setdefault(cell, set()).add(item_id)
         self._cells[item_id] = cell
         return True
-
-    def update_many(self, observations: Iterable[Tuple[str, Point]]) -> int:
-        """Batched :meth:`update`; returns how many items changed bucket.
-
-        The struct-of-arrays device plane feeds the index with one call
-        per refresh instead of one per device, and uses the returned
-        churn count to report how much of the fleet actually crossed a
-        cell boundary (most walking devices don't, per refresh).
-        """
-        moved = 0
-        for item_id, point in observations:
-            if self.update(item_id, point):
-                moved += 1
-        return moved
 
     def remove(self, item_id: str) -> None:
         cell = self._cells.pop(item_id, None)

@@ -326,47 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     soak_parser.set_defaults(func=_cmd_soak)
 
-    plane_parser = subparsers.add_parser(
-        "plane",
-        help="device-plane tooling: vector-vs-object throughput and "
-        "bit-identity cross-check",
-    )
-    plane_sub = plane_parser.add_subparsers(dest="plane_command", required=True)
-    plane_bench = plane_sub.add_parser(
-        "bench",
-        help="run one campaign on both planes and report device-events/s",
-    )
-    plane_bench.add_argument(
-        "--devices", type=int, default=10_000, help="fleet size (default 10000)"
-    )
-    plane_bench.add_argument(
-        "--rounds", type=int, default=30, help="sensing rounds (default 30)"
-    )
-    plane_bench.add_argument(
-        "--seed", type=int, default=7, help="fleet seed (default 7)"
-    )
-    plane_bench.add_argument(
-        "--kind",
-        default=None,
-        choices=["object", "vector"],
-        help="run a single plane instead of both",
-    )
-    plane_bench.set_defaults(func=_cmd_plane_bench)
-    plane_check = plane_sub.add_parser(
-        "check",
-        help="assert the vector plane is bit-identical to the object plane",
-    )
-    plane_check.add_argument(
-        "--seed", type=int, default=7, help="fleet seed (default 7)"
-    )
-    plane_check.add_argument(
-        "--devices", type=int, default=200, help="fleet size (default 200)"
-    )
-    plane_check.add_argument(
-        "--rounds", type=int, default=40, help="sensing rounds (default 40)"
-    )
-    plane_check.set_defaults(func=_cmd_plane_check)
-
     storage_parser = subparsers.add_parser(
         "storage",
         help="datastore tooling: conformance-check the selected backend",
@@ -629,53 +588,6 @@ def _cmd_storage_check(args: argparse.Namespace) -> int:
         print(f"bad datastore spec: {exc}", file=sys.stderr)
         return 2
     print(f"storage backend {spec!r} passed {len(checks)} conformance checks")
-    return 0
-
-
-def _cmd_plane_bench(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.core.deviceplane import (
-        FleetSpec,
-        default_campaign,
-        make_plane,
-        run_campaign,
-    )
-
-    spec = FleetSpec(devices=args.devices, seed=args.seed)
-    campaign = default_campaign(spec)
-    kinds = [args.kind] if args.kind else ["object", "vector"]
-    rates = {}
-    for kind in kinds:
-        plane = make_plane(spec, kind=kind)
-        start = time.perf_counter()
-        result = run_campaign(plane, campaign, args.rounds)
-        wall_s = time.perf_counter() - start
-        rates[kind] = result.device_events / wall_s if wall_s > 0 else 0.0
-        print(
-            f"{kind:6s} plane: {result.device_events} device-events in "
-            f"{wall_s:.3f}s = {rates[kind]:,.0f} events/s "
-            f"({result.uploads} uploads, {result.selections} selections)"
-        )
-    if len(rates) == 2 and rates["object"] > 0:
-        print(f"speedup: {rates['vector'] / rates['object']:.1f}x")
-    return 0
-
-
-def _cmd_plane_check(args: argparse.Namespace) -> int:
-    from repro.soak.invariants import check_plane_equivalence
-
-    violations = check_plane_equivalence(
-        args.seed, devices=args.devices, rounds=args.rounds
-    )
-    if violations:
-        for violation in violations:
-            print(f"VIOLATION {violation.code}: {violation.message}")
-        return 1
-    print(
-        f"planes bit-identical: seed {args.seed}, {args.devices} devices, "
-        f"{args.rounds} rounds"
-    )
     return 0
 
 

@@ -15,16 +15,6 @@ Hard cutoffs apply before scoring: a device is ineligible once it has
 exhausted its user-specified energy budget, once its battery falls to
 the user's critical level, after too many selections in the epoch, or
 after being marked unresponsive.
-
-Scoring comes in two shapes sharing one formula: the per-record object
-path (:meth:`DeviceSelector.score`, used by the event-driven server)
-and the batched array path (:func:`linear_score` /
-:func:`eligibility_mask`, used by the struct-of-arrays device plane in
-``repro.core.deviceplane``).  Both evaluate the identical expression in
-the identical operation order, so a fleet scored element-wise over
-numpy float64 arrays is bit-identical to the same fleet scored one
-``DeviceRecord`` at a time — the equivalence the device-plane property
-tests pin down.
 """
 
 from __future__ import annotations
@@ -34,65 +24,6 @@ from typing import List, Optional, Sequence
 
 from repro.core.config import SelectorWeights
 from repro.core.datastores import DeviceRecord
-
-
-def linear_score(
-    weights: SelectorWeights,
-    energy_used_j,
-    times_selected,
-    battery_pct,
-    ttl_term,
-    reliability,
-):
-    """The paper's linear score, element-wise (lower is better).
-
-    Accepts Python scalars or numpy arrays — every term is an
-    element-wise multiply/add, so the same call serves the per-record
-    path and the batched struct-of-arrays path.  ``ttl_term`` must
-    already be capped at ``weights.ttl_cap_s`` (see
-    :meth:`DeviceSelector.score` for the capping rule).
-    """
-    return (
-        weights.alpha * energy_used_j
-        + weights.beta * times_selected
-        + weights.gamma * (100.0 - battery_pct)
-        + weights.phi * ttl_term
-        + weights.rho * (1.0 - reliability)
-    )
-
-
-def eligibility_mask(
-    *,
-    responsive,
-    energy_used_j,
-    energy_budget_j,
-    battery_pct,
-    critical_battery_pct,
-    times_selected,
-    max_selections: Optional[int] = None,
-    reliability=None,
-    min_reliability: float = 0.0,
-):
-    """Element-wise hard cutoffs, mirroring :meth:`DeviceSelector.eligibility`.
-
-    Returns a boolean (array) that is True exactly where every cutoff
-    passes: responsive, within energy budget (``used < budget``), above
-    the critical battery level (``pct > critical``), under the
-    selection cap, and above the reliability floor.  Accepts scalars or
-    numpy arrays; comparison directions match the object path exactly,
-    including the boundary conditions (a device *at* its budget or
-    *at* its critical level is ineligible).
-    """
-    mask = (
-        responsive
-        & (energy_used_j < energy_budget_j)
-        & (battery_pct > critical_battery_pct)
-    )
-    if max_selections is not None:
-        mask = mask & (times_selected < max_selections)
-    if min_reliability > 0.0 and reliability is not None:
-        mask = mask & (reliability > min_reliability)
-    return mask
 
 
 @dataclass(frozen=True)
@@ -131,13 +62,12 @@ class DeviceSelector:
         # A device that has never communicated gets the worst TTL: its
         # radio is certainly idle, so an upload would pay promotion.
         ttl_term = w.ttl_cap_s if ttl is None else min(ttl, w.ttl_cap_s)
-        return linear_score(
-            w,
-            record.energy_used_j,
-            record.times_selected,
-            record.battery_pct,
-            ttl_term,
-            record.reliability,
+        return (
+            w.alpha * record.energy_used_j
+            + w.beta * record.times_selected
+            + w.gamma * (100.0 - record.battery_pct)
+            + w.phi * ttl_term
+            + w.rho * (1.0 - record.reliability)
         )
 
     def eligibility(self, record: DeviceRecord) -> ScoredDevice:

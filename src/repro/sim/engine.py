@@ -35,7 +35,6 @@ class Simulator:
         self._queue = EventQueue()
         self._running = False
         self._event_count = 0
-        self._device_events = 0
 
     @property
     def now(self) -> float:
@@ -45,25 +44,6 @@ class Simulator:
     @property
     def events_processed(self) -> int:
         return self._event_count
-
-    @property
-    def device_events(self) -> int:
-        """Per-device work units folded into batched events.
-
-        A struct-of-arrays component (``repro.core.deviceplane``)
-        advances thousands of devices inside one heap event, so
-        :attr:`events_processed` alone under-counts the work done.
-        Batched components report their per-device operation counts
-        here via :meth:`note_device_events`; throughput scorecards use
-        this as the events/s numerator for vectorized tiers.
-        """
-        return self._device_events
-
-    def note_device_events(self, count: int) -> None:
-        """Credit ``count`` per-device operations to a batched event."""
-        if count < 0:
-            raise ValueError(f"count must be non-negative, got {count!r}")
-        self._device_events += count
 
     @property
     def pending_events(self) -> int:

@@ -30,13 +30,6 @@ and returns :class:`InvariantViolation` records.  The catalog:
     Emitted by the harness itself: a same-seed re-run of the episode
     produced a different structured-log signature or different
     verdicts.
-``PLANE_DIVERGED``
-    The struct-of-arrays device plane and its object-per-device
-    reference disagreed on a seeded campaign: different selection log,
-    per-device snapshot, or fleet energy total.  Run per episode (seed
-    derived from the episode seed) so the vectorized kernels are
-    continuously cross-checked against the scalar semantics under the
-    soak's seed diversity, not just the property-test corpus.
 """
 
 from __future__ import annotations
@@ -190,82 +183,6 @@ def check_wal_recovery(fleet: ShardedSenseAid) -> List[InvariantViolation]:
     return violations
 
 
-def check_plane_equivalence(
-    seed: int,
-    *,
-    devices: int = 48,
-    rounds: int = 12,
-) -> List[InvariantViolation]:
-    """Cross-check the vectorized device plane against the object plane.
-
-    Builds one fleet from ``seed`` and runs the same deterministic
-    campaign through both :class:`~repro.core.deviceplane.DevicePlane`
-    implementations, requiring exact ``==`` on the selection log, the
-    full per-device snapshot, and the :func:`math.fsum` energy total —
-    the bit-identity contract ``docs/deviceplane.md`` documents.  A
-    short round period keeps re-selection inside the LTE tail so the
-    tail-resume upload arm (the hardest kernel) is exercised every
-    episode.  Cheap (&lt;50 ms) by design: it rides along with every
-    soak episode.
-    """
-    from repro.core.deviceplane import (
-        CampaignSpec,
-        FleetSpec,
-        SensingTask,
-        make_plane,
-        run_campaign,
-    )
-
-    spec = FleetSpec(
-        devices=devices,
-        seed=seed,
-        width_m=2000.0,
-        height_m=2000.0,
-        sensor_fraction=1.0,
-    )
-    campaign = CampaignSpec(
-        tasks=(
-            SensingTask(700.0, 700.0, 900.0, 3),
-            SensingTask(1300.0, 1300.0, 900.0, 3),
-        ),
-        round_period_s=5.0,
-        tail_defer_s=0.0,
-    )
-    obj_plane = make_plane(spec, kind="object")
-    vec_plane = make_plane(spec, kind="vector")
-    obj_result = run_campaign(obj_plane, campaign, rounds)
-    vec_result = run_campaign(vec_plane, campaign, rounds)
-
-    mismatched: List[str] = []
-    if obj_result.selection_log != vec_result.selection_log:
-        mismatched.append("selection_log")
-    obj_snap, vec_snap = obj_plane.snapshot(), vec_plane.snapshot()
-    mismatched.extend(
-        f"snapshot.{key}" for key in obj_snap if obj_snap[key] != vec_snap[key]
-    )
-    obj_total = obj_plane.total_crowdsensing_energy_j()
-    vec_total = vec_plane.total_crowdsensing_energy_j()
-    if obj_total != vec_total:
-        mismatched.append("energy_total")
-    if not mismatched:
-        return []
-    return [
-        InvariantViolation(
-            "PLANE_DIVERGED",
-            f"vector device plane diverged from the object reference on "
-            f"seed {seed}: {', '.join(mismatched)}",
-            {
-                "seed": seed,
-                "devices": devices,
-                "rounds": rounds,
-                "fields": mismatched,
-                "energy_object_j": obj_total,
-                "energy_vector_j": vec_total,
-            },
-        )
-    ]
-
-
 def run_invariant_suite(
     fleet: ShardedSenseAid,
     clients: Dict[str, object],
@@ -290,7 +207,6 @@ __all__ = [
     "check_double_acks",
     "check_epoch_monotonicity",
     "check_idempotency",
-    "check_plane_equivalence",
     "check_wal_recovery",
     "run_invariant_suite",
 ]

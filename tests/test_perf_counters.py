@@ -135,3 +135,71 @@ def test_server_instruments_hot_paths():
     assert registry.perf is sim.perf
     # Per-query touched devices is bounded by the fleet.
     assert probes["registry.devices_within"].max_items <= len(devices)
+
+
+def test_complexity_contract_counter_bounds():
+    """The counter-backed rows of the docs/performance.md §5 table.
+
+    The fleet is static, so every bucket keeps its occupancy for the
+    whole run and the end-of-run ``max_bucket`` bounds what each query
+    saw.
+    """
+    import math
+    import random
+
+    from repro.cellular.enodeb import TowerRegistry, grid_towers
+    from repro.cellular.network import CellularNetwork
+    from repro.clientlib import SenseAidClient
+    from repro.core.config import SenseAidConfig, ServerMode
+    from repro.core.server import SenseAidServer
+    from repro.devices.device import SimDevice
+    from repro.devices.sensors import SensorType
+    from repro.environment.campus import default_campus
+    from repro.environment.geometry import Point
+    from repro.environment.mobility import StaticMobility
+    from repro.serverlib import CrowdsensingAppServer
+
+    fleet = 200
+    radius_m = 300.0
+    rng = random.Random(5)
+    sim = Simulator(seed=5)
+    campus = default_campus()
+    registry = TowerRegistry(grid_towers(campus.width_m, campus.height_m))
+    network = CellularNetwork(sim)
+    server = SenseAidServer(
+        sim, registry, network, SenseAidConfig(mode=ServerMode.COMPLETE)
+    )
+    for i in range(fleet):
+        position = Point(
+            rng.uniform(0.0, campus.width_m), rng.uniform(0.0, campus.height_m)
+        )
+        device = SimDevice(sim, f"d{i:03d}", mobility=StaticMobility(position))
+        SenseAidClient(sim, device, server, network).register()
+    app = CrowdsensingAppServer(server, "contract-check")
+    for site in ("CS department", "Student Union"):
+        app.task(
+            SensorType.BAROMETER,
+            campus.site(site).position,
+            area_radius_m=radius_m,
+            spatial_density=2,
+            sampling_period_s=300.0,
+            sampling_duration_s=1800.0,
+        )
+    sim.run(until=1900.0)
+    server.shutdown()
+
+    probes = sim.perf.probes()
+    grid = registry.grid_stats()
+
+    # devices_within: O(q), q bounded by the buckets a circle can touch.
+    query = probes["registry.devices_within"]
+    assert query.calls > 0
+    cells_across = math.ceil(2 * radius_m / grid["cell_size_m"] + 1)
+    query_bound = cells_across**2 * grid["max_bucket"]
+    assert query_bound < fleet  # the bound is tighter than a scan
+    assert query.max_items <= query_bound
+
+    # Edge sync: O(fleet) per distinct instant.
+    edge = probes["server.edge_refresh"]
+    assert edge.calls > 0
+    assert edge.items <= edge.calls * fleet
