@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.cellular.spatial import Cell, UniformGridIndex
 from repro.environment.geometry import Point
@@ -109,11 +109,11 @@ class TowerRegistry:
         self._perf = perf if perf is not None else PerfRegistry()
         #: Membership/topology change counter (cache key for callers).
         self._version = 0
-        #: Bumped by tower fail/restore — invalidates nearest-tower caches.
+        #: Bumped by tower fail/restore — forces a full re-attachment.
         self._topology_version = 0
         self._attachments_topology = 0
-        #: Per-grid-cell unique nearest tower ("" = ambiguous cell).
-        self._cell_tower_cache: Dict[Cell, str] = {}
+        #: Per-grid-cell candidate towers (see ``_candidate_towers``).
+        self._cell_candidates: Dict[Cell, Tuple[ENodeB, ...]] = {}
         self._positions_time: Optional[float] = None
 
     # ------------------------------------------------------------------
@@ -172,11 +172,45 @@ class TowerRegistry:
         During a total outage (no tower operational) the plain nearest
         tower is returned — devices stay nominally attached, and the
         fault layer drops their traffic until a tower is restored.
+        Exact ties go to the tower registered first.  Only the point's
+        grid-cell candidates are examined; the perf probe
+        ``registry.nearest_tower`` records how many.
         """
-        candidates = [t for t in self._towers.values() if t.operational]
-        if not candidates:
-            candidates = list(self._towers.values())
+        cell = self._grid.cell_of(point)
+        candidates = self._cell_candidates.get(cell)
+        if candidates is None:
+            candidates = self._cell_candidates[cell] = self._candidate_towers(cell)
+        self._perf.count("registry.nearest_tower", len(candidates))
+        if len(candidates) == 1:
+            return candidates[0]
         return min(candidates, key=lambda t: t.position.distance_to(point))
+
+    def _candidate_towers(self, cell: Cell) -> Tuple[ENodeB, ...]:
+        """Every tower that can be nearest to some point of a grid cell.
+
+        Works on the cell padded by ``1e-6 × cell_size``, which absorbs
+        float rounding in ``cell_of`` and ``distance_to``.  No point of
+        the padded cell is farther from its nearest tower than ``reach``,
+        the smallest farthest-corner distance over the pool, so a tower
+        whose closest approach to the padded cell exceeds ``reach`` plus
+        the pad is strictly beaten everywhere in it and is dropped.  The
+        survivors keep registry order, so ``min`` over them breaks exact
+        ties as a scan over the whole pool does.
+        """
+        pool = self.operational_towers() or list(self._towers.values())
+        size = self._grid.cell_size_m
+        pad = 1e-6 * size
+        x0, y0 = cell[0] * size - pad, cell[1] * size - pad
+        x1, y1 = x0 + size + 2 * pad, y0 + size + 2 * pad
+
+        def closest(p: Point) -> float:
+            return math.hypot(max(x0 - p.x, 0.0, p.x - x1), max(y0 - p.y, 0.0, p.y - y1))
+
+        def farthest(p: Point) -> float:
+            return math.hypot(max(p.x - x0, x1 - p.x), max(p.y - y0, y1 - p.y))
+
+        reach = min(farthest(t.position) for t in pool) + pad
+        return tuple(t for t in pool if closest(t.position) <= reach)
 
     def operational_towers(self) -> List[ENodeB]:
         return [t for t in self._towers.values() if t.operational]
@@ -196,7 +230,7 @@ class TowerRegistry:
     def _note_topology_change(self) -> None:
         self._version += 1
         self._topology_version += 1
-        self._cell_tower_cache.clear()
+        self._cell_candidates.clear()
 
     def towers_covering(self, center: Point, radius_m: float) -> List[ENodeB]:
         """Towers whose coverage intersects a task's circular region."""
@@ -242,6 +276,10 @@ class TowerRegistry:
 
     def device_ids(self) -> List[str]:
         return sorted(self._devices)
+
+    def __contains__(self, device_id: object) -> bool:
+        """Whether a device is attached — O(1), unlike ``device_ids()``."""
+        return device_id in self._devices
 
     def devices_on_tower(self, tower_id: str) -> List[str]:
         """Device ids currently attached to a tower, sorted.
@@ -300,10 +338,9 @@ class TowerRegistry:
     def refresh_attachments(self) -> None:
         """Re-associate devices with their nearest towers (handover).
 
-        Only devices that may have moved since their last attachment
-        decision (plus everyone after a tower fail/restore) are
-        re-evaluated; per-grid-cell nearest-tower caching answers most
-        of those without touching every tower.
+        Only devices re-read since their last attachment decision (plus
+        everyone after a tower fail/restore) are re-evaluated, each
+        against its grid cell's candidate towers only.
         """
         self.refresh_positions()
         with self._perf.measure("registry.refresh_attachments") as m:
@@ -312,9 +349,9 @@ class TowerRegistry:
                 self._attachments_topology = self._topology_version
             else:
                 dirty = [d for d in self._attach_dirty if d in self._devices]
+            position, nearest = self._grid.position, self.nearest_tower
             for device_id in dirty:
-                position = self._grid.position(device_id)
-                self._set_attachment(device_id, self._tower_id_for(position))
+                self._set_attachment(device_id, nearest(position(device_id)).tower_id)
             self._attach_dirty.clear()
             m.items = len(dirty)
 
@@ -326,39 +363,6 @@ class TowerRegistry:
             self._tower_members[old].discard(device_id)
         self._attachment[device_id] = tower_id
         self._tower_members[tower_id].add(device_id)
-
-    def _tower_id_for(self, position: Point) -> str:
-        """Nearest-tower id, via the per-cell cache when unambiguous."""
-        cell = self._grid.cell_of(position)
-        cached = self._cell_tower_cache.get(cell)
-        if cached is None:
-            cached = self._unique_tower_for_cell(cell)
-            self._cell_tower_cache[cell] = cached
-        if cached:
-            return cached
-        return self.nearest_tower(position).tower_id
-
-    def _unique_tower_for_cell(self, cell: Cell) -> str:
-        """The tower nearest to *every* point of a cell, or ``""``.
-
-        A tower is provably nearest for the whole cell when its margin
-        over the runner-up (measured from the cell centre) exceeds the
-        cell diagonal — then no point of the cell can flip the order,
-        and the cached answer matches the exact per-device computation.
-        """
-        size = self._grid.cell_size_m
-        center = Point((cell[0] + 0.5) * size, (cell[1] + 0.5) * size)
-        candidates = self.operational_towers()
-        if not candidates:
-            candidates = list(self._towers.values())
-        if len(candidates) == 1:
-            return candidates[0].tower_id
-        ranked = sorted(
-            (t.position.distance_to(center), t.tower_id) for t in candidates
-        )
-        if ranked[1][0] - ranked[0][0] > size * math.sqrt(2.0):
-            return ranked[0][1]
-        return ""
 
     def serving_tower(self, device_id: str) -> ENodeB:
         self._require(device_id)

@@ -174,7 +174,7 @@ class FaultInjector:
         if (
             self._registry is not None
             and device_id is not None
-            and device_id in self._registry.device_ids()
+            and device_id in self._registry
             and not self._registry.serving_tower_operational(device_id)
         ):
             self.stats.outage_drops += 1

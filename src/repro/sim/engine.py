@@ -97,24 +97,20 @@ class Simulator:
             raise RuntimeError("simulator is not re-entrant")
         self._running = True
         processed = 0
+        pop_until = self._queue.pop_until
+        advance_to = self.clock.advance_to
         try:
-            while True:
-                if max_events is not None and processed >= max_events:
+            while max_events is None or processed < max_events:
+                event = pop_until(until)
+                if event is None:
                     break
-                next_time = self._queue.peek_time()
-                if next_time is None:
-                    break
-                if until is not None and next_time > until:
-                    break
-                event = self._queue.pop()
-                assert event is not None
-                self.clock.advance_to(event.time)
+                advance_to(event.time)
                 event.fire()
                 processed += 1
-                self._event_count += 1
             if until is not None and until > self.now:
-                self.clock.advance_to(until)
+                advance_to(until)
         finally:
+            self._event_count += processed
             self._running = False
         return processed
 

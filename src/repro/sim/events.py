@@ -5,6 +5,11 @@ totally ordered by ``(time, priority, sequence)`` so that simultaneous
 events fire in a deterministic order: lower priority value first, then
 insertion order.  Cancellation is lazy — a cancelled event stays on the
 heap but is skipped when popped, which keeps cancellation O(1).
+
+The heap holds ``(time, priority, seq, event)`` tuples rather than the
+events themselves, so every heap comparison is a C-level tuple
+comparison; ``seq`` is unique, so two entries never fall through to
+comparing their :class:`Event` objects.
 """
 
 from __future__ import annotations
@@ -71,7 +76,8 @@ class EventQueue:
     """A deterministic min-heap of :class:`Event` objects."""
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        #: ``(time, priority, seq, event)`` entries (see the module docstring).
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._counter = itertools.count()
         self._live = 0
 
@@ -90,8 +96,9 @@ class EventQueue:
         priority: int = 0,
     ) -> Event:
         """Create and enqueue an event; returns it for cancellation."""
-        event = Event(time, next(self._counter), callback, args, priority)
-        heapq.heappush(self._heap, event)
+        seq = next(self._counter)
+        event = Event(time, seq, callback, args, priority)
+        heapq.heappush(self._heap, (event.time, priority, seq, event))
         self._live += 1
         return event
 
@@ -100,16 +107,24 @@ class EventQueue:
         self._drop_cancelled_head()
         if not self._heap:
             return None
-        return self._heap[0].time
+        return self._heap[0][0]
 
     def pop(self) -> Optional[Event]:
         """Remove and return the next live event, or None if empty."""
+        return self.pop_until(None)
+
+    def pop_until(self, until: Optional[float]) -> Optional[Event]:
+        """Remove and return the next live event due at or before
+        ``until`` (any time when None); None if there is no such event.
+
+        One heap pop per event — the simulator's dispatch loop.
+        """
         self._drop_cancelled_head()
-        if not self._heap:
+        heap = self._heap
+        if not heap or (until is not None and heap[0][0] > until):
             return None
-        event = heapq.heappop(self._heap)
         self._live -= 1
-        return event
+        return heapq.heappop(heap)[3]
 
     def note_cancelled(self) -> None:
         """Adjust the live count after an external ``Event.cancel()``.
@@ -125,5 +140,6 @@ class EventQueue:
         self._live = 0
 
     def _drop_cancelled_head(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
+        heap = self._heap
+        while heap and heap[0][3]._cancelled:
+            heapq.heappop(heap)

@@ -63,6 +63,8 @@ class TestTowerRegistry:
         tower = registry.attach_device(device)
         assert tower.tower_id == "west"
         assert registry.serving_tower("d1").tower_id == "west"
+        assert "d1" in registry
+        assert "d2" not in registry
 
     def test_detach(self):
         sim = Simulator()
@@ -71,6 +73,7 @@ class TestTowerRegistry:
         registry.attach_device(device)
         registry.detach_device("d1")
         assert registry.device_ids() == []
+        assert "d1" not in registry
         with pytest.raises(KeyError):
             registry.serving_tower("d1")
 

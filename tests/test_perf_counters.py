@@ -203,3 +203,16 @@ def test_complexity_contract_counter_bounds():
     edge = probes["server.edge_refresh"]
     assert edge.calls > 0
     assert edge.items <= edge.calls * fleet
+
+    # refresh_attachments: O(d × c), c = candidate towers per cell.
+    nearest = probes["registry.nearest_tower"]
+    assert nearest.calls >= fleet
+    assert nearest.max_items <= 4
+
+    # The same bound on every cell of a 5x5-tower, 9 km region.
+    city = TowerRegistry(grid_towers(9000.0, 9000.0, rows=5, cols=5))
+    cell = city.grid_stats()["cell_size_m"]
+    for i in range(int(9000.0 // cell)):
+        for j in range(int(9000.0 // cell)):
+            city.nearest_tower(Point((i + 0.5) * cell, (j + 0.5) * cell))
+    assert city.perf.probe("registry.nearest_tower").max_items <= 4

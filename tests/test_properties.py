@@ -64,6 +64,69 @@ def test_event_queue_cancellation_preserves_rest(times, data):
     assert popped == surviving_times
 
 
+_QUEUE_OPS = st.one_of(
+    st.tuples(
+        st.just("push"),
+        # A handful of times, so most pushes collide on time.
+        st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 7.25]),
+        st.integers(min_value=-3, max_value=3),
+    ),
+    st.tuples(st.just("pop")),
+    st.tuples(st.just("pop_until"), st.sampled_from([0.0, 0.75, 1.0, 5.0])),
+    st.tuples(st.just("cancel"), st.integers(min_value=0, max_value=60)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_QUEUE_OPS, max_size=60))
+def test_event_queue_order_is_time_priority_push_index(ops):
+    """Against a sorted-list model: pops come out in (time, priority,
+    push index) order, with cancellations interleaved, and
+    ``Event.__lt__`` agrees with that order."""
+    queue = EventQueue()
+    events = []  # by push index
+    live = {}  # push index -> model key
+
+    def expected_next(until=None):
+        if not live:
+            return None
+        index = min(live, key=live.get)
+        if until is not None and live[index][0] > until:
+            return None
+        return index
+
+    for op in ops:
+        if op[0] == "push":
+            _, time, priority = op
+            events.append(queue.push(time, lambda: None, priority=priority))
+            live[len(events) - 1] = (time, priority, len(events) - 1)
+        elif op[0] == "cancel":
+            index = op[1]
+            if index in live:
+                events[index].cancel()
+                queue.note_cancelled()
+                del live[index]
+        else:
+            until = op[1] if op[0] == "pop_until" else None
+            index = expected_next(until)
+            popped = queue.pop_until(until) if op[0] == "pop_until" else queue.pop()
+            if index is None:
+                assert popped is None
+            else:
+                assert popped is events[index]
+                del live[index]
+        assert len(queue) == len(live)
+        head = expected_next()
+        assert queue.peek_time() == (None if head is None else live[head][0])
+    drained = []
+    while queue:
+        drained.append(events.index(queue.pop()))
+    assert drained == sorted(live, key=live.get)
+    assert queue.pop() is None
+    keyed = sorted(range(len(events)), key=lambda i: (events[i].time, events[i].priority, i))
+    assert [events.index(e) for e in sorted(events)] == keyed
+
+
 # ----------------------------------------------------------------------
 # RRC state machine
 # ----------------------------------------------------------------------

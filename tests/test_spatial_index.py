@@ -116,6 +116,114 @@ def test_grid_equals_scan_on_random_fleets(seed, n_devices, cell_size, radius):
     assert registry.candidate_count_within(center, radius) >= len(indexed)
 
 
+def _brute_force_nearest(towers, point: Point) -> ENodeB:
+    """The reference: scan every operational tower (all of them during
+    a total outage); ``min`` keeps the first registered on exact ties."""
+    pool = [t for t in towers if t.operational] or list(towers)
+    return min(pool, key=lambda t: t.position.distance_to(point))
+
+
+def _tower_layout(layout: str, rng: random.Random):
+    if layout == "grid":
+        return grid_towers(3000.0, 3000.0, rows=rng.randint(1, 5), cols=rng.randint(1, 5))
+    if layout == "random":
+        return [
+            ENodeB(f"t{i}", Point(rng.uniform(-1000.0, 4000.0), rng.uniform(-1000.0, 4000.0)))
+            for i in range(rng.randint(1, 12))
+        ]
+    # "lattice": integer positions on a coarse lattice, so exact
+    # equidistant ties are everywhere; registered in shuffled order, so
+    # registry order is not id order.
+    spots = [(x, y) for x in range(-1000, 4001, 500) for y in range(-1000, 4001, 500)]
+    return [
+        ENodeB(f"t{x}:{y}", Point(float(x), float(y)))
+        for x, y in rng.sample(spots, rng.randint(2, 12))
+    ]
+
+
+def _probe_points(towers, cell_size: float, rng: random.Random):
+    points = [
+        Point(rng.uniform(-2000.0, 5000.0), rng.uniform(-2000.0, 5000.0)) for _ in range(12)
+    ]
+    # Cell edges and corners, negative coordinates included.
+    for _ in range(8):
+        i, j = rng.randint(-4, 12), rng.randint(-4, 12)
+        points.append(Point(i * cell_size, rng.uniform(-2000.0, 5000.0)))
+        points.append(Point(i * cell_size, j * cell_size))
+    # Midpoints of tower pairs (exactly equidistant on the lattice) and
+    # the towers themselves.
+    for _ in range(8):
+        a, b = rng.choice(towers), rng.choice(towers)
+        points.append(Point((a.position.x + b.position.x) / 2, (a.position.y + b.position.y) / 2))
+    points.extend(t.position for t in towers)
+    return points
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    layout=st.sampled_from(["grid", "random", "lattice"]),
+    seed=st.integers(min_value=0, max_value=10_000),
+    cell_size=st.sampled_from([120.0, 500.0, 1500.0]),
+    total_outage=st.booleans(),
+    data=st.data(),
+)
+def test_nearest_tower_equals_brute_force(layout, seed, cell_size, total_outage, data):
+    """``nearest_tower`` and the attachment refresh ≡ a scan of the pool,
+    before, during and after tower failures (or a total outage)."""
+    rng = random.Random(seed)
+    towers = _tower_layout(layout, rng)
+    registry = TowerRegistry(towers, cell_size_m=cell_size)
+    points = _probe_points(towers, cell_size, rng)
+    for i, point in enumerate(points):
+        registry.attach_device(_Dot(f"d{i}", point))
+    if total_outage:
+        failed = list(range(len(towers)))
+    else:
+        failed = data.draw(st.sets(st.integers(0, len(towers) - 1)), label="failed")
+
+    def check():
+        for i, point in enumerate(points):
+            expected = _brute_force_nearest(towers, point)
+            assert registry.nearest_tower(point) is expected
+            assert registry.serving_tower(f"d{i}") is expected
+
+    check()
+    # Each fail/restore re-attaches the whole fleet through the refresh
+    # path, against a freshly invalidated candidate cache.
+    for index in sorted(failed):
+        registry.fail_tower(towers[index].tower_id)
+        check()
+    for index in sorted(failed):
+        registry.restore_tower(towers[index].tower_id)
+    check()
+
+
+def test_equidistant_tie_goes_to_first_registered_tower():
+    registry = TowerRegistry(
+        [ENodeB("zulu", Point(0.0, 0.0)), ENodeB("alpha", Point(2000.0, 0.0))]
+    )
+    # x = 1000 is equidistant and also a cell edge (cell size 500).
+    for y in (-750.0, 0.0, 1000.0):
+        assert registry.nearest_tower(Point(1000.0, y)).tower_id == "zulu"
+    # The centre of a 2x2 grid ties all four towers.
+    grid = TowerRegistry(grid_towers(3000.0, 3000.0))
+    grid.attach_device(_Dot("c", Point(1500.0, 1500.0)))
+    assert grid.serving_tower("c").tower_id == "enb-00"
+
+
+def test_fail_and_restore_invalidate_candidate_cache():
+    registry = TowerRegistry(grid_towers(3000.0, 3000.0))
+    point = Point(700.0, 700.0)
+    registry.attach_device(_Dot("d", point))
+    assert registry.nearest_tower(point).tower_id == "enb-00"
+    registry.fail_tower("enb-00")
+    assert registry.nearest_tower(point).tower_id != "enb-00"
+    assert registry.serving_tower("d").tower_id != "enb-00"
+    registry.restore_tower("enb-00")
+    assert registry.nearest_tower(point).tower_id == "enb-00"
+    assert registry.serving_tower("d").tower_id == "enb-00"
+
+
 class TestRegistryIncrementalRefresh:
     def test_memoised_per_instant_with_clock(self):
         sim = Simulator(seed=3)
