@@ -67,9 +67,10 @@ class TowerRegistry:
     """Tracks towers and device attachments.
 
     Attachment is nearest-tower.  ``refresh_attachments`` re-evaluates
-    devices against the towers; the experiments call it whenever the
-    server takes a location snapshot, which mirrors how a handover
-    updates the network's view.  With a bound clock the refresh is
+    devices against the towers, which mirrors how a handover updates
+    the network's view.  The Sense-Aid server calls it only when a
+    request reads the edge view, and every tower fail or restore calls
+    it for the whole fleet.  With a bound clock the refresh is
     memoised per simulation instant and skips provably-stationary
     devices, so repeated snapshots within one scheduling round are
     free.

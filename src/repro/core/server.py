@@ -857,12 +857,14 @@ class SenseAidServer:
             self._assign(tracking.request, scored.device_id, tracking)
 
     def _check_wait_queue(self) -> None:
-        """Periodic wait-queue drain, batched per edge snapshot.
+        """Periodic wait-queue drain; an idle tick does no fleet work.
 
-        One edge refresh covers the whole drain (the memo in
-        :meth:`_refresh_edge_view` makes the per-request call free),
-        and requests of the same task share one qualification via the
-        per-instant memo — so a drain costs one snapshot plus one
+        The tick itself never refreshes the edge view.  Each waiting
+        request pulls it before its re-check, and the memo in
+        :meth:`_refresh_edge_view` makes every pull after the first at
+        one instant free, so a tick with an empty wait queue touches no
+        device.  Requests of the same task share one qualification via
+        the per-instant memo, so a drain costs one snapshot plus one
         bucket query per distinct waiting task, not one fleet scan per
         request.  A spatial candidate count (an upper bound on the
         qualified set) rejects still-starved requests before any
@@ -870,7 +872,6 @@ class SenseAidServer:
         """
         expired = self.wait_queue.drop_expired(self._sim.now)
         self.stats.requests_expired += len(expired)
-        self._refresh_edge_view()
 
         def satisfiable(request: SensingRequest) -> bool:
             self._refresh_edge_view()
@@ -900,6 +901,31 @@ class SenseAidServer:
 
     def _refresh_edge_view(self) -> None:
         """Pull the eNodeBs' current view: attachment + last-comm age.
+
+        Only the paths that read the view call this, each just before
+        it reads: :meth:`_schedule_request`, the wait-queue re-check and
+        :meth:`_reassign_missing`.  Instants at which none of them runs
+        do no fleet work, and skipping them changes no decision:
+
+        1. *Positions.*  Positions are pure functions of time (each
+           device's itinerary draws only from its own ``mobility:{i}``
+           stream), and a refresh re-reads every device whose validity
+           window has ended.  After a refresh at ``t`` the observed
+           positions are therefore ``position_at(t)``, whichever
+           earlier instants were refreshed.  ``devices_within`` sorts by
+           (distance, id), so the order of a bucket set never leaks
+           into results.
+        2. *Attachments.*  A device attaches to the operational tower
+           nearest its observed position.  The one reader off these
+           paths, the fault layer's ``serving_tower_operational``,
+           cannot see when attachments were last refreshed: every tower
+           fail and restore re-attaches the whole fleet, so a device
+           sits on a failed tower only during a total outage.
+        3. *Last-comm sync.*  The sync writes ``now - age`` into each
+           record.  Every reader of ``last_comm_time`` is the selector
+           on one of the three paths, right after a refresh at the same
+           instant.  Checkpoints and storage flushes copy the field
+           too, but a restored record is re-synced before it is read.
 
         A third-party (non-carrier) deployment has no live RRC
         visibility, so its records keep whatever last-comm times the

@@ -199,10 +199,14 @@ def test_complexity_contract_counter_bounds():
     assert query_bound < fleet  # the bound is tighter than a scan
     assert query.max_items <= query_bound
 
-    # Edge sync: O(fleet) per distinct instant.
+    # Edge sync: O(fleet) per distinct instant that reads the view.
+    # Nothing is waitlisted here, so only scheduling instants refresh;
+    # the 30 s wait-queue ticks find an empty queue and do no fleet work.
     edge = probes["server.edge_refresh"]
-    assert edge.calls > 0
+    assert server.stats.requests_waitlisted == 0
+    assert edge.calls == len({event.time for event in server.selection_log})
     assert edge.items <= edge.calls * fleet
+    assert probes["server.wait_check"].calls == 63
 
     # refresh_attachments: O(d × c), c = candidate towers per cell.
     nearest = probes["registry.nearest_tower"]

@@ -9,6 +9,7 @@ produce the same selection log whether the index is on or off.
 from __future__ import annotations
 
 import random
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -25,6 +26,7 @@ from repro.environment.campus import STUDY_SITES, default_campus
 from repro.environment.geometry import Point
 from repro.environment.mobility import RandomWaypointMobility, StaticMobility
 from repro.environment.population import PopulationConfig, build_population
+from repro.faults import FaultInjector, FaultPlan, reset_global_ids
 from repro.serverlib import CrowdsensingAppServer
 from repro.sim.engine import Simulator
 from tests.conftest import make_device
@@ -303,9 +305,27 @@ class TestRegistryIncrementalRefresh:
                 assert registry.serving_tower(device.device_id).tower_id == expected
 
 
-def _run_campaign(seed: int, use_spatial_index: bool):
-    from repro.faults import reset_global_ids
+class _TimerRefreshServer(SenseAidServer):
+    """Reference server: every wait-queue tick refreshes the whole edge
+    view first, whether or not a request reads it."""
 
+    def _check_wait_queue(self) -> None:
+        self._refresh_edge_view()
+        super()._check_wait_queue()
+
+
+def _run_campaign(
+    seed: int,
+    use_spatial_index: bool = True,
+    *,
+    server_cls=SenseAidServer,
+    mode: ServerMode = ServerMode.COMPLETE,
+    density: int = 3,
+    reassign_margin_s: Optional[float] = None,
+    plan: Optional[FaultPlan] = None,
+):
+    """Two barometer tasks over 40 walking users on the campus; returns
+    ``(server, devices, clients, injector)``."""
     reset_global_ids()
     sim = Simulator(seed=seed)
     campus = default_campus()
@@ -315,33 +335,116 @@ def _run_campaign(seed: int, use_spatial_index: bool):
     )
     network = CellularNetwork(sim)
     devices = build_population(sim, campus, PopulationConfig(size=40))
-    server = SenseAidServer(
-        sim, registry, network, SenseAidConfig(mode=ServerMode.COMPLETE)
-    )
+    config = SenseAidConfig(mode=mode, reassign_margin_s=reassign_margin_s)
+    server = server_cls(sim, registry, network, config)
+    injector = FaultInjector(sim, network, registry, server=server, plan=plan)
+    clients = []
     for device in devices:
-        SenseAidClient(sim, device, server, network).register()
+        client = SenseAidClient(sim, device, server, network)
+        client.register()
+        clients.append(client)
     app = CrowdsensingAppServer(server, "equiv")
     for site in STUDY_SITES[:2]:
         app.task(
             SensorType.BAROMETER,
             campus.site(site).position,
             area_radius_m=900.0,
-            spatial_density=3,
+            spatial_density=density,
             sampling_period_s=300.0,
             sampling_duration_s=1800.0,
         )
     sim.run(until=1900.0)
     server.shutdown()
-    return server
+    return server, devices, clients, injector
 
 
 def test_selection_log_bit_identical_with_and_without_index():
     """The tentpole determinism gate: indexing must not change one bit
     of the scheduling outcome under the same seed."""
-    indexed = _run_campaign(29, use_spatial_index=True)
-    scanned = _run_campaign(29, use_spatial_index=False)
+    indexed, *_ = _run_campaign(29, use_spatial_index=True)
+    scanned, *_ = _run_campaign(29, use_spatial_index=False)
     assert indexed.selection_log == scanned.selection_log
     assert indexed.stats == scanned.stats
+
+
+_TOWERS = tuple(f"enb-{r}{c}" for r in range(3) for c in range(3))
+
+
+def _outage_and_crash_plan(towers) -> FaultPlan:
+    """Fail ``towers`` from 450 s to 1050 s (all nine: a total outage),
+    then crash the server at 1230 s and restart it 45 s later."""
+    plan = FaultPlan()
+    for tower_id in towers:
+        plan.tower_down(450.0, tower_id)
+    for tower_id in towers:
+        plan.tower_up(1050.0, tower_id)
+    return plan.server_crash(1230.0, restart_after=45.0)
+
+
+def _pulled_and_reference(seed, mode, density, reassign_margin_s, outage):
+    """The same campaign under the server and under the timer-refresh
+    reference; ``outage`` is None (no faults) or the towers to fail."""
+
+    def run(server_cls):
+        plan = None if outage is None else _outage_and_crash_plan(outage)
+        return _run_campaign(
+            seed,
+            server_cls=server_cls,
+            mode=mode,
+            density=density,
+            reassign_margin_s=reassign_margin_s,
+            plan=plan,
+        )
+
+    pulled, reference = run(SenseAidServer), run(_TimerRefreshServer)
+    server, devices, _, injector = pulled
+    ref_server, ref_devices, _, ref_injector = reference
+    assert server.selection_log == ref_server.selection_log
+    assert server.stats == ref_server.stats
+    assert [d.crowdsensing_energy_j() for d in devices] == [
+        d.crowdsensing_energy_j() for d in ref_devices
+    ]
+    assert injector.stats == ref_injector.stats
+    return pulled, reference
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=10_000),
+    mode=st.sampled_from([ServerMode.BASIC, ServerMode.COMPLETE]),
+    density=st.sampled_from([15, 30]),
+    reassign_margin_s=st.sampled_from([None, 2.0]),
+    outage=st.one_of(st.none(), st.sampled_from(_TOWERS).map(lambda t: (t,)), st.just(_TOWERS)),
+)
+def test_edge_view_pulled_on_read_matches_timer_refresh(
+    seed, mode, density, reassign_margin_s, outage
+):
+    """Refreshing the edge view only where a request reads it changes no
+    decision: selections, stats, device energy and fault outcomes equal
+    those of a server that also refreshes on every wait-queue tick.
+    Density 30 of 40 users starves requests into the wait queue;
+    density 15 leaves spare candidates for reassignment to rank.  Each
+    runs with reassignment off and on, without faults, and with a
+    one-tower or total outage followed by a server crash and restart."""
+    _pulled_and_reference(seed, mode, density, reassign_margin_s, outage)
+
+
+def test_edge_view_exactness_world_is_not_vacuous():
+    """One pinned case of the property above: its world waitlists
+    requests, makes tail uploads, drops traffic in the total outage,
+    drafts substitutes, restarts the server, and the reference
+    refreshes at more instants."""
+    pulled, reference = _pulled_and_reference(6, ServerMode.COMPLETE, 15, 2.0, _TOWERS)
+    server, _, clients, injector = pulled
+    assert server.stats.requests_waitlisted > 0
+    assert sum(c.stats.uploads_in_tail for c in clients) > 0
+    assert injector.stats.outage_drops > 0
+    assert server.stats.reassignments > 0
+    assert injector.stats.server_restarts == 1
+    edge_refreshes = [
+        run[0]._sim.perf.probe("server.edge_refresh").calls for run in (pulled, reference)
+    ]
+    assert edge_refreshes[0] < edge_refreshes[1]
 
 
 def test_random_waypoint_position_valid_until():
