@@ -6,8 +6,6 @@ streaming accumulators for backend-resident data (see
 from repro.analysis.energy import EnergySummary, savings_pct, summarize_devices
 from repro.analysis.fairness import jain_index, selection_spread
 from repro.analysis.streaming import (
-    ClaimsAccumulator,
-    StreamingHeatmap,
     StreamingLatency,
     StreamingMean,
     StreamingSelectionCounts,
@@ -17,10 +15,8 @@ from repro.analysis.tables import format_table
 from repro.analysis.trace import RadioTraceRecorder, TraceSegment
 
 __all__ = [
-    "ClaimsAccumulator",
     "EnergySummary",
     "RadioTraceRecorder",
-    "StreamingHeatmap",
     "StreamingLatency",
     "StreamingMean",
     "StreamingSelectionCounts",

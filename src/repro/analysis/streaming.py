@@ -23,27 +23,20 @@ here folds one observation at a time and holds only O(state) memory:
   count/mean/max still fold in O(1).  (The batch mean sums in
   *sorted* order, so the streaming mean matches it to float
   tolerance, not bit-for-bit.)
-* :class:`StreamingHeatmap` — per-cell IDW numerator/denominator
-  accumulators.  Bit-identical to :func:`~repro.analysis.heatmap.
-  grid_field`, because for each cell the weighted sums accumulate in
-  sample order either way.
 * :class:`StreamingStateTime` — per-radio-state occupancy totals
   folded from transitions, no segment list retained.
-* :class:`ClaimsAccumulator` — builds the truth-discovery claims
-  matrix incrementally from a reading stream (O(sources × items), not
-  O(readings)).
+
+``CrowdsensingAppServer`` answers its queries from ``StreamingMean``
+aggregates folded as readings arrive.
 """
 
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, Hashable, Iterable, Optional
 
 from repro.analysis.fairness import fairness_report
-from repro.analysis.heatmap import SpatialSample
 from repro.analysis.quality import LatencyStats
-from repro.analysis.truth import TruthDiscoveryResult, discover_truth
-from repro.environment.geometry import Point
 
 
 class StreamingSelectionCounts:
@@ -141,73 +134,6 @@ class StreamingLatency:
         )
 
 
-class StreamingHeatmap:
-    """Incremental IDW field on a fixed grid.
-
-    Equivalent to running :func:`repro.analysis.heatmap.grid_field`
-    over the full sample list — bit-identical, in fact, because each
-    cell's weighted numerator/denominator accumulate in sample order
-    under both formulations.
-    """
-
-    def __init__(
-        self,
-        width_m: float,
-        height_m: float,
-        *,
-        cols: int = 40,
-        rows: int = 16,
-        power: float = 2.0,
-        epsilon_m: float = 1.0,
-    ) -> None:
-        if cols < 1 or rows < 1:
-            raise ValueError("grid must have at least one cell")
-        if power <= 0:
-            raise ValueError("power must be positive")
-        self.cols = cols
-        self.rows = rows
-        self.power = power
-        self.epsilon_m = epsilon_m
-        self.samples = 0
-        self._centers: List[List[Point]] = []
-        self._num: List[List[float]] = []
-        self._den: List[List[float]] = []
-        for r in range(rows):
-            # Row 0 at the top (max y), exactly like ``grid_field``.
-            y = height_m * (rows - 0.5 - r) / rows
-            self._centers.append(
-                [Point(width_m * (c + 0.5) / cols, y) for c in range(cols)]
-            )
-            self._num.append([0.0] * cols)
-            self._den.append([0.0] * cols)
-
-    def add(self, sample: SpatialSample) -> None:
-        self.add_value(sample.position, sample.value)
-
-    def add_value(self, position: Point, value: float) -> None:
-        self.samples += 1
-        power = self.power
-        epsilon = self.epsilon_m
-        for r in range(self.rows):
-            centers = self._centers[r]
-            num = self._num[r]
-            den = self._den[r]
-            for c in range(self.cols):
-                distance = max(epsilon, position.distance_to(centers[c]))
-                weight = 1.0 / distance**power
-                num[c] += weight * value
-                den[c] += weight
-
-    def grid(self) -> List[List[float]]:
-        """The interpolated field; needs at least one sample."""
-        if self.samples == 0:
-            raise ValueError("need at least one sample")
-        return [
-            [self._num[r][c] / self._den[r][c] for c in range(self.cols)]
-            for r in range(self.rows)
-        ]
-
-
 class StreamingStateTime:
     """Per-radio-state occupancy totals folded from transitions.
 
@@ -249,43 +175,3 @@ class StreamingStateTime:
     def totals(self, *, until: float) -> Dict[Hashable, float]:
         states = set(self._totals) | {self._open_state}
         return {s: self.time_in_state(s, until=until) for s in states}
-
-
-class ClaimsAccumulator:
-    """Build the truth-discovery claims matrix from a reading stream.
-
-    Memory is O(sources × items) — the matrix itself — regardless of
-    how many readings flow through; a source re-claiming an item
-    overwrites (last write wins), matching how a claims mapping would
-    be built from a stream anyway.
-    """
-
-    def __init__(self) -> None:
-        self._claims: Dict[Hashable, Dict[Hashable, float]] = {}
-        self.readings = 0
-
-    def add_claim(self, source: Hashable, item: Hashable, value: float) -> None:
-        self.readings += 1
-        self._claims.setdefault(source, {})[item] = value
-
-    def add_point(self, point, *, item: Optional[Hashable] = None) -> None:
-        """Fold one ``SensedDataPoint``; ``item`` defaults to task id."""
-        self.add_claim(
-            point.device_hash,
-            point.task_id if item is None else item,
-            point.value,
-        )
-
-    @property
-    def sources(self) -> int:
-        return len(self._claims)
-
-    def claims(self) -> Dict[Hashable, Dict[Hashable, float]]:
-        return {s: dict(c) for s, c in self._claims.items()}
-
-    def discover(
-        self, *, max_iterations: int = 50, tolerance: float = 1e-6
-    ) -> TruthDiscoveryResult:
-        return discover_truth(
-            self._claims, max_iterations=max_iterations, tolerance=tolerance
-        )

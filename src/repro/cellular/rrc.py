@@ -31,13 +31,12 @@ the paper uses to compare frameworks:
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from repro.cellular.packets import TrafficCategory
 from repro.cellular.power import RadioPowerProfile
 from repro.sim.engine import PRIORITY_RADIO, Simulator
 from repro.sim.events import Event
-from repro.sim.metrics import StateResidency
 
 
 class RRCState(Enum):
@@ -79,8 +78,16 @@ class RadioModem:
         self.profile = profile
         self.owner_id = owner_id
         self.tail_policy = tail_policy
-        self._residency = StateResidency(sim.clock, RRCState.IDLE)
         self._state = RRCState.IDLE
+        # Residency: seconds per state, closed at each exit, plus the
+        # open occupancy since ``_entered_at`` (see ``state_residency``).
+        self._entered_at = sim.now
+        self._seconds_idle = 0.0
+        self._seconds_promoting = 0.0
+        self._seconds_active = 0.0
+        self._seconds_tail = 0.0
+        #: States left at least once, in the order first left.
+        self._left: Tuple[RRCState, ...] = ()
         self._active_until = 0.0
         self._tail_deadline = 0.0
         self._tail_entered_at = 0.0
@@ -142,14 +149,33 @@ class RadioModem:
             RRCState.ACTIVE: self.profile.active_mw,
             RRCState.TAIL: self.profile.tail_mw,
         }
-        snapshot = self._residency.snapshot()
+        residency = self.state_residency()
         return sum(
-            power_mw[state] / 1000.0 * seconds for state, seconds in snapshot.items()
+            power_mw[state] / 1000.0 * seconds for state, seconds in residency.items()
         )
 
     def state_residency(self) -> dict:
-        """Seconds spent in each RRC state so far."""
-        return self._residency.snapshot()
+        """Seconds spent in each RRC state so far.
+
+        Keys are the states the radio has left, in the order it first
+        left them (always a prefix of IDLE, PROMOTING, ACTIVE, TAIL),
+        then the current state if it is not already listed; the
+        current state's entry includes the open occupancy.
+        """
+        residency = {state: self._seconds_in(state) for state in self._left}
+        current = self._state
+        residency[current] = residency.get(current, 0.0) + (self._sim.now - self._entered_at)
+        return residency
+
+    def _seconds_in(self, state: RRCState) -> float:
+        """Closed residency of ``state``, excluding any open occupancy."""
+        if state is RRCState.IDLE:
+            return self._seconds_idle
+        if state is RRCState.PROMOTING:
+            return self._seconds_promoting
+        if state is RRCState.ACTIVE:
+            return self._seconds_active
+        return self._seconds_tail
 
     # ------------------------------------------------------------------
     # Listeners
@@ -357,7 +383,19 @@ class RadioModem:
         old_state = self._state
         if new_state is old_state:
             return
-        self._residency.transition(new_state)
+        now = self._sim.now
+        held = now - self._entered_at
+        if old_state is RRCState.IDLE:
+            self._seconds_idle += held
+        elif old_state is RRCState.PROMOTING:
+            self._seconds_promoting += held
+        elif old_state is RRCState.ACTIVE:
+            self._seconds_active += held
+        else:
+            self._seconds_tail += held
+        if old_state not in self._left:
+            self._left += (old_state,)
+        self._entered_at = now
         self._state = new_state
         for listener in self._state_listeners:
             listener(old_state, new_state)

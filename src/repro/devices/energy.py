@@ -15,20 +15,28 @@ from typing import Dict, List, Tuple
 
 from repro.cellular.packets import TrafficCategory
 
+_CROWDSENSING = TrafficCategory.CROWDSENSING.value
+
 
 class EnergyLedger:
-    """Joules charged per :class:`TrafficCategory`, with a reason log."""
+    """Joules charged per :class:`TrafficCategory`, with a reason log.
+
+    Totals are keyed by the category's value, a string whose hash is
+    cached, rather than by the enum member, whose hash is a Python-level
+    call on every charge.
+    """
 
     def __init__(self) -> None:
-        self._totals: Dict[TrafficCategory, float] = defaultdict(float)
-        self._by_reason: Dict[Tuple[TrafficCategory, str], float] = defaultdict(float)
+        self._totals: Dict[str, float] = defaultdict(float)
+        self._by_reason: Dict[Tuple[str, str], float] = defaultdict(float)
         self._entries = 0
 
     def charge(self, category: TrafficCategory, joules: float, reason: str) -> None:
         if joules < 0:
             raise ValueError(f"cannot charge negative energy ({joules!r}, {reason!r})")
-        self._totals[category] += joules
-        self._by_reason[(category, reason)] += joules
+        key = category.value
+        self._totals[key] += joules
+        self._by_reason[(key, reason)] += joules
         self._entries += 1
 
     @property
@@ -37,28 +45,26 @@ class EnergyLedger:
 
     def total(self, category: TrafficCategory) -> float:
         """Total Joules charged to one category."""
-        return self._totals[category]
+        return self._totals[category.value]
 
     def crowdsensing_j(self) -> float:
         """The headline metric: Joules attributable to crowdsensing."""
-        return self._totals[TrafficCategory.CROWDSENSING]
+        return self._totals[_CROWDSENSING]
 
     def grand_total_j(self) -> float:
         return sum(self._totals.values())
 
     def breakdown(self, category: TrafficCategory) -> Dict[str, float]:
         """Joules per reason string within one category."""
+        key = category.value
         return {
             reason: joules
             for (cat, reason), joules in self._by_reason.items()
-            if cat is category
+            if cat == key
         }
 
     def as_rows(self) -> List[Tuple[str, str, float]]:
         """(category, reason, joules) rows sorted for reporting."""
-        rows = [
-            (cat.value, reason, joules)
-            for (cat, reason), joules in self._by_reason.items()
-        ]
+        rows = [(cat, reason, joules) for (cat, reason), joules in self._by_reason.items()]
         rows.sort()
         return rows

@@ -9,14 +9,18 @@ Stored readings live on the pluggable storage backend (by default the
 one the Sense-Aid server runs on) as an append-only log tagged by task
 id, so with ``REPRO_DATASTORE=sqlite`` an application's data store is
 on disk and a campaign's readings never have to fit in process memory.
-Aggregates (``mean_value``, ``distinct_devices``) stream over the log
-in arrival order, which keeps them bit-identical across backends.
+Queries (``mean_value``, ``reading_count``, ``distinct_devices``) answer
+from running aggregates, one per task and one overall, folded in
+arrival order as each reading is appended; so a query costs O(1), not a
+pass over the log, and stays bit-identical to that pass on every
+backend (see ``mean_value``).  ``iter_readings`` still streams the log.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional
+from typing import Callable, Dict, Iterator, List, Optional, Set
 
+from repro.analysis.streaming import StreamingMean
 from repro.core.server import SenseAidServer, SensedDataPoint
 from repro.core.tasks import TaskSpec
 from repro.devices.sensors import SensorType
@@ -48,8 +52,28 @@ def point_from_dict(data: dict) -> SensedDataPoint:
     )
 
 
+class _RunningAggregate:
+    """Reading count, left-to-right value total and distinct devices."""
+
+    __slots__ = ("values", "devices")
+
+    def __init__(self) -> None:
+        self.values = StreamingMean()
+        self.devices: Set[str] = set()
+
+
+#: What a task with no stored readings answers; never folded into.
+_EMPTY = _RunningAggregate()
+
+
 class CrowdsensingAppServer:
-    """One crowdsensing application's server-side endpoint."""
+    """One crowdsensing application's server-side endpoint.
+
+    The app server assumes it is the only writer of its readings
+    namespace while it lives.  To reattach to a store that changed
+    underneath it (a backend ``restore``, another process), build a
+    new app server over the backend: construction refolds the log.
+    """
 
     def __init__(
         self,
@@ -74,6 +98,11 @@ class CrowdsensingAppServer:
         #: still recorded — an application bug must not corrupt the
         #: middleware's data store or the delivery path.
         self.callback_errors = 0
+        #: Running answers to queries (see ``mean_value``): one over all
+        #: readings, and one per task keyed by its log tag.
+        self._overall = _RunningAggregate()
+        self._by_task: Dict[str, _RunningAggregate] = {}
+        self._rebuild_aggregates()
 
     # ------------------------------------------------------------------
     # The paper's four-call application API
@@ -126,11 +155,16 @@ class CrowdsensingAppServer:
         / ``distinct_devices()`` with data the application explicitly
         disowned.  Deliveries still in flight when the delete lands
         are dropped on arrival (``late_deliveries_dropped``).
+
+        A float total cannot be exactly un-added, so when the prune
+        removed readings the aggregates are refolded with one scan of
+        what is left; when it removed none, nothing changed.
         """
         self._require_own_task(task_id)
         self._senseaid.delete_task(task_id)
         self._task_ids.remove(task_id)
-        self._storage.prune_tagged(self.readings_ns, str(task_id))
+        if self._storage.prune_tagged(self.readings_ns, str(task_id)):
+            self._rebuild_aggregates()
 
     def receive_sensed_data(self, point: SensedDataPoint) -> None:
         """Callback invoked by Sense-Aid when data arrives.
@@ -145,9 +179,9 @@ class CrowdsensingAppServer:
         if point.task_id not in self._task_ids:
             self.late_deliveries_dropped += 1
             return
-        self._storage.append_log(
-            self.readings_ns, point_to_dict(point), tag=str(point.task_id)
-        )
+        tag = str(point.task_id)
+        self._storage.append_log(self.readings_ns, point_to_dict(point), tag=tag)
+        self._fold(tag, point.value, point.device_hash)
         if self._on_data is not None:
             try:
                 self._on_data(point)
@@ -182,28 +216,64 @@ class CrowdsensingAppServer:
         return list(self.iter_readings(task_id))
 
     def reading_count(self, task_id: Optional[int] = None) -> int:
-        tag = None if task_id is None else str(task_id)
-        return self._storage.log_count(self.readings_ns, tag=tag)
+        return self._aggregate(task_id).values.count
 
-    def distinct_devices(self) -> int:
-        """How many distinct (hashed) devices contributed data."""
-        return len({p.device_hash for p in self.iter_readings()})
+    def distinct_devices(self, task_id: Optional[int] = None) -> int:
+        """How many distinct (hashed) devices contributed data, overall or per task."""
+        return len(self._aggregate(task_id).devices)
 
     def mean_value(self, task_id: Optional[int] = None) -> Optional[float]:
         """Mean sensed value, overall or for one task.
 
-        Streamed left-to-right over the log in arrival order — the
-        same additions in the same order on every backend, so the
-        result is bit-identical whether the store is dicts or a file.
+        Answered from a running aggregate, and bit-identical to
+        scanning the log: start at ``0.0``, add each stored reading's
+        value in arrival order, divide by the count.  Why:
+
+        1. *The mean.*  Each aggregate's ``StreamingMean`` starts at
+           ``0.0`` and adds every accepted reading's value in arrival
+           order — the same additions in the same order as the scan,
+           on every backend.
+        2. *Who writes the log.*  Only ``receive_sensed_data``
+           (``append_log``) and ``delete_task`` (``prune_tagged``)
+           write ``readings:{name}``; nothing in the package restores a
+           backend, and ``SenseAidServer.restart`` rebuilds only the
+           device and task datastores, so the log survives it.  Hence:
+           each reading is folded right after its append; a delete
+           that pruned readings refolds the aggregates with one scan,
+           because a float total cannot be exactly un-added; and
+           construction folds whatever the namespace already holds,
+           with one scan.
+        3. *Late deliveries.*  A delivery for a task this app no
+           longer owns is dropped before ``append_log``, and is not
+           folded either.
+        4. *Counts.*  ``reading_count`` is each aggregate's count, the
+           number of rows the scan (or ``log_count``) would see.
         """
-        total = 0.0
-        count = 0
-        for point in self.iter_readings(task_id):
-            total += point.value
-            count += 1
-        if count == 0:
-            return None
-        return total / count
+        return self._aggregate(task_id).values.mean
+
+    # ------------------------------------------------------------------
+    # Running aggregates
+    # ------------------------------------------------------------------
+
+    def _aggregate(self, task_id: Optional[int]) -> _RunningAggregate:
+        if task_id is None:
+            return self._overall
+        return self._by_task.get(str(task_id), _EMPTY)
+
+    def _fold(self, tag: str, value: float, device_hash: str) -> None:
+        task = self._by_task.get(tag)
+        if task is None:
+            task = self._by_task[tag] = _RunningAggregate()
+        for aggregate in (self._overall, task):
+            aggregate.values.add(value)
+            aggregate.devices.add(device_hash)
+
+    def _rebuild_aggregates(self) -> None:
+        """Refold every stored reading, in arrival order, with one scan."""
+        self._overall = _RunningAggregate()
+        self._by_task = {}
+        for doc in self._storage.scan_log(self.readings_ns):
+            self._fold(str(doc["task_id"]), doc["value"], doc["device_hash"])
 
     def _require_own_task(self, task_id: int) -> None:
         if task_id not in self._task_ids:

@@ -10,7 +10,7 @@ components are constructed.
 from repro.sim.clock import SimClock
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventQueue
-from repro.sim.metrics import Counter, MetricsRegistry, StateResidency, TimeSeries
+from repro.sim.metrics import Counter, MetricsRegistry, TimeSeries
 from repro.sim.perf import PerfProbe, PerfRegistry, events_per_second
 from repro.sim.processes import PeriodicProcess
 from repro.sim.rng import RandomStreams
@@ -26,7 +26,6 @@ __all__ = [
     "RandomStreams",
     "SimClock",
     "Simulator",
-    "StateResidency",
     "TimeSeries",
     "events_per_second",
 ]

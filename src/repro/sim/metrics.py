@@ -1,15 +1,8 @@
-"""Metric primitives: counters, time series, and state-residency trackers.
-
-Energy accounting in the reproduction is built on
-:class:`StateResidency`: the radio power model records how long each
-RRC state was occupied, and Joules are ``sum(power_w * residency_s)``.
-"""
+"""Metric primitives: counters and time series."""
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
-
-from repro.sim.clock import SimClock
+from typing import Dict, List, Optional, Tuple
 
 
 class Counter:
@@ -59,50 +52,6 @@ class TimeSeries:
 
     def last(self) -> Optional[Tuple[float, float]]:
         return self._samples[-1] if self._samples else None
-
-
-class StateResidency:
-    """Tracks total time spent in each state of a state machine.
-
-    The tracker is driven by :meth:`transition` calls; it accumulates
-    wall-clock (simulation) residency per state label.  ``snapshot``
-    closes the books up to *now* without changing state, so energy can
-    be read mid-run.
-    """
-
-    def __init__(self, clock: SimClock, initial_state: Hashable) -> None:
-        self._clock = clock
-        self._state: Hashable = initial_state
-        self._entered_at = clock.now
-        self._residency: Dict[Hashable, float] = {}
-
-    @property
-    def state(self) -> Hashable:
-        return self._state
-
-    def transition(self, new_state: Hashable) -> None:
-        """Close residency of the current state and enter ``new_state``."""
-        now = self._clock.now
-        self._accumulate(now)
-        self._state = new_state
-        self._entered_at = now
-
-    def time_in_state(self) -> float:
-        """Seconds spent so far in the *current* state occupancy."""
-        return self._clock.now - self._entered_at
-
-    def snapshot(self) -> Dict[Hashable, float]:
-        """Residency per state including the in-progress occupancy."""
-        result = dict(self._residency)
-        current = result.get(self._state, 0.0)
-        result[self._state] = current + self.time_in_state()
-        return result
-
-    def _accumulate(self, now: float) -> None:
-        elapsed = now - self._entered_at
-        if elapsed < 0:  # pragma: no cover - guarded by SimClock
-            raise ValueError("negative residency; clock moved backwards")
-        self._residency[self._state] = self._residency.get(self._state, 0.0) + elapsed
 
 
 class MetricsRegistry:

@@ -1,9 +1,9 @@
 """The streaming accumulators must agree with their batch twins.
 
 Where the accumulation order matches the batch computation's order
-(fairness counts, heatmap cells, state-time totals, p95/max/count) the
-agreement is exact; the latency *mean* — which the batch computes over
-a sorted copy — is compared to float tolerance.
+(fairness counts, state-time totals, p95/max/count) the agreement is
+exact; the latency *mean* — which the batch computes over a sorted
+copy — is compared to float tolerance.
 """
 
 from __future__ import annotations
@@ -15,21 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.fairness import fairness_report
-from repro.analysis.heatmap import SpatialSample, grid_field
 from repro.analysis.quality import delivery_latency
 from repro.analysis.streaming import (
-    ClaimsAccumulator,
-    StreamingHeatmap,
     StreamingLatency,
     StreamingMean,
     StreamingSelectionCounts,
     StreamingStateTime,
 )
-from repro.analysis.truth import discover_truth
 from repro.cellular.rrc import RRCState
 from repro.core.server import SensedDataPoint
 from repro.devices.sensors import SensorType
-from repro.environment.geometry import Point
 
 
 def _point(value: float, *, device="dev", task_id=1, latency=0.5, t=0.0):
@@ -120,26 +115,6 @@ class TestStreamingLatency:
         assert acc._values.typecode == "d"
 
 
-class TestStreamingHeatmap:
-    def test_bit_identical_to_grid_field(self):
-        rng = random.Random(3)
-        samples = [
-            SpatialSample(
-                Point(rng.uniform(0, 800), rng.uniform(0, 400)),
-                rng.uniform(950, 1050),
-            )
-            for _ in range(25)
-        ]
-        acc = StreamingHeatmap(800.0, 400.0, cols=10, rows=5)
-        for sample in samples:
-            acc.add(sample)
-        assert acc.grid() == grid_field(samples, 800.0, 400.0, cols=10, rows=5)
-
-    def test_needs_a_sample(self):
-        with pytest.raises(ValueError):
-            StreamingHeatmap(100.0, 100.0).grid()
-
-
 class TestStreamingStateTime:
     def test_matches_segment_summation(self):
         # A hand-built transition history (the recorder idiom without
@@ -170,27 +145,3 @@ class TestStreamingStateTime:
         acc = StreamingStateTime(RRCState.IDLE)
         with pytest.raises(ValueError):
             acc.transition(RRCState.TAIL, RRCState.IDLE, 1.0)
-
-
-class TestClaimsAccumulator:
-    def test_matches_batch_truth_discovery(self):
-        rng = random.Random(7)
-        claims = {}
-        acc = ClaimsAccumulator()
-        for source in ["good-1", "good-2", "liar"]:
-            for item in range(4):
-                value = 1000.0 + item if "good" in source else 1200.0
-                value += rng.uniform(-0.5, 0.5)
-                claims.setdefault(source, {})[item] = value
-                acc.add_claim(source, item, value)
-        batch = discover_truth(claims)
-        stream = acc.discover()
-        assert stream.truths == batch.truths
-        assert stream.weights == batch.weights
-        assert acc.sources == 3
-
-    def test_add_point_defaults_item_to_task(self):
-        acc = ClaimsAccumulator()
-        acc.add_point(_point(1013.0, device="hash-a", task_id=9))
-        assert acc.claims() == {"hash-a": {9: 1013.0}}
-        assert acc.readings == 1

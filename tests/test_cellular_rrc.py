@@ -246,3 +246,92 @@ class TestTotalEnergyConsistency:
         modem.transmit(600, TrafficCategory.BACKGROUND)
         sim.run(until=77.0)
         assert sum(modem.state_residency().values()) == pytest.approx(77.0)
+
+    def test_residency_accumulates_per_state(self):
+        sim = Simulator()
+        modem, _ = make_modem(sim)
+        sim.run(until=10.0)
+        modem.transmit(600, TrafficCategory.BACKGROUND)
+        sim.run(until=60.0)
+        transfer = P.transfer_time(600)
+        residency = modem.state_residency()
+        assert residency[RRCState.PROMOTING] == pytest.approx(P.promotion_s)
+        assert residency[RRCState.ACTIVE] == pytest.approx(transfer)
+        assert residency[RRCState.TAIL] == pytest.approx(P.tail_s)
+        assert residency[RRCState.IDLE] == pytest.approx(
+            60.0 - P.promotion_s - transfer - P.tail_s
+        )
+
+    def test_residency_includes_open_occupancy(self):
+        sim = Simulator()
+        modem, _ = make_modem(sim)
+        sim.run(until=7.0)
+        assert modem.state_residency() == {RRCState.IDLE: 7.0}
+        modem.transmit(600, TrafficCategory.BACKGROUND)
+        sim.run(until=7.1)
+        residency = modem.state_residency()
+        assert list(residency) == [RRCState.IDLE, RRCState.PROMOTING]
+        assert residency[RRCState.PROMOTING] == pytest.approx(0.1)
+
+    def test_residency_keys_in_first_exit_order_then_current(self):
+        sim = Simulator()
+        modem, _ = make_modem(sim)
+        modem.transmit(600, TrafficCategory.BACKGROUND)
+        sim.run(until=P.promotion_s + P.transfer_time(600) + 1.0)
+        assert modem.state is RRCState.TAIL
+        assert list(modem.state_residency()) == [
+            RRCState.IDLE,
+            RRCState.PROMOTING,
+            RRCState.ACTIVE,
+            RRCState.TAIL,
+        ]
+        # Back in IDLE, the current state is already listed first.
+        sim.run(until=60.0)
+        assert modem.state is RRCState.IDLE
+        assert list(modem.state_residency())[0] is RRCState.IDLE
+        energy = sum(
+            power / 1000.0 * seconds
+            for power, seconds in zip(
+                (P.idle_mw, P.promotion_mw, P.active_mw, P.tail_mw),
+                modem.state_residency().values(),
+            )
+        )
+        assert modem.total_energy_j() == energy
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "ROADMAP item 2: _active_done stores its _tail_done over the pending "
+        "_active_done of an upload a TAIL-entry listener made; that orphaned "
+        "event still fires, so the first tail's demotion can no longer be "
+        "cancelled and drops the radio to IDLE at the old deadline"
+    ),
+)
+@pytest.mark.parametrize("policy", list(TailPolicy))
+def test_tail_entry_upload_leaves_no_stale_demotion(policy):
+    """A listener that uploads on TAIL entry (the Sense-Aid client's
+    tail upload) must not leave a demotion timer behind."""
+    sim = Simulator()
+    modem, _ = make_modem(sim, policy)
+    uploads = []
+    idle_at = []
+
+    def on_state(old, new):
+        if new is RRCState.TAIL and not uploads:
+            uploads.append(sim.now)
+            modem.transmit(600, TrafficCategory.CROWDSENSING)
+        elif new is RRCState.IDLE:
+            idle_at.append(sim.now)
+
+    modem.add_state_listener(on_state)
+    modem.transmit(600, TrafficCategory.BACKGROUND)
+    sim.run(until=5.0)
+    assert sim.pending_events == 1  # just the live tail's demotion
+    sim.schedule_at(11.0, lambda: modem.transmit(40_000, TrafficCategory.BACKGROUND))
+    # The first tail's deadline (about 11.81 s) has been superseded by
+    # the 11.0 s transfer, whose tail runs until about 22.66 s.
+    sim.run(until=11.9)
+    assert modem.state is RRCState.TAIL
+    sim.run(until=60.0)
+    assert idle_at == [pytest.approx(11.0 + P.transfer_time(40_000) + P.tail_s)]

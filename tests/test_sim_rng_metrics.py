@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.clock import SimClock
-from repro.sim.metrics import Counter, MetricsRegistry, StateResidency, TimeSeries
+from repro.sim.metrics import Counter, MetricsRegistry, TimeSeries
 from repro.sim.rng import RandomStreams
 
 
@@ -82,40 +81,6 @@ class TestTimeSeries:
 
     def test_empty_last(self):
         assert TimeSeries("s").last() is None
-
-
-class TestStateResidency:
-    def test_accumulates_per_state(self):
-        clock = SimClock()
-        residency = StateResidency(clock, "idle")
-        clock.advance_to(10.0)
-        residency.transition("active")
-        clock.advance_to(15.0)
-        residency.transition("idle")
-        clock.advance_to(20.0)
-        snapshot = residency.snapshot()
-        assert snapshot["idle"] == pytest.approx(15.0)
-        assert snapshot["active"] == pytest.approx(5.0)
-
-    def test_snapshot_includes_open_occupancy(self):
-        clock = SimClock()
-        residency = StateResidency(clock, "idle")
-        clock.advance_to(7.0)
-        assert residency.snapshot()["idle"] == pytest.approx(7.0)
-
-    def test_time_in_state(self):
-        clock = SimClock()
-        residency = StateResidency(clock, "idle")
-        clock.advance_to(3.0)
-        assert residency.time_in_state() == pytest.approx(3.0)
-        residency.transition("active")
-        assert residency.time_in_state() == 0.0
-
-    def test_current_state(self):
-        clock = SimClock()
-        residency = StateResidency(clock, "a")
-        residency.transition("b")
-        assert residency.state == "b"
 
 
 class TestMetricsRegistry:
