@@ -155,12 +155,15 @@ class AdmissionController:
             self._last_drain = now
 
     def _threshold(self, request_class: RequestClass) -> float:
+        # Identity tests, not a dict keyed by the enum: admission runs
+        # once per request, and hashing an enum member is a Python call.
         policy = self.policy
-        fraction = {
-            RequestClass.REGISTRATION: policy.registration_shed_fraction,
-            RequestClass.UPLOAD: policy.upload_shed_fraction,
-            RequestClass.QUERY: policy.query_shed_fraction,
-        }[request_class]
+        if request_class is RequestClass.REGISTRATION:
+            fraction = policy.registration_shed_fraction
+        elif request_class is RequestClass.UPLOAD:
+            fraction = policy.upload_shed_fraction
+        else:
+            fraction = policy.query_shed_fraction
         return policy.queue_capacity * fraction
 
     def _retry_after(self, overshoot: float) -> float:

@@ -74,7 +74,7 @@ class ResponseStatus(Enum):
     FAILED = "failed"
 
 
-@dataclass
+@dataclass(slots=True)
 class ServiceRequest:
     """One typed request travelling through the service queue."""
 
@@ -88,7 +88,7 @@ class ServiceRequest:
         return REQUEST_CLASS_OF[self.kind]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ServiceResponse:
     """What the caller gets back for one :class:`ServiceRequest`.
 

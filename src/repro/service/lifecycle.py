@@ -27,9 +27,11 @@ SHED/FAILED accounting.
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, FrozenSet, List, Mapping, Tuple
+from typing import Dict, FrozenSet, List, Tuple
 
 
 class RequestState(Enum):
@@ -96,23 +98,57 @@ class RequestRecord:
         raise KeyError(f"{self.request_id} never reached {state.value}")
 
 
+#: The log stores a state as one byte: its index in this tuple.
+_STATES: Tuple[RequestState, ...] = tuple(RequestState)
+_QUEUED = _STATES.index(RequestState.QUEUED)
+_TERMINAL: Tuple[bool, ...] = tuple(state in TERMINAL_STATES for state in _STATES)
+#: Per current code: target value -> (target code, edge name).  Keyed by
+#: the value strings so a transition never hashes an enum member.
+_EDGES: Tuple[Dict[str, Tuple[int, str]], ...] = tuple(
+    {
+        target.value: (_STATES.index(target), f"{state.value}->{target.value}")
+        for target in LEGAL_TRANSITIONS[state]
+    }
+    for state in _STATES
+)
+
+
 class LifecycleLedger:
     """Tracks every request's state machine and the aggregate accounting.
 
     The ledger is the service's source of truth for shed/failure
     accounting: benchmarks and invariant checks read it rather than
     counting ad-hoc.
+
+    With ``keep_records`` it also appends every transition to a log of
+    three flat columns: the request id (a list), the state code (a
+    ``bytearray``) and the timestamp (an ``array('d')``).  A transition
+    costs about 17 bytes and no object the garbage collector tracks, so
+    a long-running service does not make every full collection walk its
+    whole request history.  :attr:`records` rebuilds a request's
+    :class:`RequestRecord` from the log when it is looked up.
     """
 
     def __init__(self, *, keep_records: bool = True) -> None:
         #: Per-request transition history (optional — a long soak can
         #: run with counters only).
         self.keep_records = keep_records
-        self.records: Dict[str, RequestRecord] = {}
         self.created = 0
         self.transitions: Dict[str, int] = {}
         self.terminal_counts: Dict[str, int] = {s.value: 0 for s in TERMINAL_STATES}
-        self._open_states: Dict[str, RequestState] = {}
+        #: Open request id -> its current state code.
+        self._open: Dict[str, int] = {}
+        #: The transition log, one row per create or advance.
+        self._ids: List[str] = []
+        self._codes = bytearray()
+        self._times = array("d")
+        #: Request id -> the log row that created it, in creation order.
+        self._created_rows: Dict[str, int] = {}
+
+    @property
+    def records(self) -> Mapping[str, RequestRecord]:
+        """Read-only view of every logged request, in creation order."""
+        return _RecordsView(self)
 
     # ------------------------------------------------------------------
     # Transitions
@@ -120,35 +156,39 @@ class LifecycleLedger:
 
     def create(self, request_id: str, now: float) -> None:
         """Register a new request in its initial QUEUED state."""
-        if request_id in self._open_states or (
-            self.keep_records and request_id in self.records
-        ):
+        if request_id in self._open or request_id in self._created_rows:
             raise ValueError(f"duplicate request id {request_id!r}")
         self.created += 1
-        self._open_states[request_id] = RequestState.QUEUED
+        self._open[request_id] = _QUEUED
         if self.keep_records:
-            self.records[request_id] = RequestRecord(
-                request_id, [(RequestState.QUEUED, now)]
-            )
+            self._created_rows[request_id] = len(self._ids)
+            self._log(request_id, _QUEUED, now)
 
     def advance(self, request_id: str, target: RequestState, now: float) -> None:
         """Move one request along a legal edge (raises otherwise)."""
-        current = self._open_states.get(request_id)
+        current = self._open.get(request_id)
         if current is None:
             raise IllegalTransitionError(
                 request_id, RequestState.DONE, target
             )  # already terminal (or never created)
-        if target not in LEGAL_TRANSITIONS[current]:
-            raise IllegalTransitionError(request_id, current, target)
-        edge = f"{current.value}->{target.value}"
+        value = target.value
+        step = _EDGES[current].get(value)
+        if step is None or _STATES[step[0]] is not target:
+            raise IllegalTransitionError(request_id, _STATES[current], target)
+        code, edge = step
         self.transitions[edge] = self.transitions.get(edge, 0) + 1
         if self.keep_records:
-            self.records[request_id].history.append((target, now))
-        if target in TERMINAL_STATES:
-            self.terminal_counts[target.value] += 1
-            del self._open_states[request_id]
+            self._log(request_id, code, now)
+        if _TERMINAL[code]:
+            self.terminal_counts[value] += 1
+            del self._open[request_id]
         else:
-            self._open_states[request_id] = target
+            self._open[request_id] = code
+
+    def _log(self, request_id: str, code: int, now: float) -> None:
+        self._ids.append(request_id)
+        self._codes.append(code)
+        self._times.append(now)
 
     # ------------------------------------------------------------------
     # Accounting
@@ -157,7 +197,7 @@ class LifecycleLedger:
     @property
     def open_requests(self) -> int:
         """Requests created but not yet terminal."""
-        return len(self._open_states)
+        return len(self._open)
 
     @property
     def done(self) -> int:
@@ -195,3 +235,41 @@ class LifecycleLedger:
             "open": self.open_requests,
             "transitions": dict(sorted(self.transitions.items())),
         }
+
+
+class _RecordsView(Mapping):
+    """``request id -> RequestRecord`` over a ledger's transition log.
+
+    A lookup walks the request's rows from its creation row and returns
+    a new record, a snapshot of its history so far.
+    """
+
+    __slots__ = ("_ledger",)
+
+    def __init__(self, ledger: LifecycleLedger) -> None:
+        self._ledger = ledger
+
+    def __len__(self) -> int:
+        return len(self._ledger._created_rows)
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._ledger._created_rows)
+
+    def __contains__(self, request_id: object) -> bool:
+        return request_id in self._ledger._created_rows
+
+    def __getitem__(self, request_id: str) -> RequestRecord:
+        ledger = self._ledger
+        ids, codes, times = ledger._ids, ledger._codes, ledger._times
+        row = ledger._created_rows[request_id]
+        history: List[Tuple[RequestState, float]] = []
+        while True:
+            code = codes[row]
+            history.append((_STATES[code], times[row]))
+            if _TERMINAL[code]:
+                break
+            try:
+                row = ids.index(request_id, row + 1)
+            except ValueError:  # still open: no later row yet
+                break
+        return RequestRecord(request_id, history)

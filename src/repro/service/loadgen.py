@@ -97,7 +97,7 @@ class LoadSpec:
             raise ValueError("mix weights must be non-negative and sum > 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PlannedRequest:
     """One scheduled arrival: when, what, and with which payload."""
 

@@ -121,7 +121,7 @@ class ServiceStats:
         self.by_kind[kind.value] = self.by_kind.get(kind.value, 0) + 1
 
 
-@dataclass
+@dataclass(slots=True)
 class _InFlight:
     """Queue entry: the request plus its response future and timestamps."""
 

@@ -14,8 +14,12 @@ inside synchronous test functions.
 from __future__ import annotations
 
 import asyncio
+import gc
+from typing import Dict, List, Tuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import OverloadPolicy, RetryPolicy
 from repro.core.overload import RequestClass
@@ -40,6 +44,7 @@ from repro.service import (
     percentile,
     trace_signature,
 )
+from repro.service.lifecycle import RequestRecord
 
 #: Admission wide open — tests that are not about shedding use this so
 #: every request is admitted.
@@ -149,6 +154,225 @@ class TestLifecycleLedger:
         assert ledger.records == {}
         assert ledger.shed == 1
         ledger.assert_accounted()
+
+
+class _DictLedger:
+    """The ledger as a dict of live ``RequestRecord`` objects: the
+    reference the columnar log must match call for call."""
+
+    def __init__(self, *, keep_records: bool = True) -> None:
+        self.keep_records = keep_records
+        self.records: Dict[str, RequestRecord] = {}
+        self.created = 0
+        self.transitions: Dict[str, int] = {}
+        self.terminal_counts = {s.value: 0 for s in TERMINAL_STATES}
+        self._open_states: Dict[str, RequestState] = {}
+
+    def create(self, request_id: str, now: float) -> None:
+        if request_id in self._open_states or (self.keep_records and request_id in self.records):
+            raise ValueError(f"duplicate request id {request_id!r}")
+        self.created += 1
+        self._open_states[request_id] = RequestState.QUEUED
+        if self.keep_records:
+            self.records[request_id] = RequestRecord(request_id, [(RequestState.QUEUED, now)])
+
+    def advance(self, request_id: str, target: RequestState, now: float) -> None:
+        current = self._open_states.get(request_id)
+        if current is None:
+            raise IllegalTransitionError(request_id, RequestState.DONE, target)
+        if target not in LEGAL_TRANSITIONS[current]:
+            raise IllegalTransitionError(request_id, current, target)
+        edge = f"{current.value}->{target.value}"
+        self.transitions[edge] = self.transitions.get(edge, 0) + 1
+        if self.keep_records:
+            self.records[request_id].history.append((target, now))
+        if target in TERMINAL_STATES:
+            self.terminal_counts[target.value] += 1
+            del self._open_states[request_id]
+        else:
+            self._open_states[request_id] = target
+
+    @property
+    def open_requests(self) -> int:
+        return len(self._open_states)
+
+    @property
+    def done(self) -> int:
+        return self.terminal_counts["done"]
+
+    @property
+    def shed(self) -> int:
+        return self.terminal_counts["shed"]
+
+    @property
+    def failed(self) -> int:
+        return self.terminal_counts["failed"]
+
+    def as_dict(self) -> Dict[str, object]:
+        return {
+            "created": self.created,
+            "done": self.done,
+            "shed": self.shed,
+            "failed": self.failed,
+            "open": self.open_requests,
+            "transitions": dict(sorted(self.transitions.items())),
+        }
+
+
+def _outcome(ledger, step) -> Tuple:
+    """Apply one step; a normal return or the exception's identity."""
+    try:
+        if step[0] == "create":
+            ledger.create(step[1], step[2])
+        else:
+            ledger.advance(step[1], step[2], step[3])
+    except IllegalTransitionError as exc:
+        return ("illegal", exc.request_id, exc.current, exc.target)
+    except ValueError as exc:
+        return ("duplicate", str(exc))
+    return ("ok",)
+
+
+def _observed(ledger) -> Dict[str, object]:
+    records = ledger.records
+    return {
+        "created": ledger.created,
+        "done": ledger.done,
+        "shed": ledger.shed,
+        "failed": ledger.failed,
+        "open": ledger.open_requests,
+        "transitions": ledger.transitions,
+        "terminal_counts": ledger.terminal_counts,
+        "as_dict": ledger.as_dict(),
+        "ids": list(records),
+        "len": len(records),
+        "histories": [records[rid].history for rid in records],
+    }
+
+
+def run_ledger_steps(steps: List[Tuple], keep_records: bool) -> Dict[str, int]:
+    """Drive the log and the reference through ``steps``; they must agree
+    after every one.  Returns how often each outcome happened."""
+    log = LifecycleLedger(keep_records=keep_records)
+    reference = _DictLedger(keep_records=keep_records)
+    census = {"ok": 0, "illegal": 0, "duplicate": 0, "unknown": 0}
+    seen = set()
+    for step in steps:
+        outcome = _outcome(log, step)
+        assert outcome == _outcome(reference, step), step
+        census[outcome[0]] += 1
+        if outcome[0] == "illegal" and step[1] not in seen:
+            census["unknown"] += 1
+        if step[0] == "create":
+            seen.add(step[1])
+        assert _observed(log) == _observed(reference)
+        assert log.records == reference.records
+        log.assert_accounted()
+    return census
+
+
+LEDGER_IDS = ["a", "b", "c"]
+instants = st.floats(allow_nan=False)
+ledger_step = st.one_of(
+    st.tuples(st.just("create"), st.sampled_from(LEDGER_IDS), instants),
+    st.tuples(
+        st.just("advance"),
+        st.sampled_from(LEDGER_IDS + ["ghost"]),
+        st.sampled_from([*RequestState, ResponseStatus.SHED, ResponseStatus.FAILED]),
+        instants,
+    ),
+)
+
+
+class TestLedgerLogEquivalence:
+    @pytest.mark.parametrize("keep_records", [True, False])
+    @settings(max_examples=150, deadline=None)
+    @given(steps=st.lists(ledger_step, max_size=40))
+    def test_log_equals_the_dict_ledger(self, keep_records, steps):
+        run_ledger_steps(steps, keep_records)
+
+    #: All seven legal edges, illegal edges (one to a member of another
+    #: enum with the same value), a duplicate create and an unknown id,
+    #: with ``f`` left open at the end.
+    PINNED = [
+        ("create", "a", 0.0),
+        ("advance", "a", RequestState.ADMITTED, 0.1),
+        ("advance", "a", RequestState.RUNNING, 0.2),
+        ("advance", "a", RequestState.DONE, 0.30000000000000004),
+        ("create", "b", 1.0),
+        ("advance", "b", RequestState.RUNNING, 1.1),  # illegal: skips ADMITTED
+        ("advance", "b", RequestState.ADMITTED, 1.2),
+        ("advance", "b", RequestState.RUNNING, 1.3),
+        ("create", "c", 2.0),
+        ("advance", "c", ResponseStatus.SHED, 2.4),  # illegal: another enum
+        ("advance", "c", RequestState.SHED, 2.5),
+        ("create", "c", 3.0),  # duplicate while kept, a new request if not
+        ("advance", "ghost", RequestState.ADMITTED, 3.1),  # never created
+        ("create", "g", 3.5),
+        ("advance", "g", RequestState.FAILED, 3.6),
+        ("create", "d", 4.0),
+        ("advance", "d", RequestState.ADMITTED, 4.1),
+        ("advance", "d", RequestState.FAILED, 4.2),
+        ("create", "e", 5.0),
+        ("advance", "e", RequestState.ADMITTED, 5.1),
+        ("advance", "e", RequestState.RUNNING, 5.2),
+        ("advance", "e", RequestState.FAILED, -0.0),
+        ("create", "f", 6.0),
+        ("advance", "f", RequestState.ADMITTED, 6.1),
+        ("advance", "f", RequestState.RUNNING, 6.2),
+    ]
+
+    @pytest.mark.parametrize("keep_records", [True, False])
+    def test_pinned_sequence_covers_every_edge(self, keep_records):
+        census = run_ledger_steps(self.PINNED, keep_records)
+        assert census["illegal"] >= 3 and census["unknown"] >= 1
+        assert census["duplicate"] == (1 if keep_records else 0)
+        log = LifecycleLedger(keep_records=keep_records)
+        for step in self.PINNED:
+            _outcome(log, step)
+        legal = {
+            f"{state.value}->{target.value}"
+            for state, targets in LEGAL_TRANSITIONS.items()
+            for target in targets
+        }
+        assert len(legal) == 7
+        assert set(log.transitions) == legal
+
+    def test_history_is_rebuilt_from_the_log(self):
+        log = LifecycleLedger()
+        for step in self.PINNED:
+            _outcome(log, step)
+        assert list(log.records) == ["a", "b", "c", "g", "d", "e", "f"]
+        assert log.records["a"].history == [
+            (RequestState.QUEUED, 0.0),
+            (RequestState.ADMITTED, 0.1),
+            (RequestState.RUNNING, 0.2),
+            (RequestState.DONE, 0.30000000000000004),
+        ]
+        assert log.records["f"].state is RequestState.RUNNING
+        assert not log.records["f"].terminal
+        assert "ghost" not in log.records
+        with pytest.raises(KeyError):
+            log.records["ghost"]
+
+
+def test_log_tracks_no_objects_per_request():
+    """10,000 full lifecycles leave no new object for the garbage
+    collector to walk; a dict of records would leave six each."""
+    ledger = LifecycleLedger()
+    ids = [f"r{i:05d}" for i in range(10_000)]
+    gc.collect()
+    before = len(gc.get_objects())
+    for i, request_id in enumerate(ids):
+        now = i * 0.001
+        ledger.create(request_id, now)
+        ledger.advance(request_id, RequestState.ADMITTED, now)
+        ledger.advance(request_id, RequestState.RUNNING, now)
+        ledger.advance(request_id, RequestState.DONE, now)
+    gc.collect()
+    assert len(gc.get_objects()) - before < 10
+    assert len(ledger.records) == 10_000
+    assert ledger.done == 10_000
 
 
 # ----------------------------------------------------------------------
