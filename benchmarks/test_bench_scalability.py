@@ -206,7 +206,6 @@ def test_scalability_2000_devices(benchmark):
     # positions only at instants that read them, so bring the grid to
     # the end-of-run instant before reading its occupancy: the stats
     # then describe a fixed instant, not the last one that was read.
-    sim.perf.export_to(sim.metrics)
     perf = sim.perf.snapshot()
     registry.refresh_positions()
     grid_stats = registry.grid_stats()

@@ -1,11 +1,12 @@
-"""Federated edge deployment with device handoff and instance failover.
+"""Geographic edge deployment with device handoff and shard failover.
 
 The paper's §3.2 deployment story: the logically-centralised Sense-Aid
 server is physically many instances at the cellular edge, each close
-to its devices.  This example runs two edge instances over one campus,
-watches devices hand over as users walk between regions, then crashes
-one instance mid-campaign and shows the failover carrying its task to
-the sibling instance without losing the rest of the campaign.
+to its devices.  This example runs two edge instances over one campus
+as a `NearestSite` fleet, watches devices hand over as users walk
+between regions, then crashes one instance mid-campaign and shows its
+successor (hosted on the sibling) carrying the task on without losing
+the rest of the campaign.
 
 Run:  python examples/federated_edge.py
 """
@@ -15,7 +16,7 @@ from __future__ import annotations
 from repro.cellular.network import CellularNetwork
 from repro.clientlib import SenseAidClient
 from repro.core.config import SenseAidConfig, ServerMode
-from repro.core.federation import EdgeRegionSpec, FederatedSenseAid
+from repro.core.sharding import NearestSite, ShardedSenseAid, ShardSpec
 from repro.core.tasks import TaskSpec
 from repro.devices.sensors import SensorType
 from repro.environment.campus import CS_DEPARTMENT, UNIVERSITY_GYM, default_campus
@@ -32,25 +33,24 @@ def main() -> None:
     devices = build_population(sim, campus, PopulationConfig(size=20))
 
     # Two edge instances: one near the academic core, one near the gym.
-    federation = FederatedSenseAid(
+    fleet = ShardedSenseAid(
         sim,
         network,
         [
-            EdgeRegionSpec("core", campus.site(CS_DEPARTMENT).position),
-            EdgeRegionSpec("north", campus.site(UNIVERSITY_GYM).position),
+            ShardSpec("core", campus.site(CS_DEPARTMENT).position),
+            ShardSpec("north", campus.site(UNIVERSITY_GYM).position),
         ],
         SenseAidConfig(mode=ServerMode.COMPLETE),
-        rebalance_period_s=120.0,
+        placement=NearestSite(rebalance_period_s=120.0),
     )
-    federation.enable_failover(check_period_s=60.0)
 
     for device in devices:
-        client = SenseAidClient(sim, device, federation.instance("core"), network)
-        federation.register(client)
-    print("initial devices per region:", federation.devices_per_region())
+        client = SenseAidClient(sim, device, fleet.instance("core"), network)
+        fleet.register(client)
+    print("initial devices per region:", fleet.devices_per_shard())
 
     core_data, north_data = [], []
-    federation.submit_task(
+    fleet.submit_task(
         TaskSpec(
             sensor_type=SensorType.BAROMETER,
             center=campus.site(CS_DEPARTMENT).position,
@@ -62,7 +62,7 @@ def main() -> None:
         ),
         core_data.append,
     )
-    federation.submit_task(
+    fleet.submit_task(
         TaskSpec(
             sensor_type=SensorType.BAROMETER,
             center=campus.site(UNIVERSITY_GYM).position,
@@ -80,14 +80,15 @@ def main() -> None:
     north_before_crash = len(north_data)
     print(f"t={sim.now / 60:.0f} min: north instance crashes "
           f"({north_before_crash} north readings so far)")
-    federation.instance("north").crash()
+    fleet.crash_shard("north")
 
     sim.run(until=DURATION_S + 120.0)
-    federation.shutdown()
+    fleet.shutdown()
 
-    print(f"handoffs during the run : {federation.handoffs}")
-    print(f"failovers               : {federation.failovers}")
-    print(f"final devices per region: {federation.devices_per_region()}")
+    print(f"handoffs during the run : {fleet.handoffs}")
+    print(f"failovers               : {fleet.failovers} "
+          f"(north now hosted by {fleet.hosted_by('north')})")
+    print(f"final devices per region: {fleet.devices_per_shard()}")
     print(f"core campaign readings  : {len(core_data)}")
     print(f"north campaign readings : {len(north_data)} "
           f"({len(north_data) - north_before_crash} after failover)")

@@ -264,11 +264,11 @@ class SenseAidClient:
     def migrate(self, server: SenseAidServer) -> None:
         """Hand this client over to another edge instance.
 
-        Used by the federated deployment when the user walks into a
-        different instance's region: pending assignments at the old
-        instance are abandoned (its scheduler will see the device as
-        unqualified there anyway) and the client re-registers at the
-        new one.
+        Used by a :class:`~repro.core.sharding.NearestSite` fleet's
+        rebalance when the user walks nearer another instance's site:
+        pending assignments at the old instance are abandoned (its
+        scheduler will see the device as unqualified there anyway) and
+        the client re-registers at the new one.
         """
         if self._registered:
             self.deregister()
@@ -286,7 +286,7 @@ class SenseAidClient:
         self._home_resolver = resolver
 
     def redirect(self, server: SenseAidServer) -> None:
-        """Follow this device's ring range to a new shard incumbent.
+        """Follow this device's home shard to a new incumbent.
 
         Unlike :meth:`migrate` (a geographic handover between peers
         that never met this device), the failover target has replayed
@@ -294,15 +294,17 @@ class SenseAidClient:
         the session *resyncs* rather than re-registers: handlers are
         re-attached under the new incarnation epoch, a state report is
         sent, and every unacknowledged upload is replayed (idempotency
-        keys make the replay safe).
+        keys make the replay safe).  An unregistered client only
+        rebinds.
         """
         if not self._powered:
             return
         if server is self._server and self._server_epoch == server.epoch:
             return
         if not self._registered:
+            # A session the user ended stays ended; a registration that
+            # overload deferred lands here through its scheduled retry.
             self._server = server
-            self.register()
             return
         try:
             server.resync_device(self._device, self._on_assignment)

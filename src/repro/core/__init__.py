@@ -18,7 +18,6 @@ from repro.core.config import (
     ServerMode,
 )
 from repro.core.datastores import DeviceDatastore, DeviceRecord, TaskDatastore
-from repro.core.federation import EdgeRegionSpec, FederatedSenseAid
 from repro.core.overload import (
     AdmissionController,
     RequestClass,
@@ -30,6 +29,7 @@ from repro.core.server import SenseAidServer, UploadAck
 from repro.core.sharding import (
     ConsistentHashRing,
     CrossShardTask,
+    NearestSite,
     PhiAccrualFailureDetector,
     ShardSpec,
     ShardedSenseAid,
@@ -51,8 +51,7 @@ __all__ = [
     "DeviceRecord",
     "DeviceSelector",
     "DurableLog",
-    "EdgeRegionSpec",
-    "FederatedSenseAid",
+    "NearestSite",
     "OverloadPolicy",
     "PhiAccrualFailureDetector",
     "RecoveryViolation",

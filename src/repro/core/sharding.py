@@ -1,11 +1,13 @@
-"""Self-healing sharded control plane for the Sense-Aid fleet.
+"""Self-healing fleet of Sense-Aid edge instances (paper §3.2).
 
-ROADMAP item 1: one :class:`~repro.core.server.SenseAidServer` per
-shard, with devices partitioned across shards by a consistent-hash
-ring rather than by geography (geography stays the federation layer's
-job; the ring shards *control-plane load*).  What this module adds on
-top of a set of independent servers is everything needed to keep
-campaigns running when one of them dies:
+One :class:`~repro.core.server.SenseAidServer` per shard.  The default
+placement partitions devices by a consistent-hash ring over their ids
+(it shards *control-plane load*); :class:`NearestSite` partitions them
+by geography instead — each instance "located spatially close to the
+mobile devices", with a periodic rebalance handing devices over as
+they move.  What this module adds on top of a set of independent
+servers is everything needed to keep campaigns running when one of
+them dies:
 
 - :class:`ConsistentHashRing` — sha256-based ring with virtual nodes;
   each device id hashes to the shard that owns its control state.
@@ -17,7 +19,7 @@ campaigns running when one of them dies:
   peer *fences* the dead incumbent's write-ahead log (a zombie on the
   wrong side of a partition can keep serving devices but can no longer
   touch the log), replays the WAL into a fresh incarnation whose epoch
-  is one past every recorded one, takes over the ring range, and
+  is one past every recorded one, takes over the shard's range, and
   redirects the shard's clients.  Stale assignments from the deposed
   incumbent carry the old epoch and are dropped client-side.
 - Anti-entropy reconciliation — after partitions heal,
@@ -27,17 +29,20 @@ campaigns running when one of them dies:
   merges the difference, so an upload acknowledged by *any* incumbent
   is never re-counted later — the existing ``upload_id`` idempotency
   does the heavy lifting.
-- Cross-shard task planning — a campaign whose region spans ring
-  boundaries is split into per-shard subtasks with the spatial density
-  apportioned to each shard's candidate population; results are
-  re-tagged with the parent task id, and :class:`CrossShardTask`
-  flags the window during which any participating shard is down
-  (graceful degradation instead of silent gaps).
+- Cross-shard task planning — on the ring, a campaign whose region
+  spans ring boundaries is split into per-shard subtasks with the
+  spatial density apportioned to each shard's candidate population
+  (under :class:`NearestSite` it goes whole to the shard nearest its
+  centre); results are re-tagged with the parent task id, and
+  :class:`CrossShardTask` flags the window during which any
+  participating shard is down (graceful degradation instead of
+  silent gaps).
 
 Determinism: the fleet draws no random numbers — ring placement is
-sha256, heartbeats are a fixed-period process, and all bookkeeping
-iterates insertion-ordered dicts — so a sharded run is bit-replayable
-like everything else in the simulator.
+sha256, site distances break ties by shard order, heartbeats and
+rebalances are fixed-period processes, and all bookkeeping iterates
+insertion-ordered dicts — so a fleet run is bit-replayable like
+everything else in the simulator.
 """
 
 from __future__ import annotations
@@ -148,6 +153,11 @@ class PhiAccrualFailureDetector:
     intervals.  ``min_std_s`` floors the fitted deviation so that the
     metronomic heartbeats of a simulator (zero variance) still yield a
     finite, tunable detection point instead of an instant trip.
+
+    Until the first heartbeat, silence is measured from ``started_at``
+    against the expected interval, so a peer that dies before it is
+    ever heard is still suspected; without a start time phi stays 0
+    until then.
     """
 
     PHI_CAP = 300.0
@@ -158,6 +168,7 @@ class PhiAccrualFailureDetector:
         *,
         window: int = 64,
         min_std_s: Optional[float] = None,
+        started_at: Optional[float] = None,
     ) -> None:
         if expected_interval_s <= 0:
             raise ValueError("expected_interval_s must be positive")
@@ -171,6 +182,7 @@ class PhiAccrualFailureDetector:
         if self._min_std <= 0:
             raise ValueError("min_std_s must be positive")
         self._intervals: List[float] = []
+        self._started_at = started_at
         self.last_heartbeat: Optional[float] = None
         self.heartbeats = 0
 
@@ -182,9 +194,17 @@ class PhiAccrualFailureDetector:
         self.last_heartbeat = now
         self.heartbeats += 1
 
+    @property
+    def silent_since(self) -> Optional[float]:
+        """The last heartbeat, else the start time (None if neither)."""
+        if self.last_heartbeat is not None:
+            return self.last_heartbeat
+        return self._started_at
+
     def phi(self, now: float) -> float:
-        """Current suspicion; 0 before the first heartbeat is seen."""
-        if self.last_heartbeat is None:
+        """Current suspicion of silence since :attr:`silent_since`."""
+        since = self.silent_since
+        if since is None:
             return 0.0
         if self._intervals:
             mean = sum(self._intervals) / len(self._intervals)
@@ -192,7 +212,7 @@ class PhiAccrualFailureDetector:
             std = max(math.sqrt(var), self._min_std)
         else:
             mean, std = self._expected, self._min_std
-        z = (now - self.last_heartbeat - mean) / std
+        z = (now - since - mean) / std
         p_later = 0.5 * math.erfc(z / math.sqrt(2.0))
         if p_later <= 10.0 ** (-self.PHI_CAP):
             return self.PHI_CAP
@@ -211,7 +231,7 @@ class ShardSpec:
     When ``towers`` is empty a single wide-coverage eNodeB is placed at
     the site — shards partition control state, not radio coverage, so
     the default tower simply has to hear the shard's devices wherever
-    the ring puts them.
+    the placement puts them.
     """
 
     shard_id: str
@@ -231,6 +251,19 @@ class ShardSpec:
         ]
 
 
+@dataclass(frozen=True)
+class NearestSite:
+    """Geographic placement: each device, task and successor goes to
+    the live shard whose site is nearest, and every
+    ``rebalance_period_s`` devices that moved are handed over."""
+
+    rebalance_period_s: float = 60.0
+
+    def __post_init__(self) -> None:
+        if self.rebalance_period_s <= 0:
+            raise ValueError("rebalance_period_s must be positive")
+
+
 @dataclass
 class FailoverRecord:
     """One completed range handover (for tests and the benchmark)."""
@@ -246,7 +279,8 @@ class FailoverRecord:
 
 
 class CrossShardTask:
-    """Handle for a campaign split across ring boundaries.
+    """Handle for a campaign fanned out over the fleet (split across
+    ring boundaries, or whole at its nearest site).
 
     Collects re-tagged results from every per-shard subtask and tracks
     degradation: while any participating shard's incumbent is down
@@ -303,14 +337,14 @@ class CrossShardTask:
 
 
 class ShardedSenseAid:
-    """A ring-sharded fleet of Sense-Aid servers that heals itself.
+    """A fleet of Sense-Aid servers that heals itself.
 
     Wraps N :class:`~repro.core.server.SenseAidServer` instances (one
     per :class:`ShardSpec`, each with its own tower registry and —
-    when ``wal_root`` is given — its own write-ahead log), a fixed
-    ring over device ids, a heartbeat/phi failure detector per shard,
-    and the failover + anti-entropy machinery described in the module
-    docstring.
+    when ``wal_root`` is given — its own write-ahead log), a placement
+    (the ring over device ids, or :class:`NearestSite`), a
+    heartbeat/phi failure detector per shard, and the failover +
+    anti-entropy machinery described in the module docstring.
     """
 
     def __init__(
@@ -321,13 +355,12 @@ class ShardedSenseAid:
         config: Optional[SenseAidConfig] = None,
         *,
         wal_root: Optional[str] = None,
-        vnodes: int = 64,
         heartbeat_period_s: float = 5.0,
         phi_threshold: float = 8.0,
-        detector_window: int = 64,
         min_std_s: Optional[float] = None,
         auto_failover: bool = True,
         redirect_latency_s: float = 0.05,
+        placement: Optional[NearestSite] = None,
     ) -> None:
         specs = list(shards)
         if len(specs) < 2:
@@ -346,11 +379,11 @@ class ShardedSenseAid:
         self._wal_root = wal_root
         self._heartbeat_period = heartbeat_period_s
         self._phi_threshold = phi_threshold
-        self._detector_window = detector_window
         self._min_std = min_std_s
         self._auto_failover = auto_failover
         self._redirect_latency = redirect_latency_s
-        self._ring = ConsistentHashRing(ids, vnodes=vnodes)
+        self._placement = placement
+        self._ring = ConsistentHashRing(ids)
         self.log = SimLogger(sim, "repro.core.sharding")
 
         self._registries: Dict[str, TowerRegistry] = {}
@@ -387,6 +420,7 @@ class ShardedSenseAid:
         self._task_meta: Dict[int, dict] = {}
 
         self.failovers = 0
+        self.handoffs = 0
         self.heartbeats_seen = 0
         self._fenced_writes_retired = 0
         self.failover_log: List[FailoverRecord] = []
@@ -397,6 +431,13 @@ class ShardedSenseAid:
         self._heartbeat_proc = PeriodicProcess(
             sim, heartbeat_period_s, self._heartbeat_tick
         )
+        # Only a geographic fleet rebalances: a ring home never moves,
+        # and a ring fleet must push no event beyond its heartbeats.
+        self._rebalancer = (
+            PeriodicProcess(sim, placement.rebalance_period_s, self.rebalance)
+            if placement is not None
+            else None
+        )
 
     # -- construction helpers ------------------------------------------
 
@@ -406,10 +447,13 @@ class ShardedSenseAid:
         return DurableLog(os.path.join(self._wal_root, shard_id))
 
     def _make_detector(self) -> PhiAccrualFailureDetector:
+        # Started now: an incumbent that dies before its first
+        # heartbeat (at start, or right after a failover or recovery)
+        # is suspected like any other silent one.
         return PhiAccrualFailureDetector(
             self._heartbeat_period,
-            window=self._detector_window,
             min_std_s=self._min_std,
+            started_at=self._sim.now,
         )
 
     # -- topology queries ----------------------------------------------
@@ -422,7 +466,7 @@ class ShardedSenseAid:
         return list(self._specs)
 
     def instance(self, shard_id: str) -> SenseAidServer:
-        """The server currently serving a shard's ring range."""
+        """The server currently serving a shard's range."""
         try:
             return self._servers[shard_id]
         except KeyError:
@@ -472,16 +516,18 @@ class ShardedSenseAid:
     # -- registration ---------------------------------------------------
 
     def register(self, client) -> str:
-        """Register a client at its ring-home shard.
+        """Register a client at its home shard.
 
-        If the home incumbent is down, the next live shard in ring
-        preference order takes it (and stays its home — a later
-        failover of the original owner does not steal devices back).
-        Installs a home resolver so the client's retry path follows
-        future range handovers on its own.
+        The home is the ring owner of the device id, or under
+        :class:`NearestSite` the shard nearest the device.  If that
+        incumbent is down, the next live shard in the same order takes
+        it (and stays its home — a later failover of the original
+        owner does not steal devices back).  Installs a home resolver
+        so the client's retry path follows future range handovers on
+        its own.
         """
         device_id = client.device.device_id
-        shard_id = self._place(device_id)
+        shard_id = self._place(device_id, client.device.position())
         client.bind_server(self._servers[shard_id])
         client.register()
         client.set_home_resolver(lambda did=device_id: self._resolve_home(did))
@@ -489,11 +535,22 @@ class ShardedSenseAid:
         self._home[device_id] = shard_id
         return shard_id
 
-    def _place(self, device_id: str) -> str:
-        for shard_id in self._ring.preference(device_id):
+    def _order(self, key: str, point: Point) -> List[str]:
+        """Shards in placement preference for a ``(key, point)`` pair:
+        ring order from the key, or nearest site to the point first
+        (``sorted`` is stable, so ties go to the first spec)."""
+        if self._placement is None:
+            return self._ring.preference(key)
+        return sorted(self._specs, key=lambda sid: self._specs[sid].site.distance_to(point))
+
+    def _place(self, key: str, point: Point) -> str:
+        """The first live shard in placement order, or the first shard
+        if none is live."""
+        order = self._order(key, point)
+        for shard_id in order:
             if not self._servers[shard_id].crashed:
                 return shard_id
-        return self._ring.owner(device_id)
+        return order[0]
 
     def _resolve_home(self, device_id: str) -> Optional[SenseAidServer]:
         home = self._home.get(device_id)
@@ -506,6 +563,30 @@ class ShardedSenseAid:
             client.deregister()
         if client is not None:
             client.set_home_resolver(None)
+
+    def rebalance(self) -> int:
+        """Under :class:`NearestSite`, hand devices over to the live
+        shard nearest their position; returns the number of handoffs.
+
+        The fleet's periodic process calls this.  Clients that
+        deregistered or lost power are skipped: a handover they never
+        asked for must not resurrect an ended session.  On the ring it
+        is a no-op returning 0: a ring home never moves.
+        """
+        if self._placement is None:
+            return 0
+        moved = 0
+        for device_id, client in self._clients.items():
+            if not client.registered or not client.powered:
+                continue
+            target = self._place(device_id, client.device.position())
+            if target == self._home[device_id]:
+                continue
+            client.migrate(self._servers[target])
+            self._home[device_id] = target
+            moved += 1
+        self.handoffs += moved
+        return moved
 
     # -- heartbeats and failure detection -------------------------------
 
@@ -573,7 +654,8 @@ class ShardedSenseAid:
     # -- epoch-fenced failover -------------------------------------------
 
     def _standby_for(self, shard_id: str) -> Optional[str]:
-        for candidate in self._ring.preference(f"range:{shard_id}"):
+        site = self._specs[shard_id].site
+        for candidate in self._order(f"range:{shard_id}", site):
             if candidate == shard_id:
                 continue
             if self._servers[candidate].crashed:
@@ -584,7 +666,7 @@ class ShardedSenseAid:
         return None
 
     def fail_over(self, shard_id: str) -> bool:
-        """Hand a shard's ring range to a standby-hosted successor.
+        """Hand a shard's range to a standby-hosted successor.
 
         Fences the old incumbent's WAL (zombie writes are dropped from
         here on), builds a fresh server over the same registry and WAL
@@ -601,9 +683,8 @@ class ShardedSenseAid:
             return False
         detector = self._detectors[shard_id]
         now = self._sim.now
-        last_beat = (
-            detector.last_heartbeat if detector.last_heartbeat is not None else now
-        )
+        silent_since = detector.silent_since
+        last_beat = silent_since if silent_since is not None else now
         was_partitioned = shard_id in self._partitioned
         old_epoch = old.epoch
 
@@ -704,16 +785,18 @@ class ShardedSenseAid:
     # -- cross-shard task planning ---------------------------------------
 
     def submit_task(self, task: TaskSpec, callback: DataCallback) -> CrossShardTask:
-        """Split a campaign across the ring and fan it out.
+        """Split a campaign across the fleet and fan it out.
 
-        The spatial density is apportioned to shards in proportion to
-        their candidate populations (registered, powered devices
-        inside the task region carrying the sensor), largest-remainder
-        rounded with deterministic shard-id tie-breaks, capped at each
-        shard's candidate count while any shard has spare capacity.
-        Shards whose incumbent is down get no allocation (their share
-        goes to the survivors) — the surviving subtasks run at full
-        strength and the handle flags degradation instead.
+        Under :class:`NearestSite` the whole task goes to the live shard
+        nearest its centre.  On the ring the spatial density is
+        apportioned to shards in proportion to their candidate
+        populations (registered, powered devices inside the task
+        region carrying the sensor), largest-remainder rounded with
+        deterministic shard-id tie-breaks, capped at each shard's
+        candidate count while any shard has spare capacity.  Shards
+        whose incumbent is down get no allocation (their share goes to
+        the survivors) — the surviving subtasks run at full strength
+        and the handle flags degradation instead.
         """
         handle = CrossShardTask(self, task, callback)
         allocation = self._split_density(task)
@@ -771,6 +854,9 @@ class ShardedSenseAid:
         return counts
 
     def _split_density(self, task: TaskSpec) -> Dict[str, int]:
+        if self._placement is not None:
+            shard_id = self._place(f"task:{task.task_id}", task.center)
+            return {shard_id: task.spatial_density}
         candidates = self._candidates(task)
         live = {
             sid: n
@@ -820,23 +906,31 @@ class ShardedSenseAid:
 
     # -- anti-entropy reconciliation -------------------------------------
 
+    def _held(self, upload_id: str, home: str) -> bool:
+        """Whether a current incumbent holds an upload's idempotency
+        key: the device's home, or another shard — under
+        :class:`NearestSite` the acks a device got before a handoff
+        stay at the shard that gave them."""
+        if upload_id in self._servers[home]._seen_upload_ids:
+            return True
+        return any(upload_id in s._seen_upload_ids for s in self._servers.values())
+
     def anti_entropy_diff(self) -> Dict[str, List[str]]:
         """Upload ids acknowledged somewhere but unburned at the owner.
 
         Two divergence sources after a partition/failover: (a) a client
-        holds an ack for an upload the owning incumbent never saw (a
-        zombie acknowledged it after being fenced), and (b) a deposed
-        incumbent burned keys its successor lacks.  Empty dict == the
-        fleet is convergent.
+        holds an ack for an upload no current incumbent saw (a zombie
+        acknowledged it after being fenced), listed under the client's
+        home, and (b) a deposed incumbent burned keys its successor
+        lacks.  Empty dict == the fleet is convergent.
         """
         missing: Dict[str, Set[str]] = {}
         for device_id, client in self._clients.items():
             home = self._home.get(device_id)
             if home is None:
                 continue
-            owner = self._servers[home]
             for upload_id in getattr(client, "acked_uploads", ()):
-                if upload_id not in owner._seen_upload_ids:
+                if not self._held(upload_id, home):
                     missing.setdefault(home, set()).add(upload_id)
         for shard_id, zombie in self._deposed.items():
             current = self._servers[shard_id]
@@ -846,23 +940,22 @@ class ShardedSenseAid:
         return {sid: sorted(keys) for sid, keys in sorted(missing.items())}
 
     def acked_upload_audit(self) -> Dict[str, List[str]]:
-        """Client-held accepted acks unknown to the current home owner.
+        """Client-held accepted acks no current incumbent remembers.
 
         Maps ``device_id -> sorted upload ids`` for every acknowledged
-        upload whose idempotency key the device's current home
-        incumbent does not hold.  After :meth:`repair` this must be
-        empty: an acknowledged reading no live incumbent remembers is
-        double-countable on retransmit — acknowledged-upload loss from
-        the campaign's point of view.
+        upload whose idempotency key neither the device's current home
+        incumbent nor any other current incumbent holds.  After
+        :meth:`repair` this must be empty: an acknowledged reading no
+        live incumbent remembers is double-countable on retransmit —
+        acknowledged-upload loss from the campaign's point of view.
         """
         lost: Dict[str, Set[str]] = {}
         for device_id, client in sorted(self._clients.items()):
             home = self._home.get(device_id)
             if home is None:
                 continue
-            owner = self._servers[home]
             for upload_id in getattr(client, "acked_uploads", ()):
-                if upload_id not in owner._seen_upload_ids:
+                if not self._held(upload_id, home):
                     lost.setdefault(device_id, set()).add(upload_id)
         return {did: sorted(keys) for did, keys in sorted(lost.items())}
 
@@ -909,6 +1002,8 @@ class ShardedSenseAid:
 
     def shutdown(self) -> None:
         self._heartbeat_proc.stop()
+        if self._rebalancer is not None:
+            self._rebalancer.stop()
         for server in self._servers.values():
             server.shutdown()
         for zombie in self._deposed.values():
@@ -922,6 +1017,7 @@ __all__ = [
     "ConsistentHashRing",
     "PhiAccrualFailureDetector",
     "ShardSpec",
+    "NearestSite",
     "FailoverRecord",
     "CrossShardTask",
     "ShardedSenseAid",

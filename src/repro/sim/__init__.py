@@ -10,22 +10,18 @@ components are constructed.
 from repro.sim.clock import SimClock
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventQueue
-from repro.sim.metrics import Counter, MetricsRegistry, TimeSeries
 from repro.sim.perf import PerfProbe, PerfRegistry, events_per_second
 from repro.sim.processes import PeriodicProcess
 from repro.sim.rng import RandomStreams
 
 __all__ = [
-    "Counter",
     "Event",
     "EventQueue",
-    "MetricsRegistry",
     "PerfProbe",
     "PerfRegistry",
     "PeriodicProcess",
     "RandomStreams",
     "SimClock",
     "Simulator",
-    "TimeSeries",
     "events_per_second",
 ]

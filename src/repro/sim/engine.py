@@ -1,7 +1,7 @@
 """The discrete-event simulation engine.
 
 :class:`Simulator` owns the clock, the event heap, the named random
-streams, and the metrics registry.  Components receive the simulator at
+streams, and the perf probes.  Components receive the simulator at
 construction and interact with simulated time exclusively through it.
 """
 
@@ -11,7 +11,6 @@ from typing import Any, Callable, Optional
 
 from repro.sim.clock import SimClock
 from repro.sim.events import Event, EventQueue
-from repro.sim.metrics import MetricsRegistry
 from repro.sim.perf import PerfRegistry
 from repro.sim.rng import RandomStreams
 
@@ -28,7 +27,6 @@ class Simulator:
     def __init__(self, seed: int = 0, start_time: float = 0.0) -> None:
         self.clock = SimClock(start_time)
         self.rng = RandomStreams(seed)
-        self.metrics = MetricsRegistry()
         #: Wall-clock perf probes for hot paths; never feeds the
         #: simulation, so instrumentation cannot perturb determinism.
         self.perf = PerfRegistry()

@@ -15,18 +15,15 @@ Wall time is measured with :func:`time.perf_counter` and never feeds
 back into the simulation, so instrumentation cannot perturb
 determinism; two same-seed runs differ only in their perf numbers.
 
-Probes export into the shared :class:`~repro.sim.metrics.MetricsRegistry`
-(``perf.<probe>.calls`` / ``.wall_s`` / ``.items``) and serialise via
-:meth:`PerfRegistry.snapshot` into the ``BENCH_*.json`` artifacts, so
-regressions show up in the benchmark book (``docs/benchmarks.md``).
+Probes serialise via :meth:`PerfRegistry.snapshot` into the
+``BENCH_*.json`` artifacts, so regressions show up in the benchmark
+book (``docs/benchmarks.md``).
 """
 
 from __future__ import annotations
 
 import time
 from typing import Dict, Optional
-
-from repro.sim.metrics import MetricsRegistry
 
 
 class PerfProbe:
@@ -125,17 +122,6 @@ class PerfRegistry:
             }
             for name, probe in sorted(self._probes.items())
         }
-
-    def export_to(self, metrics: MetricsRegistry) -> None:
-        """Mirror every probe into ``perf.<name>.*`` metric counters.
-
-        Counters are monotonic, so export is additive: call it once at
-        the end of a run (the benchmark harness does).
-        """
-        for name, probe in self._probes.items():
-            metrics.counter(f"perf.{name}.calls").add(probe.calls)
-            metrics.counter(f"perf.{name}.wall_s").add(probe.wall_s)
-            metrics.counter(f"perf.{name}.items").add(probe.items)
 
     def reset(self) -> None:
         self._probes.clear()

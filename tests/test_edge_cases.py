@@ -10,8 +10,9 @@ from repro.cellular.drx import LTE_DRX
 from repro.cellular.network import CellularNetwork
 from repro.cellular.packets import Message, MessageKind, TrafficCategory
 from repro.cellular.rrc import RRCState, TailPolicy
+from repro.clientlib import SenseAidClient
 from repro.core.config import ServerMode
-from repro.core.federation import EdgeRegionSpec, FederatedSenseAid
+from repro.core.sharding import NearestSite, ShardedSenseAid, ShardSpec
 from repro.devices.profiles import population_mix
 from repro.environment.geometry import Point
 from repro.experiments.common import (
@@ -84,34 +85,29 @@ class TestProfilesEdges:
 
 
 class TestFederationEdges:
+    def _fleet(self, sim, network):
+        return ShardedSenseAid(
+            sim,
+            network,
+            [ShardSpec("a", Point(0.0, 0.0)), ShardSpec("b", Point(1000.0, 0.0))],
+            placement=NearestSite(),
+        )
+
     def test_instance_for_point(self):
         sim = Simulator()
-        federation = FederatedSenseAid(
-            sim,
-            CellularNetwork(sim),
-            [
-                EdgeRegionSpec("a", Point(0.0, 0.0)),
-                EdgeRegionSpec("b", Point(1000.0, 0.0)),
-            ],
-        )
-        assert federation.instance_for(Point(10.0, 0.0)) is federation.instance("a")
+        network = CellularNetwork(sim)
+        fleet = self._fleet(sim, network)
+        device = make_device(sim, "near-a", position=Point(10.0, 0.0))
+        client = SenseAidClient(sim, device, fleet.instance("b"), network)
+        assert fleet.instance(fleet.register(client)) is fleet.instance("a")
 
     def test_invalid_rebalance_period(self):
-        sim = Simulator()
         with pytest.raises(ValueError):
-            FederatedSenseAid(
-                sim,
-                CellularNetwork(sim),
-                [EdgeRegionSpec("a", Point(0.0, 0.0))],
-                rebalance_period_s=0.0,
-            )
+            NearestSite(rebalance_period_s=0.0)
 
     def test_deregister_unknown_is_noop(self):
         sim = Simulator()
-        federation = FederatedSenseAid(
-            sim, CellularNetwork(sim), [EdgeRegionSpec("a", Point(0.0, 0.0))]
-        )
-        federation.deregister("ghost")
+        self._fleet(sim, CellularNetwork(sim)).deregister("ghost")
 
 
 class TestExperimentHarnessEdges:

@@ -1,4 +1,5 @@
-"""Tests for the distributed (federated) edge deployment."""
+"""Tests for the geographic (federated) edge deployment of paper §3.2:
+a :class:`ShardedSenseAid` fleet with :class:`NearestSite` placement."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import pytest
 from repro.cellular.network import CellularNetwork
 from repro.clientlib import SenseAidClient
 from repro.core.config import SenseAidConfig, ServerMode
-from repro.core.federation import EdgeRegionSpec, FederatedSenseAid
+from repro.core.sharding import NearestSite, ShardedSenseAid, ShardSpec
 from repro.core.tasks import TaskSpec
 from repro.devices.sensors import SensorType
 from repro.environment.geometry import Point
@@ -31,25 +32,25 @@ class _Teleporter(MobilityModel):
         return self._before if time < self._switch_at else self._after
 
 
-def make_federation(sim, *, rebalance_period_s=60.0):
+def make_fleet(sim, *, rebalance_period_s=60.0, auto_failover=True):
     network = CellularNetwork(sim)
-    federation = FederatedSenseAid(
+    fleet = ShardedSenseAid(
         sim,
         network,
-        [
-            EdgeRegionSpec("west", WEST),
-            EdgeRegionSpec("east", EAST),
-        ],
+        [ShardSpec("west", WEST), ShardSpec("east", EAST)],
         SenseAidConfig(mode=ServerMode.COMPLETE),
-        rebalance_period_s=rebalance_period_s,
+        auto_failover=auto_failover,
+        placement=NearestSite(rebalance_period_s),
     )
-    return network, federation
+    return network, fleet
 
 
-def make_client(sim, network, federation, device_id, position):
+def make_client(sim, network, fleet, device_id, position, *, mobility=None):
     device = make_device(sim, device_id, position=position)
-    client = SenseAidClient(sim, device, federation.instance("west"), network)
-    federation.register(client)
+    if mobility is not None:
+        device.mobility = mobility
+    client = SenseAidClient(sim, device, fleet.instance("west"), network)
+    fleet.register(client)
     return client
 
 
@@ -70,90 +71,95 @@ class TestTopology:
     def test_requires_regions(self):
         sim = Simulator()
         with pytest.raises(ValueError):
-            FederatedSenseAid(sim, CellularNetwork(sim), [])
+            ShardedSenseAid(
+                sim, CellularNetwork(sim), [], placement=NearestSite()
+            )
 
     def test_unique_region_ids(self):
         sim = Simulator()
         with pytest.raises(ValueError):
-            FederatedSenseAid(
+            ShardedSenseAid(
                 sim,
                 CellularNetwork(sim),
-                [EdgeRegionSpec("x", WEST), EdgeRegionSpec("x", EAST)],
+                [ShardSpec("x", WEST), ShardSpec("x", EAST)],
+                placement=NearestSite(),
             )
 
     def test_voronoi_routing(self):
         sim = Simulator()
-        _, federation = make_federation(sim)
-        assert federation.region_for(Point(100.0, 500.0)) == "west"
-        assert federation.region_for(Point(2900.0, 500.0)) == "east"
+        network, fleet = make_fleet(sim)
+        make_client(sim, network, fleet, "far-west", Point(100.0, 500.0))
+        make_client(sim, network, fleet, "far-east", Point(2900.0, 500.0))
+        assert fleet.home_shard("far-west") == "west"
+        assert fleet.home_shard("far-east") == "east"
 
     def test_unknown_region(self):
         sim = Simulator()
-        _, federation = make_federation(sim)
+        _, fleet = make_fleet(sim)
         with pytest.raises(KeyError):
-            federation.instance("north")
+            fleet.instance("north")
 
 
 class TestRegistration:
     def test_device_lands_on_nearest_instance(self):
         sim = Simulator()
-        network, federation = make_federation(sim)
-        client = make_client(sim, network, federation, "d-east", EAST)
-        assert federation.home_region("d-east") == "east"
-        assert client.server is federation.instance("east")
-        assert "d-east" in federation.instance("east").devices
+        network, fleet = make_fleet(sim)
+        client = make_client(sim, network, fleet, "d-east", EAST)
+        assert fleet.home_shard("d-east") == "east"
+        assert client.server is fleet.instance("east")
+        assert "d-east" in fleet.instance("east").devices
 
     def test_devices_per_region(self):
         sim = Simulator()
-        network, federation = make_federation(sim)
-        make_client(sim, network, federation, "w1", WEST)
-        make_client(sim, network, federation, "w2", WEST)
-        make_client(sim, network, federation, "e1", EAST)
-        assert federation.devices_per_region() == {"west": 2, "east": 1}
+        network, fleet = make_fleet(sim)
+        make_client(sim, network, fleet, "w1", WEST)
+        make_client(sim, network, fleet, "w2", WEST)
+        make_client(sim, network, fleet, "e1", EAST)
+        assert fleet.devices_per_shard() == {"west": 2, "east": 1}
 
     def test_deregister(self):
         sim = Simulator()
-        network, federation = make_federation(sim)
-        client = make_client(sim, network, federation, "d", WEST)
-        federation.deregister("d")
+        network, fleet = make_fleet(sim)
+        client = make_client(sim, network, fleet, "d", WEST)
+        fleet.deregister("d")
         assert not client.registered
         with pytest.raises(KeyError):
-            federation.home_region("d")
+            fleet.home_shard("d")
 
 
 class TestHandoff:
     def test_moving_device_is_handed_over(self):
         sim = Simulator()
-        network, federation = make_federation(sim, rebalance_period_s=30.0)
-        device = make_device(sim, "walker", position=WEST)
-        device.mobility = _Teleporter(WEST, EAST, switch_at=100.0)
-        client = SenseAidClient(sim, device, federation.instance("west"), network)
-        federation.register(client)
-        assert federation.home_region("walker") == "west"
+        network, fleet = make_fleet(sim, rebalance_period_s=30.0)
+        make_client(
+            sim, network, fleet, "walker", WEST,
+            mobility=_Teleporter(WEST, EAST, switch_at=100.0),
+        )
+        assert fleet.home_shard("walker") == "west"
         sim.run(until=150.0)
-        assert federation.home_region("walker") == "east"
-        assert federation.handoffs == 1
-        assert "walker" in federation.instance("east").devices
-        assert "walker" not in federation.instance("west").devices
+        assert fleet.home_shard("walker") == "east"
+        assert fleet.handoffs == 1
+        assert "walker" in fleet.instance("east").devices
+        assert "walker" not in fleet.instance("west").devices
 
     def test_stationary_device_not_handed_over(self):
         sim = Simulator()
-        network, federation = make_federation(sim, rebalance_period_s=30.0)
-        make_client(sim, network, federation, "still", WEST)
+        network, fleet = make_fleet(sim, rebalance_period_s=30.0)
+        make_client(sim, network, fleet, "still", WEST)
         sim.run(until=500.0)
-        assert federation.handoffs == 0
+        assert fleet.handoffs == 0
 
     def test_handoff_preserves_service(self):
         """A device handed over keeps serving tasks in its new region."""
         sim = Simulator()
-        network, federation = make_federation(sim, rebalance_period_s=30.0)
-        device = make_device(sim, "walker", position=WEST)
-        device.mobility = _Teleporter(WEST, EAST, switch_at=100.0)
-        client = SenseAidClient(sim, device, federation.instance("west"), network)
-        federation.register(client)
+        network, fleet = make_fleet(sim, rebalance_period_s=30.0)
+        make_client(
+            sim, network, fleet, "walker", WEST,
+            mobility=_Teleporter(WEST, EAST, switch_at=100.0),
+        )
         sim.run(until=150.0)
         data = []
-        federation.submit_task(make_task(EAST), data.append)
+        fleet.submit_task(make_task(EAST), data.append)
         sim.run(until=800.0)
         assert len(data) == 2  # both sampling instants served
 
@@ -161,31 +167,33 @@ class TestHandoff:
 class TestTaskRouting:
     def test_task_routed_by_center(self):
         sim = Simulator()
-        network, federation = make_federation(sim)
-        make_client(sim, network, federation, "w1", WEST)
-        region = federation.submit_task(make_task(WEST), lambda p: None)
-        assert region == "west"
+        network, fleet = make_fleet(sim)
+        make_client(sim, network, fleet, "w1", WEST)
+        handle = fleet.submit_task(make_task(WEST), lambda p: None)
+        assert handle.allocations == {"west": 1}
         sim.run(until=700.0)
-        assert federation.instance("west").stats.requests_issued == 2
-        assert federation.instance("east").stats.requests_issued == 0
+        assert fleet.instance("west").stats.requests_issued == 2
+        assert fleet.instance("east").stats.requests_issued == 0
 
     def test_independent_campaigns_per_region(self):
         sim = Simulator()
-        network, federation = make_federation(sim)
-        make_client(sim, network, federation, "w1", WEST)
-        make_client(sim, network, federation, "e1", EAST)
+        network, fleet = make_fleet(sim)
+        make_client(sim, network, fleet, "w1", WEST)
+        make_client(sim, network, fleet, "e1", EAST)
         west_data, east_data = [], []
-        federation.submit_task(make_task(WEST), west_data.append)
-        federation.submit_task(make_task(EAST), east_data.append)
+        fleet.submit_task(make_task(WEST), west_data.append)
+        fleet.submit_task(make_task(EAST), east_data.append)
         sim.run(until=700.0)
         assert len(west_data) == 2
         assert len(east_data) == 2
-        assert federation.total_data_points() == 4
-        assert federation.total_requests_issued() == 4
+        assert fleet.total_data_points() == 4
+        issued = [fleet.instance(s).stats.requests_issued for s in fleet.shard_ids()]
+        assert issued == [2, 2]
 
     def test_shutdown_stops_instances(self):
         sim = Simulator()
-        network, federation = make_federation(sim)
-        federation.shutdown()  # must not raise; rebalancer stopped
+        network, fleet = make_fleet(sim)
+        fleet.shutdown()  # heartbeats and rebalancer stopped
         sim.run(until=1000.0)
-        assert federation.handoffs == 0
+        assert sim.events_processed == 0
+        assert fleet.handoffs == 0

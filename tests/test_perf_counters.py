@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.sim.engine import Simulator
-from repro.sim.metrics import MetricsRegistry
 from repro.sim.perf import PerfRegistry, events_per_second
 
 
@@ -63,15 +62,6 @@ class TestSnapshotAndExport:
             "max_items",
             "items_per_call",
         }
-
-    def test_export_to_metrics(self):
-        perf = PerfRegistry()
-        perf.count("op", items=5)
-        metrics = MetricsRegistry()
-        perf.export_to(metrics)
-        values = metrics.counter_values()
-        assert values["perf.op.calls"] == 1
-        assert values["perf.op.items"] == 5
 
     def test_reset(self):
         perf = PerfRegistry()

@@ -7,20 +7,25 @@ import pytest
 from repro.cellular.network import CellularNetwork
 from repro.clientlib import SenseAidClient
 from repro.core.config import (
+    OverloadPolicy,
     RetryPolicy,
     SelectorWeights,
     SenseAidConfig,
     ServerMode,
 )
+from repro.core.overload import RequestClass
 from repro.core.sharding import (
     ConsistentHashRing,
+    NearestSite,
     PhiAccrualFailureDetector,
     ShardSpec,
     ShardedSenseAid,
 )
 from repro.core.tasks import TaskSpec
 from repro.devices.sensors import SensorType
+from repro.environment.campus import CS_DEPARTMENT, UNIVERSITY_GYM, default_campus
 from repro.environment.geometry import Point
+from repro.environment.population import PopulationConfig, build_population
 from repro.sim.engine import Simulator
 from tests.conftest import make_device
 
@@ -151,6 +156,15 @@ class TestFailureDetector:
         det = PhiAccrualFailureDetector(5.0)
         assert det.phi(100.0) == 0.0
 
+    def test_silence_since_start_is_suspected(self):
+        det = PhiAccrualFailureDetector(5.0, min_std_s=0.5, started_at=40.0)
+        assert det.silent_since == 40.0
+        assert det.phi(45.0) < 8.0 < det.phi(50.0)
+        det.heartbeat(44.0)
+        # From the first heartbeat on, silence counts from it.
+        assert det.silent_since == 44.0
+        assert det.phi(49.0) < 1.0
+
     def test_low_while_beats_arrive(self):
         det = PhiAccrualFailureDetector(5.0, min_std_s=0.5)
         for t in (5.0, 10.0, 15.0, 20.0):
@@ -225,6 +239,32 @@ class TestTopology:
         assert home != owner
         assert home == fleet.ring.preference(probe)[1]
         assert client.registered
+
+    def test_fallback_home_is_kept_after_owner_recovers(self):
+        sim = Simulator()
+        network, fleet = make_fleet(sim, auto_failover=False)
+        owner = fleet.ring.owner("d00")
+        fleet.crash_shard(owner)
+        add_client(sim, network, fleet, "d00")
+        fallback = fleet.home_shard("d00")
+        fleet.recover_shard(owner)
+        # A ring home never moves: rebalancing is NearestSite's.
+        assert fleet.rebalance() == 0
+        assert fleet.home_shard("d00") == fallback != owner
+        assert "d00" not in fleet.instance(owner).devices
+
+    def test_ring_fleet_pushes_no_extra_events(self):
+        """Heartbeats are the ring fleet's only own events: a stray
+        periodic process (say, a rebalancer) would move this count."""
+        sim = Simulator(seed=3)
+        network, fleet = make_fleet(sim)
+        add_fleet_clients(sim, network, fleet)
+        data = []
+        fleet.submit_task(make_task(), data.append)
+        sim.run(until=600.0)
+        assert sim.events_processed == 437
+        assert len(data) == 30
+        assert fleet.handoffs == 0
 
 
 class TestFailover:
@@ -312,6 +352,55 @@ class TestFailover:
         assert fleet.failovers == 1
         assert fleet.instance(victim).epoch == old.epoch + 1
         assert len(data) > 0
+        fleet.shutdown()
+
+    def test_deregistered_client_not_resurrected_by_failover(self):
+        sim = Simulator()
+        network, fleet = make_fleet(sim)
+        clients = add_fleet_clients(sim, network, fleet)
+        sim.run(until=30.0)
+        victim = fleet.home_shard("d00")
+        clients["d00"].deregister()  # the user ended the session
+        fleet.crash_shard(victim)
+        sim.run(until=60.0)
+        assert fleet.failovers == 1
+        successor = fleet.instance(victim)
+        assert not clients["d00"].registered
+        assert "d00" not in successor.devices
+        for device_id, client in clients.items():
+            if device_id != "d00" and fleet.home_shard(device_id) == victim:
+                assert device_id in successor.devices
+        fleet.shutdown()
+
+    def test_deferred_registration_lands_on_successor(self):
+        """A registration that overload deferred at a shard that then
+        fails over completes at the successor when its retry fires."""
+        sim = Simulator()
+        policy = OverloadPolicy(
+            queue_capacity=4,
+            service_rate_per_s=0.5,
+            retry_after_base_s=40.0,
+            breaker_threshold=10_000,
+        )
+        network, fleet = make_fleet(sim, config=make_config(overload=policy))
+        sim.run(until=20.0)
+        victim = fleet.ring.owner("late")
+        old = fleet.instance(victim)
+        for _ in range(4):
+            old.admission.admit(RequestClass.REGISTRATION)  # fill the queue
+        client = add_client(sim, network, fleet, "late")
+        assert not client.registered
+        assert client.stats.registrations_deferred == 1
+        fleet.crash_shard(victim)
+        sim.run(until=45.0)
+        assert fleet.failovers == 1  # redirected before the retry fires
+        successor = fleet.instance(victim)
+        assert client.server is successor
+        assert not client.registered
+        sim.run(until=120.0)
+        assert client.registered
+        assert "late" in successor.devices
+        assert "late" not in old.devices
         fleet.shutdown()
 
     def test_recover_shard_in_place(self, tmp_path):
@@ -440,6 +529,20 @@ class TestCrossShardPlanning:
         assert len(handle.allocations) == 1
         fleet.shutdown()
 
+    def test_parked_task_skips_a_partitioned_standby(self):
+        """A ring task nobody qualifies for parks on the ring owner of
+        its id or, while that owner is down, on the owner's failover
+        standby, which is never a partitioned shard."""
+        sim = Simulator()
+        network, fleet = make_fleet(sim, auto_failover=False)
+        task = make_task(spatial_density=2)
+        owner, second, third = fleet.ring.preference(f"task:{task.task_id}")
+        fleet.crash_shard(owner)
+        fleet.partition_shard(second)
+        handle = fleet.submit_task(task, lambda p: None)
+        assert handle.allocations == {third: 2}
+        fleet.shutdown()
+
     def test_demand_above_capacity_is_still_fully_allocated(self):
         sim = Simulator()
         network, fleet = make_fleet(sim)
@@ -503,4 +606,131 @@ class TestZeroLoss:
             owner = fleet.instance(fleet.home_shard(device_id))
             for upload_id in client.acked_uploads:
                 assert upload_id in owner._seen_upload_ids
+        fleet.shutdown()
+
+
+# ----------------------------------------------------------------------
+# NearestSite: the geographic deployment on the one fleet
+# ----------------------------------------------------------------------
+
+WORLD_S = 5400.0
+
+
+def make_campus_fleet(sim, *, retry=None, **fleet_kwargs):
+    """Two edge sites on the campus, 20 walking users (the
+    ``examples/federated_edge.py`` world) and one barometer campaign
+    centred on each site."""
+    campus = default_campus()
+    network = CellularNetwork(sim)
+    devices = build_population(sim, campus, PopulationConfig(size=20))
+    fleet = ShardedSenseAid(
+        sim,
+        network,
+        [
+            ShardSpec("core", campus.site(CS_DEPARTMENT).position),
+            ShardSpec("north", campus.site(UNIVERSITY_GYM).position),
+        ],
+        SenseAidConfig(mode=ServerMode.COMPLETE),
+        placement=NearestSite(rebalance_period_s=120.0),
+        **fleet_kwargs,
+    )
+    clients = {}
+    for device in devices:
+        clients[device.device_id] = SenseAidClient(
+            sim, device, fleet.instance("core"), network, retry_policy=retry
+        )
+        fleet.register(clients[device.device_id])
+    placed = fleet.devices_per_shard()
+    data = {"core": [], "north": []}
+    for shard_id, site in (("core", CS_DEPARTMENT), ("north", UNIVERSITY_GYM)):
+        fleet.submit_task(
+            TaskSpec(
+                sensor_type=SensorType.BAROMETER,
+                center=campus.site(site).position,
+                area_radius_m=800.0,
+                spatial_density=2,
+                sampling_period_s=300.0,
+                sampling_duration_s=WORLD_S,
+                origin=f"{shard_id}-weather",
+            ),
+            data[shard_id].append,
+        )
+    return fleet, devices, clients, placed, data
+
+
+class TestNearestSite:
+    def test_example_world_up_to_the_crash(self):
+        """Up to its crash the example reproduces, number for number,
+        the geographic deployment as it ran before failover became
+        heartbeat-driven."""
+        sim = Simulator(seed=31)
+        fleet, devices, _, placed, data = make_campus_fleet(sim)
+        assert placed == {"core": 15, "north": 5}
+        sim.run(until=WORLD_S / 2)
+        assert fleet.handoffs == 8
+        assert (len(data["core"]), len(data["north"])) == (18, 18)
+        assert sum(d.crowdsensing_energy_j() for d in devices) == 150.929592
+        fleet.shutdown()
+
+    def test_tasks_go_whole_to_the_nearest_live_site(self):
+        sim = Simulator(seed=31)
+        fleet, _, _, _, _ = make_campus_fleet(sim)
+        gym = default_campus().site(UNIVERSITY_GYM).position
+        task = make_task(center=gym, spatial_density=5)
+        assert fleet.submit_task(task, lambda p: None).allocations == {"north": 5}
+        fleet.crash_shard("north")
+        task = make_task(center=gym, spatial_density=5)
+        assert fleet.submit_task(task, lambda p: None).allocations == {"core": 5}
+        fleet.shutdown()
+
+    def test_geographic_durability(self, tmp_path):
+        """WAL replay, fencing and repair hold under geographic
+        placement with walking users: zero acknowledged uploads lost."""
+        sim = Simulator(seed=31)
+        fleet, _, clients, _, data = make_campus_fleet(
+            sim, retry=RETRY, wal_root=str(tmp_path)
+        )
+        sim.run(until=WORLD_S / 2)
+        north_before = len(data["north"])
+        fleet.crash_shard("north")
+        sim.run(until=WORLD_S + 120.0)
+        # No split brain, so nothing to repair: every acknowledged
+        # upload is held by the shard that acked it (handed-over
+        # devices' earlier acks stay there) or, for the crashed shard,
+        # by its successor after WAL replay.
+        assert fleet.acked_upload_audit() == {}
+        assert fleet.anti_entropy_diff() == {}
+        report = fleet.repair()
+        assert report["repaired_keys"] == 0
+        assert report["clean"]
+        # The mechanism ran: devices moved, one shard failed over, the
+        # campaign went on at its successor, uploads rode radio tails
+        # and were acknowledged.
+        assert fleet.handoffs >= 1
+        assert fleet.failovers == 1
+        assert fleet.hosted_by("north") == "core"
+        assert len(data["north"]) > north_before
+        assert sum(c.stats.uploads_in_tail for c in clients.values()) > 0
+        assert sum(len(c.acked_uploads) for c in clients.values()) > 0
+        fleet.shutdown()
+
+    def test_geographic_standby(self):
+        """A failed shard's successor runs on its nearest live sibling."""
+        sim = Simulator()
+        network = CellularNetwork(sim)
+        fleet = ShardedSenseAid(
+            sim,
+            network,
+            [
+                ShardSpec("W", Point(0.0, 0.0)),
+                ShardSpec("E", Point(3000.0, 0.0)),
+                ShardSpec("C", Point(1000.0, 0.0)),
+            ],
+            make_config(),
+            placement=NearestSite(),
+        )
+        fleet.crash_shard("W")
+        sim.run(until=60.0)
+        assert fleet.failovers == 1
+        assert fleet.hosted_by("W") == "C"
         fleet.shutdown()

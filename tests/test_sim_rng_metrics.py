@@ -1,10 +1,9 @@
-"""Unit tests for random streams and metric primitives."""
+"""Unit tests for the named random streams."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.metrics import Counter, MetricsRegistry, TimeSeries
 from repro.sim.rng import RandomStreams
 
 
@@ -50,56 +49,3 @@ class TestRandomStreams:
         parent = RandomStreams(5)
         child = parent.spawn("child")
         assert parent.stream("x").random() != child.stream("x").random()
-
-
-class TestCounter:
-    def test_add(self):
-        counter = Counter("c")
-        counter.add()
-        counter.add(2.5)
-        assert counter.value == 3.5
-
-    def test_cannot_decrease(self):
-        with pytest.raises(ValueError):
-            Counter("c").add(-1)
-
-
-class TestTimeSeries:
-    def test_record_and_read(self):
-        series = TimeSeries("s")
-        series.record(1.0, 10.0)
-        series.record(2.0, 20.0)
-        assert series.samples == [(1.0, 10.0), (2.0, 20.0)]
-        assert len(series) == 2
-        assert series.last() == (2.0, 20.0)
-
-    def test_out_of_order_rejected(self):
-        series = TimeSeries("s")
-        series.record(2.0, 1.0)
-        with pytest.raises(ValueError):
-            series.record(1.0, 1.0)
-
-    def test_empty_last(self):
-        assert TimeSeries("s").last() is None
-
-
-class TestMetricsRegistry:
-    def test_counter_is_cached(self):
-        registry = MetricsRegistry()
-        assert registry.counter("x") is registry.counter("x")
-
-    def test_series_is_cached(self):
-        registry = MetricsRegistry()
-        assert registry.series("x") is registry.series("x")
-
-    def test_counter_values(self):
-        registry = MetricsRegistry()
-        registry.counter("a").add(2)
-        registry.counter("b").add(3)
-        assert registry.counter_values() == {"a": 2, "b": 3}
-
-    def test_series_names_sorted(self):
-        registry = MetricsRegistry()
-        registry.series("zeta")
-        registry.series("alpha")
-        assert registry.series_names() == ["alpha", "zeta"]
