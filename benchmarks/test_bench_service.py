@@ -1,8 +1,8 @@
 """Service-front benchmark — latency, sustained throughput, overload.
 
-ROADMAP item 3 / ISSUE 9: the paper frames Sense-Aid as *network as a
-service*; this benchmark measures the asyncio service loop that framing
-implies.  Four tiers merge into one ``BENCH_service.json`` scorecard:
+The paper frames Sense-Aid as *network as a service*; this benchmark
+measures the asyncio service loop that framing implies.  Four tiers
+merge into one ``BENCH_service.json`` scorecard:
 
 - **latency** — open-loop arrivals at a rate the admission controller
   and consumers comfortably sustain, so every request is served and

@@ -11,7 +11,7 @@ Three tiers, three gates:
    hypothesis suite proves this over random campaigns; the scorecard
    pins one deterministic witness.
 3. **Bounded-memory streaming** — writing and then folding 10× the
-   readings through the streaming accumulators on sqlite must keep
+   readings through the streaming mean on sqlite must keep
    the traced Python heap peak flat (≤1.5× growth): readings live on
    disk, never as a materialised list.
 
@@ -118,12 +118,9 @@ def _stream_tier(tmp_dir, n_readings: int) -> dict:
     """Write ``n_readings`` to a sqlite log, fold them streamingly, and
     report the traced Python heap peak over the whole pipeline.
 
-    Folds the constant-space accumulators (mean, distinct devices —
-    the device population is bounded by construction).  The exact-p95
-    ``StreamingLatency`` is deliberately excluded: exact quantiles
-    require retaining every latency (one compact double each), which
-    is linear in n by design and would mask a materialisation bug
-    elsewhere.
+    Folds only constant-space state (the mean and the distinct devices
+    — the device population is bounded by construction), so a peak
+    that grows with n can only come from materialising the log.
     """
     backend = SqliteBackend(
         str(tmp_dir / f"stream-{n_readings}.sqlite3")

@@ -16,16 +16,19 @@ def jain_index(counts: Iterable[float]) -> float:
     """Jain's fairness index: ``(Σx)² / (n·Σx²)`` ∈ (0, 1].
 
     1.0 means perfectly even allocation.  An empty or all-zero input
-    returns 1.0 (nothing was allocated, so nothing was unfair).
+    returns 1.0 (nothing was allocated, so nothing was unfair).  The
+    index is scale-free, so values are divided by the largest before
+    squaring: squares of tiny values would otherwise be subnormal and
+    lose the precision that keeps the index at or below 1.
     """
     values = [float(c) for c in counts]
-    if not values:
+    peak = max((abs(v) for v in values), default=0.0)
+    if peak == 0.0:
         return 1.0
-    total = sum(values)
-    squares = sum(v * v for v in values)
-    if squares == 0.0:
-        return 1.0
-    return total * total / (len(values) * squares)
+    scaled = [v / peak for v in values]
+    total = sum(scaled)
+    squares = sum(v * v for v in scaled)
+    return total * total / (len(scaled) * squares)
 
 
 def selection_spread(counts: Iterable[int]) -> Tuple[int, int]:

@@ -6,9 +6,9 @@ another factor in our device selector".  This module supplies the
 algorithmic half: CRH-style iterative truth discovery over continuous
 readings — alternately estimating per-item truths as reliability-
 weighted means and per-source weights from each source's distance to
-the truths.  The resulting weights can seed
-``DeviceRecord.reliability`` (the selector factor) and the truths give
-an application a robust aggregate even with faulty or lying sensors.
+the truths.  The weights rank the sources' reliability, and the truths
+give an application a robust aggregate even with faulty or lying
+sensors.
 """
 
 from __future__ import annotations
@@ -122,10 +122,7 @@ def _crh_weights(
 
 
 def reliability_scores(result: TruthDiscoveryResult) -> Dict[Hashable, float]:
-    """Map weights to [0, 1] reliability scores (max weight -> 1.0).
-
-    Suitable for seeding the device selector's reliability factor.
-    """
+    """Map weights to [0, 1] reliability scores (max weight -> 1.0)."""
     if not result.weights:
         return {}
     top = max(result.weights.values())

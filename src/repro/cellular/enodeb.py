@@ -377,10 +377,6 @@ class TowerRegistry:
     # Edge visibility used by the Sense-Aid server
     # ------------------------------------------------------------------
 
-    def device_position(self, device_id: str) -> Point:
-        """The network's view of a device's location."""
-        return self._require(device_id).position()
-
     def devices_within(self, center: Point, radius_m: float) -> List[str]:
         """Device ids currently inside a circular region.
 

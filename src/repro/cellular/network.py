@@ -133,10 +133,6 @@ class CellularNetwork:
         """
         self._path_listeners.append(listener)
 
-    def remove_path_listener(self, listener: Callable[[bool], None]) -> None:
-        if listener in self._path_listeners:
-            self._path_listeners.remove(listener)
-
     def route_for(self, message: Message) -> str:
         """Crowdsensing/control traffic interposes through Sense-Aid."""
         crowdsensing = message.category in (

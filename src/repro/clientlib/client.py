@@ -734,7 +734,7 @@ class SenseAidClient:
             device_id=self._device.device_id,
             resync_uploads=len(self._inflight),
         )
-        if self.degraded_policy.resync_on_recovery and self._registered:
+        if self._registered:
             # Resync: tell the server where we stand, then replay every
             # unacknowledged upload.  The server's idempotency keys
             # make replay safe (acked-but-unconfirmed counts once).

@@ -56,26 +56,26 @@ class ServerMode(Enum):
 class SelectorWeights:
     """Coefficients of ``Score(i) = α·E + β·U + γ·(100−CBL) + φ·TTL``.
 
-    Lower score wins.  ``ttl_cap_s`` bounds the TTL term so a
-    long-quiet device cannot out-score the fairness term.
+    Lower score wins.
     """
 
     alpha: float = 0.01    # per Joule of crowdsensing energy used
     beta: float = 1.0      # per previous selection
     gamma: float = 0.005   # per percentage point of battery depleted
     phi: float = 0.0015    # per second since last radio communication
-    ttl_cap_s: float = 300.0
-    #: Optional data-reliability factor (paper §7: truth-discovery
-    #: "can be incorporated as another factor in our device selector").
-    #: Penalty per unit of unreliability (1 − reliability); 0 disables.
-    rho: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("alpha", "beta", "gamma", "phi", "rho"):
+        for name in ("alpha", "beta", "gamma", "phi"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.ttl_cap_s < 0:
-            raise ValueError("ttl_cap_s must be non-negative")
+
+
+#: Ceiling of the client's retry backoff, in seconds.
+BACKOFF_MAX_S = 300.0
+#: Ceiling of a server's ``Retry-After`` hint, in seconds: the hint
+#: arrives over the network, so one absurd value must not park an
+#: upload forever.
+RETRY_AFTER_CAP_S = 900.0
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ class RetryPolicy:
     An upload is considered acknowledged when the server's ack comes
     back within ``ack_timeout_s``; otherwise the client retries with
     backoff ``backoff_base_s · backoff_multiplier^(attempt−1)`` capped
-    at ``backoff_max_s``, jittered by ±``jitter_fraction`` (drawn from
+    at :data:`BACKOFF_MAX_S`, jittered by ±``jitter_fraction`` (drawn from
     the client's own deterministic ``retry:<device>`` stream), up to
     ``max_attempts`` total transmissions.  Retries are tail-aware: a
     due retry waits up to ``tail_wait_max_s`` for the radio's next
@@ -97,15 +97,13 @@ class RetryPolicy:
     ack_timeout_s: float = 30.0
     backoff_base_s: float = 10.0
     backoff_multiplier: float = 2.0
-    backoff_max_s: float = 300.0
     jitter_fraction: float = 0.2
     tail_wait_max_s: float = 60.0
-    retry_after_cap_s: float = 900.0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        for name in ("ack_timeout_s", "backoff_base_s", "backoff_max_s"):
+        for name in ("ack_timeout_s", "backoff_base_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.backoff_multiplier < 1.0:
@@ -114,34 +112,27 @@ class RetryPolicy:
             raise ValueError("jitter_fraction must be in [0, 1)")
         if self.tail_wait_max_s < 0:
             raise ValueError("tail_wait_max_s must be non-negative")
-        if not (
-            isinstance(self.retry_after_cap_s, (int, float))
-            and not isinstance(self.retry_after_cap_s, bool)
-            and math.isfinite(self.retry_after_cap_s)
-            and self.retry_after_cap_s > 0
-        ):
-            raise ValueError("retry_after_cap_s must be positive and finite")
 
     def backoff_s(self, attempt: int) -> float:
         """Nominal (un-jittered) backoff after the given attempt number.
 
-        Saturates at ``backoff_max_s`` without evaluating the raw
+        Saturates at :data:`BACKOFF_MAX_S` without evaluating the raw
         exponential, so pathological attempt numbers (a client stuck in
         a shed loop for days) cannot overflow ``float`` arithmetic.
         """
         if attempt < 1:
             raise ValueError("attempt numbers start at 1")
-        if self.backoff_base_s >= self.backoff_max_s:
-            return self.backoff_max_s
+        if self.backoff_base_s >= BACKOFF_MAX_S:
+            return BACKOFF_MAX_S
         if self.backoff_multiplier <= 1.0:
             return self.backoff_base_s
         saturation = math.log(
-            self.backoff_max_s / self.backoff_base_s, self.backoff_multiplier
+            BACKOFF_MAX_S / self.backoff_base_s, self.backoff_multiplier
         )
         if attempt - 1 >= saturation:
-            return self.backoff_max_s
+            return BACKOFF_MAX_S
         raw = self.backoff_base_s * self.backoff_multiplier ** (attempt - 1)
-        return min(self.backoff_max_s, raw)
+        return min(BACKOFF_MAX_S, raw)
 
     def shed_delay_s(self, attempt: int, retry_after_s: float) -> float:
         """Delay before retrying an upload the server *shed*.
@@ -156,13 +147,13 @@ class RetryPolicy:
         server, so it is sanitised rather than trusted: zero, negative,
         NaN, or non-finite hints collapse to "no hint" (the backoff
         floor alone), and absurdly large hints are clamped to
-        ``retry_after_cap_s`` so one bad ack cannot park an upload
+        :data:`RETRY_AFTER_CAP_S` so one bad ack cannot park an upload
         forever.
         """
         hint = retry_after_s
         if not isinstance(hint, (int, float)) or not math.isfinite(hint) or hint <= 0:
             hint = 0.0
-        hint = min(float(hint), self.retry_after_cap_s)
+        hint = min(float(hint), RETRY_AFTER_CAP_S)
         return max(hint, self.backoff_s(attempt))
 
 
@@ -180,7 +171,6 @@ class DegradedModePolicy:
     """
 
     period_s: float = 600.0
-    resync_on_recovery: bool = True
 
     def __post_init__(self) -> None:
         if self.period_s <= 0:
@@ -195,57 +185,35 @@ class OverloadPolicy:
     second; arrivals beyond that accumulate in a virtual admission
     queue whose depth is capped at ``queue_capacity``.  Shedding is
     priority-aware — each request class is refused once the queue
-    passes its own fraction of capacity, and the fractions are ordered
-    so *registrations outrank uploads outrank queries*: a registration
-    is only ever dropped when the queue is completely full, by which
-    point every upload and query is already being shed.
+    passes its own fraction of capacity (the ``*_SHED_FRACTION``
+    constants of :mod:`repro.core.overload`), ordered so
+    *registrations outrank uploads outrank queries*: a registration is
+    only ever dropped when the queue is completely full, by which point
+    every upload and query is already being shed.
 
     Shed requests receive a ``Retry-After``-style hint sized to the
     current backlog (``retry_after_base_s`` + time to drain back under
     the class threshold).  ``breaker_threshold`` consecutive sheds open
-    a client-visible circuit breaker for ``breaker_cooldown_s``: while
-    open, uploads and queries are refused immediately with the
-    remaining cooldown as the hint, letting the queue drain instead of
-    churning.
+    a client-visible circuit breaker for
+    :data:`~repro.core.overload.BREAKER_COOLDOWN_S`: while open,
+    uploads and queries are refused immediately with the remaining
+    cooldown as the hint, letting the queue drain instead of churning.
     """
 
     queue_capacity: int = 64
     service_rate_per_s: float = 50.0
-    registration_shed_fraction: float = 1.0
-    upload_shed_fraction: float = 0.75
-    query_shed_fraction: float = 0.5
     retry_after_base_s: float = 2.0
     breaker_threshold: int = 20
-    breaker_cooldown_s: float = 30.0
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
             raise ValueError("queue_capacity must be at least 1")
         if self.service_rate_per_s <= 0:
             raise ValueError("service_rate_per_s must be positive")
-        fractions = (
-            self.query_shed_fraction,
-            self.upload_shed_fraction,
-            self.registration_shed_fraction,
-        )
-        for value in fractions:
-            if not 0.0 < value <= 1.0:
-                raise ValueError("shed fractions must be in (0, 1]")
-        if not (
-            self.query_shed_fraction
-            <= self.upload_shed_fraction
-            <= self.registration_shed_fraction
-        ):
-            raise ValueError(
-                "shed fractions must be ordered query <= upload <= "
-                "registration (registrations are shed last)"
-            )
         if self.retry_after_base_s < 0:
             raise ValueError("retry_after_base_s must be non-negative")
         if self.breaker_threshold < 1:
             raise ValueError("breaker_threshold must be at least 1")
-        if self.breaker_cooldown_s <= 0:
-            raise ValueError("breaker_cooldown_s must be positive")
 
 
 @dataclass(frozen=True)
@@ -254,30 +222,13 @@ class SenseAidConfig:
 
     mode: ServerMode = ServerMode.COMPLETE
     weights: SelectorWeights = field(default_factory=SelectorWeights)
-    #: Hard cutoff: never pick a device more than this many times per
-    #: accounting epoch (None = unlimited).
-    max_selections_per_epoch: Optional[int] = None
-    #: Period of the wait-queue satisfiability re-check (Algorithm 1's
-    #: ``wait_check_thread``).
-    wait_check_period_s: float = 30.0
     #: Seconds before a request deadline at which a selected device
     #: gives up waiting for a tail and force-uploads.
     deadline_grace_s: float = 5.0
-    #: Default deadline for requests of tasks with no sampling period
-    #: (one-shot tasks).
-    one_shot_deadline_s: float = 120.0
     #: When True the server selects *every* qualified device (the
     #: paper's no-orchestration ablation); spatial density still gates
     #: satisfiability.
     select_all_qualified: bool = False
-    #: Accounting-epoch length ("counted since the beginning of some
-    #: reasonable time interval, say the week"): selection counts and
-    #: spent-energy counters reset every this-many seconds.  None keeps
-    #: one epoch for the whole run (the user-study setting).
-    epoch_reset_period_s: Optional[float] = None
-    #: Devices whose data-reliability estimate falls to or below this
-    #: are never selected (hard cutoff companion to ``weights.rho``).
-    min_reliability: float = 0.0
     #: Assignment delivery mechanism (see :class:`ControlPlane`).
     control_plane: ControlPlane = ControlPlane.PULL
     #: Deadline reassignment is an explicit two-mode setting:
@@ -296,12 +247,6 @@ class SenseAidConfig:
     #: Any other value (zero, negative, bool, non-number) is rejected
     #: in ``__post_init__`` — "off" is only ever spelled ``None``.
     reassign_margin_s: Optional[float] = None
-    #: After this many consecutive missed deliveries a device is marked
-    #: unresponsive and excluded from selection ("if a mobile device
-    #: becomes unresponsive, then the Sense-Aid server can exclude it
-    #: from future selections", §3.2).  A successful upload clears the
-    #: strikes and restores the device.  None disables striking.
-    unresponsive_strikes: Optional[int] = 3
     #: Deployment model (paper §6).  True: the cellular provider runs
     #: Sense-Aid and the eNodeBs' live RRC view (last-communication
     #: age) feeds the selector's TTL factor.  False: a third-party
@@ -315,19 +260,8 @@ class SenseAidConfig:
     overload: Optional[OverloadPolicy] = None
 
     def __post_init__(self) -> None:
-        if self.wait_check_period_s <= 0:
-            raise ValueError("wait_check_period_s must be positive")
         if self.deadline_grace_s < 0:
             raise ValueError("deadline_grace_s must be non-negative")
-        if self.one_shot_deadline_s <= 0:
-            raise ValueError("one_shot_deadline_s must be positive")
-        if (
-            self.max_selections_per_epoch is not None
-            and self.max_selections_per_epoch <= 0
-        ):
-            raise ValueError("max_selections_per_epoch must be positive or None")
-        if self.epoch_reset_period_s is not None and self.epoch_reset_period_s <= 0:
-            raise ValueError("epoch_reset_period_s must be positive or None")
         if self.reassign_margin_s is not None:
             if isinstance(self.reassign_margin_s, bool) or not isinstance(
                 self.reassign_margin_s, (int, float)
@@ -347,10 +281,6 @@ class SenseAidConfig:
                     "the original device's forced upload must have had its "
                     "chance before the server drafts substitutes"
                 )
-        if not 0.0 <= self.min_reliability < 1.0:
-            raise ValueError("min_reliability must be in [0, 1)")
-        if self.unresponsive_strikes is not None and self.unresponsive_strikes <= 0:
-            raise ValueError("unresponsive_strikes must be positive or None")
 
     @property
     def reassignment_enabled(self) -> bool:

@@ -4,8 +4,8 @@ The **device datastore** holds, per registered device, exactly the
 fields the paper enumerates: the hash of the IMEI, the remaining energy
 budget, the current battery level, the number of times the device has
 been selected, and the timestamp of its most recent radio
-communication.  Counters can be reset per accounting *epoch* ("counted
-since the beginning of some reasonable time interval, say the week").
+communication.  The counters run for the whole campaign, one
+accounting epoch as in the paper's user study.
 
 The **task datastore** holds every task received from crowdsensing
 application servers.
@@ -51,14 +51,8 @@ class DeviceRecord:
     responsive: bool = True
     invalid_data_count: int = 0
     sensors: frozenset = field(default_factory=frozenset)
-    #: Exponentially weighted data-reliability estimate in [0, 1]:
-    #: valid uploads pull it toward 1, invalid ones toward 0.
-    reliability: float = 1.0
     #: Consecutive assignments the device failed to deliver.
     missed_deliveries: int = 0
-
-    #: EWMA smoothing for reliability updates.
-    RELIABILITY_ALPHA = 0.25
 
     def remaining_budget_j(self) -> float:
         return max(0.0, self.energy_budget_j - self.energy_used_j)
@@ -74,17 +68,6 @@ class DeviceRecord:
         if self.last_comm_time is None:
             return None
         return max(0.0, now - self.last_comm_time)
-
-    def reset_epoch(self) -> None:
-        """Start a new accounting epoch (e.g. a new week)."""
-        self.energy_used_j = 0.0
-        self.times_selected = 0
-
-    def observe_data_quality(self, valid: bool) -> None:
-        """Fold one upload's validity into the reliability estimate."""
-        target = 1.0 if valid else 0.0
-        alpha = self.RELIABILITY_ALPHA
-        self.reliability = (1.0 - alpha) * self.reliability + alpha * target
 
 
 # ----------------------------------------------------------------------
@@ -107,7 +90,6 @@ def record_to_dict(record: DeviceRecord) -> dict:
         "responsive": record.responsive,
         "invalid_data_count": record.invalid_data_count,
         "sensors": sorted(s.name for s in record.sensors),
-        "reliability": record.reliability,
         "missed_deliveries": record.missed_deliveries,
     }
 
@@ -127,7 +109,6 @@ def record_from_dict(data: dict) -> DeviceRecord:
         responsive=data["responsive"],
         invalid_data_count=data["invalid_data_count"],
         sensors=frozenset(SensorType[name] for name in data["sensors"]),
-        reliability=data.get("reliability", 1.0),
         missed_deliveries=data.get("missed_deliveries", 0),
     )
 
@@ -278,16 +259,7 @@ class DeviceDatastore:
         self.record(device_id).responsive = True
 
     def note_invalid_data(self, device_id: str) -> None:
-        record = self.record(device_id)
-        record.invalid_data_count += 1
-        record.observe_data_quality(False)
-
-    def note_valid_data(self, device_id: str) -> None:
-        self.record(device_id).observe_data_quality(True)
-
-    def reset_epoch(self) -> None:
-        for record in self._records.values():
-            record.reset_epoch()
+        self.record(device_id).invalid_data_count += 1
 
 
 class TaskDatastore:

@@ -16,7 +16,7 @@ or fail randomly.  This module provides that layer:
   which point every lower class is already being shed;
 - a **circuit breaker** — after ``breaker_threshold`` consecutive
   sheds the controller stops admitting uploads/queries outright for
-  ``breaker_cooldown_s``, returning the remaining cooldown as the
+  :data:`BREAKER_COOLDOWN_S`, returning the remaining cooldown as the
   backoff hint so clients stay away while the queue drains;
 - **Retry-After hints** — every shed decision carries a
   ``retry_after_s`` sized to the backlog, which
@@ -36,6 +36,14 @@ from typing import Dict, Optional
 from repro.core.config import OverloadPolicy
 from repro.sim.engine import Simulator
 from repro.sim.simlog import SimLogger
+
+#: Fraction of ``queue_capacity`` past which each request class is
+#: shed.  Registrations are refused only when the queue is full.
+REGISTRATION_SHED_FRACTION = 1.0
+UPLOAD_SHED_FRACTION = 0.75
+QUERY_SHED_FRACTION = 0.5
+#: Seconds a tripped circuit breaker stays open.
+BREAKER_COOLDOWN_S = 30.0
 
 
 class RequestClass(Enum):
@@ -157,14 +165,13 @@ class AdmissionController:
     def _threshold(self, request_class: RequestClass) -> float:
         # Identity tests, not a dict keyed by the enum: admission runs
         # once per request, and hashing an enum member is a Python call.
-        policy = self.policy
         if request_class is RequestClass.REGISTRATION:
-            fraction = policy.registration_shed_fraction
+            fraction = REGISTRATION_SHED_FRACTION
         elif request_class is RequestClass.UPLOAD:
-            fraction = policy.upload_shed_fraction
+            fraction = UPLOAD_SHED_FRACTION
         else:
-            fraction = policy.query_shed_fraction
-        return policy.queue_capacity * fraction
+            fraction = QUERY_SHED_FRACTION
+        return self.policy.queue_capacity * fraction
 
     def _retry_after(self, overshoot: float) -> float:
         """Hint: base pause plus the time to drain the overshoot."""
@@ -197,9 +204,7 @@ class AdmissionController:
                 self._consecutive_sheds >= self.policy.breaker_threshold
                 and not self.breaker_open
             ):
-                self._breaker_open_until = (
-                    self._sim.now + self.policy.breaker_cooldown_s
-                )
+                self._breaker_open_until = self._sim.now + BREAKER_COOLDOWN_S
                 self.stats.breaker_opens += 1
                 self._log.event(
                     "overload.breaker_open",

@@ -4,17 +4,16 @@ Each qualified device gets a score::
 
     Score(i) = α·E_i + β·U_i + γ·(100 − CBL_i) + φ·TTL_i
 
-where ``E`` is crowdsensing energy already spent this epoch, ``U`` the
-number of times the device was selected this epoch, ``CBL`` the current
-battery level in percent, and ``TTL`` the seconds since the device's
-most recent radio communication (a small TTL means the radio tail is
-likely still open, so the upload will be nearly free).  Devices with
-**lower** scores are preferred.
+where ``E`` is crowdsensing energy already spent, ``U`` the number of
+times the device was selected, ``CBL`` the current battery level in
+percent, and ``TTL`` the seconds since the device's most recent radio
+communication (a small TTL means the radio tail is likely still open,
+so the upload will be nearly free).  Devices with **lower** scores are
+preferred.
 
 Hard cutoffs apply before scoring: a device is ineligible once it has
 exhausted its user-specified energy budget, once its battery falls to
-the user's critical level, after too many selections in the epoch, or
-after being marked unresponsive.
+the user's critical level, or after being marked unresponsive.
 """
 
 from __future__ import annotations
@@ -24,6 +23,10 @@ from typing import List, Optional, Sequence
 
 from repro.core.config import SelectorWeights
 from repro.core.datastores import DeviceRecord
+
+#: Bound on the TTL term, in seconds, so a long-quiet device cannot
+#: out-score the fairness term.
+TTL_CAP_S = 300.0
 
 
 @dataclass(frozen=True)
@@ -39,17 +42,8 @@ class ScoredDevice:
 class DeviceSelector:
     """Scores and ranks qualified devices for a sensing request."""
 
-    def __init__(
-        self,
-        weights: SelectorWeights,
-        max_selections_per_epoch: Optional[int] = None,
-        min_reliability: float = 0.0,
-    ) -> None:
-        if not 0.0 <= min_reliability < 1.0:
-            raise ValueError("min_reliability must be in [0, 1)")
+    def __init__(self, weights: SelectorWeights) -> None:
         self._weights = weights
-        self._max_selections = max_selections_per_epoch
-        self._min_reliability = min_reliability
 
     @property
     def weights(self) -> SelectorWeights:
@@ -61,13 +55,12 @@ class DeviceSelector:
         ttl = record.ttl_s(now)
         # A device that has never communicated gets the worst TTL: its
         # radio is certainly idle, so an upload would pay promotion.
-        ttl_term = w.ttl_cap_s if ttl is None else min(ttl, w.ttl_cap_s)
+        ttl_term = TTL_CAP_S if ttl is None else min(ttl, TTL_CAP_S)
         return (
             w.alpha * record.energy_used_j
             + w.beta * record.times_selected
             + w.gamma * (100.0 - record.battery_pct)
             + w.phi * ttl_term
-            + w.rho * (1.0 - record.reliability)
         )
 
     def eligibility(self, record: DeviceRecord) -> ScoredDevice:
@@ -79,17 +72,6 @@ class DeviceSelector:
         if record.below_critical_battery():
             return ScoredDevice(
                 record.device_id, float("inf"), False, "critical_battery"
-            )
-        if (
-            self._max_selections is not None
-            and record.times_selected >= self._max_selections
-        ):
-            return ScoredDevice(
-                record.device_id, float("inf"), False, "selection_cap"
-            )
-        if self._min_reliability > 0.0 and record.reliability <= self._min_reliability:
-            return ScoredDevice(
-                record.device_id, float("inf"), False, "unreliable"
             )
         return ScoredDevice(record.device_id, 0.0, True)
 

@@ -40,7 +40,7 @@ from repro.core.privacy import PrivacyFilter, PrivacyPolicy, scrub_payload
 from repro.core.datastores import DeviceDatastore, DeviceRecord, TaskDatastore
 from repro.core.queues import RequestQueue
 from repro.core.selector import DeviceSelector
-from repro.core.tasks import SensingRequest, TaskSpec
+from repro.core.tasks import ONE_SHOT_DEADLINE_S, SensingRequest, TaskSpec
 from repro.devices.sensors import SensorType
 from repro.sim.engine import Simulator
 from repro.sim.processes import PeriodicProcess
@@ -51,6 +51,15 @@ from repro.storage import StorageBackend, resolve_backend
 #: outside it are counted as invalid data (one of the paper's two
 #: disqualification causes).
 PRESSURE_VALID_RANGE = (850.0, 1100.0)
+#: Period of the wait-queue satisfiability re-check (Algorithm 1's
+#: ``wait_check_thread``).
+WAIT_CHECK_PERIOD_S = 30.0
+#: Consecutive missed deliveries after which a device is marked
+#: unresponsive and excluded from selection ("if a mobile device
+#: becomes unresponsive, then the Sense-Aid server can exclude it from
+#: future selections", §3.2).  A successful upload clears the strikes
+#: and restores the device.
+UNRESPONSIVE_STRIKES = 3
 
 
 @dataclass(frozen=True)
@@ -94,16 +103,6 @@ def selection_event_to_dict(event: SelectionEvent) -> dict:
         "qualified": list(event.qualified),
         "selected": list(event.selected),
     }
-
-
-def selection_event_from_dict(data: dict) -> SelectionEvent:
-    return SelectionEvent(
-        time=data["time"],
-        request_id=data["request_id"],
-        task_id=data["task_id"],
-        qualified=tuple(data["qualified"]),
-        selected=tuple(data["selected"]),
-    )
 
 
 @dataclass(frozen=True)
@@ -210,11 +209,7 @@ class SenseAidServer:
         self.tasks = TaskDatastore(backend=self.storage)
         self.run_queue = RequestQueue("run")
         self.wait_queue = RequestQueue("wait")
-        self.selector = DeviceSelector(
-            self.config.weights,
-            self.config.max_selections_per_epoch,
-            self.config.min_reliability,
-        )
+        self.selector = DeviceSelector(self.config.weights)
         self.stats = ServerStats()
         self.selection_log: List[SelectionEvent] = []
         self._control_latency = control_latency_s
@@ -224,8 +219,7 @@ class SenseAidServer:
         self._seen_upload_ids: Set[str] = set()
         self._crashed = False
         #: Server *incarnation* epoch, stamped on assignments and acks.
-        #: Bumped by every cold :meth:`restart`; not to be confused
-        #: with the *accounting* epochs of ``epoch_reset_period_s``.
+        #: Bumped by every cold :meth:`restart`.
         self.epoch = 1
         #: Effective start per task id — the anchor the request grid
         #: was expanded from, needed to resume with original numbering.
@@ -258,13 +252,8 @@ class SenseAidServer:
             PrivacyFilter(privacy_policy) if privacy_policy is not None else None
         )
         self._wait_checker = PeriodicProcess(
-            sim, self.config.wait_check_period_s, self._check_wait_queue
+            sim, WAIT_CHECK_PERIOD_S, self._check_wait_queue
         )
-        self._epoch_resetter: Optional[PeriodicProcess] = None
-        if self.config.epoch_reset_period_s is not None:
-            self._epoch_resetter = PeriodicProcess(
-                sim, self.config.epoch_reset_period_s, self._reset_epoch
-            )
 
     # ------------------------------------------------------------------
     # Mode / policy
@@ -279,14 +268,12 @@ class SenseAidServer:
         return self.mode is ServerMode.BASIC
 
     def shutdown(self) -> None:
-        """Stop background threads (wait-queue checker, epoch resets).
+        """Stop the wait-queue checker.
 
         Flushes — but does not close — the storage backend, so callers
         (experiments, benchmarks) can still read results afterwards.
         """
         self._wait_checker.stop()
-        if self._epoch_resetter is not None:
-            self._epoch_resetter.stop()
         self.flush_storage()
 
     def flush_storage(self) -> None:
@@ -336,8 +323,19 @@ class SenseAidServer:
         self.log.warning("server recovered; resuming orchestration")
         self._network.set_sense_aid_path_available(True)
         self._wait_checker = PeriodicProcess(
-            self._sim, self.config.wait_check_period_s, self._check_wait_queue
+            self._sim, WAIT_CHECK_PERIOD_S, self._check_wait_queue
         )
+
+    def take_over(self) -> None:
+        """First start of a successor built to take a failed server's
+        place: a :meth:`restart` (WAL replay, epoch bump) without the
+        crash, since the successor never ran.  It logs no crash warning
+        and leaves the shared Sense-Aid path flag alone; the wait
+        checker its constructor started is replaced at this instant,
+        exactly as a restart replaces it."""
+        self._crashed = True
+        self._wait_checker.stop()
+        self.restart()
 
     def restart(
         self, *, data_callbacks: Optional[Dict[str, DataCallback]] = None
@@ -386,12 +384,8 @@ class SenseAidServer:
         self.log.warning("server restarted as epoch %d", self.epoch)
         self._network.set_sense_aid_path_available(True)
         self._wait_checker = PeriodicProcess(
-            self._sim, self.config.wait_check_period_s, self._check_wait_queue
+            self._sim, WAIT_CHECK_PERIOD_S, self._check_wait_queue
         )
-
-    def _reset_epoch(self) -> None:
-        """Start a new accounting epoch (selection/energy counters)."""
-        self.devices.reset_epoch()
 
     # ------------------------------------------------------------------
     # Device-facing API (called by the client-side library)
@@ -548,9 +542,7 @@ class SenseAidServer:
         if start < now and not resume:
             start = now
         self._task_starts[task.task_id] = start
-        requests = task.expand_requests(
-            now, self.config.one_shot_deadline_s, resume=resume
-        )
+        requests = task.expand_requests(now, resume=resume)
         self.log.info(
             "task %d from %s %s: %d requests, density %d",
             task.task_id,
@@ -573,7 +565,7 @@ class SenseAidServer:
         duration = task.duration_s()
         if duration is not None:
             return start + duration
-        return start + self.config.one_shot_deadline_s
+        return start + ONE_SHOT_DEADLINE_S
 
     def update_task(self, task_id: int, **changes) -> TaskSpec:
         """Update parameters of an existing task.
@@ -595,9 +587,7 @@ class SenseAidServer:
             self._wal.record_task_updated(
                 updated, start, self._task_end(updated, start)
             )
-        for request in updated.expand_requests(
-            now, self.config.one_shot_deadline_s
-        ):
+        for request in updated.expand_requests(now):
             delay = max(0.0, request.issue_time - now)
             self._sim.schedule(delay, self._issue_request, request, self.epoch)
         return updated
@@ -825,13 +815,12 @@ class SenseAidServer:
         if missing <= 0:
             return
         # Strike the silent originals; repeat offenders get excluded.
-        strikes_cap = self.config.unresponsive_strikes
         for device_id in tracking.assigned - tracking.received:
             if device_id not in self.devices:
                 continue
             record = self.devices.record(device_id)
             record.missed_deliveries += 1
-            if strikes_cap is not None and record.missed_deliveries >= strikes_cap:
+            if record.missed_deliveries >= UNRESPONSIVE_STRIKES:
                 self.log.warning(
                     "device %s missed %d deliveries; marked unresponsive",
                     device_id,
@@ -1048,7 +1037,6 @@ class SenseAidServer:
         # invalid or unassigned arrival above is not "the" upload, and
         # a later legitimate one must still be able to land.
         self._seen_upload_ids.add(upload_id)
-        self.devices.note_valid_data(device_id)
         # A delivery proves the device is alive: clear its strikes and
         # restore eligibility.
         record = self.devices.record(device_id)

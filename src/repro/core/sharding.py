@@ -703,12 +703,12 @@ class ShardedSenseAid:
             for task_id, meta in self._task_meta.items():
                 if meta["shard"] == shard_id:
                     replacement._data_callbacks[str(task_id)] = meta["callback"]
-            replacement.restart()
+            replacement.take_over()
         else:
             # No durable log: epoch fencing still works (count past the
             # deposed incumbent), but task state must be re-submitted.
             replacement.epoch = old_epoch
-            replacement.restart()
+            replacement.take_over()
             self._resubmit_tasks(shard_id, replacement)
 
         self._servers[shard_id] = replacement

@@ -22,6 +22,9 @@ from repro.environment.geometry import Point
 
 _task_ids = itertools.count(1)
 
+#: Deadline, in seconds after issue, of a one-shot task's request.
+ONE_SHOT_DEADLINE_S = 120.0
+
 
 def reset_task_ids(start: int = 1) -> None:
     """Rewind the global task-id counter.
@@ -108,18 +111,14 @@ class TaskSpec:
         return max(1, int(duration // self.sampling_period_s))
 
     def expand_requests(
-        self,
-        now: float,
-        one_shot_deadline_s: float = 120.0,
-        *,
-        resume: bool = False,
+        self, now: float, *, resume: bool = False
     ) -> List["SensingRequest"]:
         """Generate this task's requests, deadlines included.
 
         Request *i* of a periodic task is issued at
         ``start + i·period`` and must be satisfied by the next sampling
         instant.  A one-shot task yields a single request due
-        ``one_shot_deadline_s`` after issue.
+        :data:`ONE_SHOT_DEADLINE_S` after issue.
 
         With ``resume=True`` (crash recovery), the request grid stays
         anchored at the task's *original* effective start even if that
@@ -139,7 +138,7 @@ class TaskSpec:
                     task=self,
                     sequence=0,
                     issue_time=start,
-                    deadline=start + one_shot_deadline_s,
+                    deadline=start + ONE_SHOT_DEADLINE_S,
                 )
             ]
         period = self.sampling_period_s

@@ -520,16 +520,7 @@ def _live_task_ids(server: SenseAidServer) -> List[int]:
         start = server._task_starts.get(
             task.task_id, task.start_time if task.start_time is not None else 0.0
         )
-        if task.end_time is not None:
-            end = task.end_time
-        else:
-            duration = task.duration_s()
-            end = (
-                start + duration
-                if duration is not None
-                else start + server.config.one_shot_deadline_s
-            )
-        if end > now:
+        if server._task_end(task, start) > now:
             live.append(task.task_id)
     return sorted(live)
 
@@ -538,7 +529,7 @@ def durable_state(server: SenseAidServer) -> dict:
     """Project exactly the state crash recovery promises to preserve.
 
     Volatile per-device telemetry (battery, energy, last-comm,
-    responsiveness, reliability) and scheduler-side counters are
+    responsiveness) and scheduler-side counters are
     excluded by design; what remains — identities, fairness counters,
     open tasks, burned idempotency keys, accepted-upload accounting,
     and in-flight assignment bookkeeping — must survive a crash

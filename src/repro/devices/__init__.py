@@ -9,7 +9,6 @@ battery.
 """
 
 from repro.devices.battery import Battery
-from repro.devices.clocksync import LowDutySync, SkewedClock
 from repro.devices.device import SimDevice
 from repro.devices.energy import EnergyLedger
 from repro.devices.profiles import DEVICE_PROFILES, DeviceProfile, GALAXY_S4
@@ -23,8 +22,6 @@ __all__ = [
     "DeviceProfile",
     "EnergyLedger",
     "GALAXY_S4",
-    "LowDutySync",
-    "SkewedClock",
     "SENSOR_SPECS",
     "SensorReading",
     "SensorSuite",

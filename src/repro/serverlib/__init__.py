@@ -7,7 +7,6 @@ share one Sense-Aid server; each sees only its own tasks' data, keyed
 by hashed device identifiers.
 """
 
-from repro.serverlib.adaptive import AdaptiveDensityController, DensityChange
 from repro.serverlib.appserver import CrowdsensingAppServer
 
-__all__ = ["AdaptiveDensityController", "CrowdsensingAppServer", "DensityChange"]
+__all__ = ["CrowdsensingAppServer"]

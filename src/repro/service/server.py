@@ -1,8 +1,8 @@
 """The asyncio network-as-a-service front for Sense-Aid.
 
-This is ROADMAP item 3: :class:`repro.serverlib.CrowdsensingAppServer`
-stays the synchronous library facade, and :class:`SenseAidService`
-puts an actual *service loop* in front of it —
+:class:`repro.serverlib.CrowdsensingAppServer` stays the synchronous
+library facade, and :class:`SenseAidService` puts an actual *service
+loop* in front of it —
 
 - every API call arrives as a typed :class:`~repro.service.api.ServiceRequest`;
 - the front door runs it through the existing
@@ -168,10 +168,6 @@ class SenseAidService:
     @property
     def running(self) -> bool:
         return self._running
-
-    @property
-    def queue_size(self) -> int:
-        return self._queue.qsize() if self._queue is not None else 0
 
     async def start(self) -> None:
         if self._running:

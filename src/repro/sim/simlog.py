@@ -90,19 +90,6 @@ class StructuredEventLog:
         """Events as plain dicts (optionally filtered) — artifact fodder."""
         return [r.as_dict() for r in self.records(kind=kind, source=source)]
 
-    def dump_jsonl(self, path: str, kind: Optional[str] = None) -> int:
-        """Write events (optionally one kind) as JSON lines.
-
-        Benchmarks dump their structured logs next to their scorecards
-        so a run's full audit trail ships with its numbers.  Returns
-        the number of records written.
-        """
-        records = self.as_dicts(kind=kind)
-        with open(path, "w", encoding="utf-8") as f:
-            for record in records:
-                f.write(json.dumps(record, sort_keys=True, default=str) + "\n")
-        return len(records)
-
     def signature(self) -> str:
         """SHA-256 over the canonical serialisation of every event.
 

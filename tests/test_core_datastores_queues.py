@@ -42,12 +42,6 @@ class TestDeviceRecord:
         record.last_comm_time = 90.0
         assert record.ttl_s(100.0) == pytest.approx(10.0)
 
-    def test_epoch_reset(self):
-        record = make_record(energy_used_j=50.0, times_selected=7)
-        record.reset_epoch()
-        assert record.energy_used_j == 0.0
-        assert record.times_selected == 0
-
 
 class TestDeviceDatastore:
     def test_register_and_lookup(self):
@@ -116,13 +110,6 @@ class TestDeviceDatastore:
         store.register(make_record("d1"))
         store.note_invalid_data("d1")
         assert store.record("d1").invalid_data_count == 1
-
-    def test_epoch_reset_all(self):
-        store = DeviceDatastore()
-        store.register(make_record("d1", times_selected=3))
-        store.register(make_record("d2", times_selected=5))
-        store.reset_epoch()
-        assert all(r.times_selected == 0 for r in store.records())
 
     def test_missing_device_raises(self):
         with pytest.raises(KeyError):

@@ -5,22 +5,19 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import SelectorWeights
-from repro.core.selector import DeviceSelector
+from repro.core.selector import TTL_CAP_S, DeviceSelector
 from tests.test_core_datastores_queues import make_record
 
 NOW = 1000.0
 
 
-def selector(**kwargs) -> DeviceSelector:
-    weights = kwargs.pop("weights", SelectorWeights())
-    return DeviceSelector(weights, **kwargs)
+def selector() -> DeviceSelector:
+    return DeviceSelector(SelectorWeights())
 
 
 class TestScore:
     def test_score_is_linear_combination(self):
-        weights = SelectorWeights(
-            alpha=1.0, beta=2.0, gamma=3.0, phi=4.0, ttl_cap_s=100.0
-        )
+        weights = SelectorWeights(alpha=1.0, beta=2.0, gamma=3.0, phi=4.0)
         record = make_record(
             energy_used_j=10.0,
             times_selected=2,
@@ -31,14 +28,14 @@ class TestScore:
         assert score == pytest.approx(1.0 * 10 + 2.0 * 2 + 3.0 * 20 + 4.0 * 5)
 
     def test_ttl_capped(self):
-        weights = SelectorWeights(alpha=0, beta=0, gamma=0, phi=1.0, ttl_cap_s=50.0)
+        weights = SelectorWeights(alpha=0, beta=0, gamma=0, phi=1.0)
         record = make_record(last_comm_time=NOW - 500.0)
-        assert DeviceSelector(weights).score(record, NOW) == pytest.approx(50.0)
+        assert DeviceSelector(weights).score(record, NOW) == pytest.approx(TTL_CAP_S)
 
     def test_never_communicated_gets_worst_ttl(self):
-        weights = SelectorWeights(alpha=0, beta=0, gamma=0, phi=1.0, ttl_cap_s=50.0)
+        weights = SelectorWeights(alpha=0, beta=0, gamma=0, phi=1.0)
         record = make_record(last_comm_time=None)
-        assert DeviceSelector(weights).score(record, NOW) == pytest.approx(50.0)
+        assert DeviceSelector(weights).score(record, NOW) == pytest.approx(TTL_CAP_S)
 
     def test_lower_battery_scores_worse(self):
         s = selector()
@@ -68,13 +65,6 @@ class TestEligibility:
         verdict = selector().eligibility(make_record(responsive=False))
         assert not verdict.eligible
         assert verdict.reason == "unresponsive"
-
-    def test_selection_cap(self):
-        s = selector(max_selections_per_epoch=2)
-        assert s.eligibility(make_record(times_selected=1)).eligible
-        verdict = s.eligibility(make_record(times_selected=2))
-        assert not verdict.eligible
-        assert verdict.reason == "selection_cap"
 
     def test_healthy_device_eligible(self):
         assert selector().eligibility(make_record()).eligible
@@ -149,5 +139,3 @@ class TestFairnessRotation:
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             SelectorWeights(alpha=-1.0)
-        with pytest.raises(ValueError):
-            SelectorWeights(ttl_cap_s=-5.0)

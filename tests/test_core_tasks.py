@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.tasks import SensingRequest, TaskSpec
+from repro.core.tasks import ONE_SHOT_DEADLINE_S, SensingRequest, TaskSpec
 from repro.devices.sensors import SensorType
 from repro.environment.geometry import Point
 
@@ -108,9 +108,9 @@ class TestRequestExpansion:
 
     def test_one_shot_single_request(self):
         task = make_task(sampling_period_s=None, sampling_duration_s=None)
-        requests = task.expand_requests(50.0, one_shot_deadline_s=30.0)
+        requests = task.expand_requests(50.0)
         assert len(requests) == 1
-        assert requests[0].deadline == 80.0
+        assert requests[0].deadline == 50.0 + ONE_SHOT_DEADLINE_S
 
     def test_request_ids_unique_within_task(self):
         task = make_task()

@@ -6,7 +6,6 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.common import BaselineCollector
-from repro.cellular.drx import LTE_DRX
 from repro.cellular.network import CellularNetwork
 from repro.cellular.packets import Message, MessageKind, TrafficCategory
 from repro.cellular.rrc import RRCState, TailPolicy
@@ -58,15 +57,6 @@ class TestNetworkEdges:
         )
         sim.run(until=30.0)
         assert len(delivered) == 1  # min transfer floor applies
-
-
-class TestDRXBoundaries:
-    def test_phase_at_exact_boundary_belongs_to_next_phase(self):
-        boundary = LTE_DRX.continuous_rx.duration_s
-        assert LTE_DRX.phase_at(boundary).name == "short_drx"
-
-    def test_paging_delay_at_zero(self):
-        assert LTE_DRX.paging_delay(0.0) == 0.0
 
 
 class TestProfilesEdges:

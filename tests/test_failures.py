@@ -1,9 +1,7 @@
 """Failure-handling tests: server crash, fail-safe routing, recovery,
-unresponsive devices, and epoch resets."""
+and unresponsive devices."""
 
 from __future__ import annotations
-
-import pytest
 
 from repro.cellular.network import CellularNetwork
 from repro.cellular.packets import (
@@ -12,7 +10,6 @@ from repro.cellular.packets import (
     TrafficCategory,
     sensor_data_message,
 )
-from repro.core.config import SenseAidConfig, ServerMode
 from repro.sim.engine import Simulator
 from tests.test_core_server import CENTER, make_setup, make_spec
 
@@ -122,72 +119,3 @@ class TestUnresponsiveDevices:
         )
         sim.run(until=sim.now + 50.0)
         assert server.stats.requests_waitlisted >= 1
-
-
-class TestEpochReset:
-    def test_counters_reset_each_epoch(self):
-        sim = Simulator()
-        config = SenseAidConfig(epoch_reset_period_s=1000.0)
-        server, _, _, _ = make_setup(sim, n_devices=2, config=config)
-        server.submit_task(make_spec(sampling_duration_s=600.0), lambda p: None)
-        sim.run(until=650.0)
-        assert any(r.times_selected > 0 for r in server.devices.records())
-        sim.run(until=1100.0)  # epoch boundary at t=1000
-        assert all(r.times_selected == 0 for r in server.devices.records())
-        assert all(r.energy_used_j == 0.0 for r in server.devices.records())
-
-    def test_invalid_epoch_period(self):
-        with pytest.raises(ValueError):
-            SenseAidConfig(epoch_reset_period_s=0.0)
-
-
-class TestReliability:
-    def test_reliability_decays_on_invalid_data(self):
-        from tests.test_core_datastores_queues import make_record
-
-        record = make_record()
-        assert record.reliability == 1.0
-        record.observe_data_quality(False)
-        assert record.reliability == pytest.approx(0.75)
-        record.observe_data_quality(False)
-        assert record.reliability < 0.6
-
-    def test_reliability_recovers_on_valid_data(self):
-        from tests.test_core_datastores_queues import make_record
-
-        record = make_record(reliability=0.5)
-        for _ in range(10):
-            record.observe_data_quality(True)
-        assert record.reliability > 0.9
-
-    def test_selector_reliability_cutoff(self):
-        from repro.core.config import SelectorWeights
-        from repro.core.selector import DeviceSelector
-        from tests.test_core_datastores_queues import make_record
-
-        selector = DeviceSelector(SelectorWeights(), min_reliability=0.5)
-        good = make_record("good", reliability=0.9)
-        bad = make_record("bad", reliability=0.3)
-        verdict = selector.eligibility(bad)
-        assert not verdict.eligible
-        assert verdict.reason == "unreliable"
-        assert selector.eligibility(good).eligible
-
-    def test_rho_weight_penalises_unreliable_devices(self):
-        from repro.core.config import SelectorWeights
-        from repro.core.selector import DeviceSelector
-        from tests.test_core_datastores_queues import make_record
-
-        selector = DeviceSelector(SelectorWeights(rho=5.0))
-        good = make_record("good", reliability=1.0)
-        shaky = make_record("shaky", reliability=0.6)
-        assert selector.select([shaky, good], 1, now=0.0) == ["good"]
-
-    def test_server_updates_reliability_from_data_path(self):
-        sim = Simulator()
-        server, _, _, _ = make_setup(sim, n_devices=2)
-        server.submit_task(make_spec(sampling_duration_s=600.0), lambda p: None)
-        sim.run(until=650.0)
-        selected = server.selection_log[0].selected
-        for device_id in selected:
-            assert server.devices.record(device_id).reliability == 1.0

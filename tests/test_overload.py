@@ -16,6 +16,7 @@ from repro.core.config import (
     ServerMode,
 )
 from repro.core.overload import (
+    BREAKER_COOLDOWN_S,
     AdmissionController,
     RequestClass,
     ServerOverloadedError,
@@ -71,14 +72,8 @@ class TestOverloadPolicyConfig:
         [
             {"queue_capacity": 0},
             {"service_rate_per_s": 0.0},
-            {"registration_shed_fraction": 1.5},
-            {"query_shed_fraction": -0.1},
             {"retry_after_base_s": -1.0},
             {"breaker_threshold": 0},
-            {"breaker_cooldown_s": 0.0},
-            # Priority order must hold: queries go first, registrations last.
-            {"query_shed_fraction": 0.9, "upload_shed_fraction": 0.5},
-            {"upload_shed_fraction": 1.0, "registration_shed_fraction": 0.5},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -90,12 +85,8 @@ def make_controller(sim, **overrides):
     params = dict(
         queue_capacity=8,
         service_rate_per_s=1.0,
-        registration_shed_fraction=1.0,
-        upload_shed_fraction=0.75,
-        query_shed_fraction=0.5,
         retry_after_base_s=2.0,
         breaker_threshold=100,
-        breaker_cooldown_s=30.0,
     )
     params.update(overrides)
     return AdmissionController(sim, OverloadPolicy(**params))
@@ -162,20 +153,20 @@ class TestAdmissionController:
         assert not rejected.admitted
         assert rejected.reason == "breaker_open"
         # The hint is the remaining cooldown.
-        assert rejected.retry_after_s == pytest.approx(30.0)
+        assert rejected.retry_after_s == pytest.approx(BREAKER_COOLDOWN_S)
         assert ctrl.stats.breaker_rejects == 1
         # Registrations pass the breaker (shed only on a full queue).
         assert ctrl.admit(RequestClass.REGISTRATION).admitted
 
     def test_breaker_closes_after_cooldown(self):
         sim = Simulator(seed=1)
-        ctrl = make_controller(sim, breaker_threshold=3, breaker_cooldown_s=10.0)
+        ctrl = make_controller(sim, breaker_threshold=3)
         for _ in range(4):
             ctrl.admit(RequestClass.QUERY)
         for _ in range(3):
             ctrl.admit(RequestClass.QUERY)
         assert ctrl.breaker_open
-        sim.run(until=11.0)
+        sim.run(until=BREAKER_COOLDOWN_S + 1.0)
         assert not ctrl.breaker_open
         assert ctrl.admit(RequestClass.QUERY).admitted  # queue drained too
 
@@ -206,12 +197,8 @@ class TestRetryPolicyShedDelay:
 BURST_POLICY = OverloadPolicy(
     queue_capacity=16,
     service_rate_per_s=2.0,
-    registration_shed_fraction=1.0,
-    upload_shed_fraction=0.75,
-    query_shed_fraction=0.5,
     retry_after_base_s=2.0,
     breaker_threshold=10_000,  # keep the breaker out of this scenario
-    breaker_cooldown_s=30.0,
 )
 
 
@@ -302,7 +289,6 @@ class TestOverloadBurstIntegration:
             service_rate_per_s=1.0,
             retry_after_base_s=1.0,
             breaker_threshold=5,
-            breaker_cooldown_s=20.0,
         )
         plan = FaultPlan().overload_burst(
             10.0, rate_per_s=20.0, duration_s=5.0, request_class="query"

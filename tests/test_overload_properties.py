@@ -14,7 +14,7 @@ get pinned here over *arbitrary* admission sequences:
   than the base pause;
 - the circuit breaker opens *exactly* at ``breaker_threshold``
   consecutive sheds — not one earlier — and re-closes after
-  ``breaker_cooldown_s``.
+  ``BREAKER_COOLDOWN_S``.
 """
 
 from __future__ import annotations
@@ -24,7 +24,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import OverloadPolicy
-from repro.core.overload import AdmissionController, RequestClass
+from repro.core.overload import (
+    BREAKER_COOLDOWN_S,
+    QUERY_SHED_FRACTION,
+    REGISTRATION_SHED_FRACTION,
+    UPLOAD_SHED_FRACTION,
+    AdmissionController,
+    RequestClass,
+)
 from repro.service import ManualClock
 
 POLICY = OverloadPolicy(
@@ -32,13 +39,12 @@ POLICY = OverloadPolicy(
     service_rate_per_s=2.0,
     retry_after_base_s=2.0,
     breaker_threshold=5,
-    breaker_cooldown_s=30.0,
 )
 
 FRACTION = {
-    RequestClass.REGISTRATION: POLICY.registration_shed_fraction,
-    RequestClass.UPLOAD: POLICY.upload_shed_fraction,
-    RequestClass.QUERY: POLICY.query_shed_fraction,
+    RequestClass.REGISTRATION: REGISTRATION_SHED_FRACTION,
+    RequestClass.UPLOAD: UPLOAD_SHED_FRACTION,
+    RequestClass.QUERY: QUERY_SHED_FRACTION,
 }
 
 request_classes = st.sampled_from(list(RequestClass))
@@ -158,7 +164,7 @@ def test_breaker_opens_exactly_at_threshold(sequence):
             consecutive += 1
             if consecutive >= POLICY.breaker_threshold and not breaker_open:
                 opens += 1
-                open_until = now + POLICY.breaker_cooldown_s
+                open_until = now + BREAKER_COOLDOWN_S
         assert controller.stats.breaker_opens == opens
 
 
@@ -189,9 +195,9 @@ def test_breaker_recloses_after_cooldown_and_admits_again():
     # While open: uploads/queries refused with the remaining cooldown.
     refused = controller.admit(RequestClass.UPLOAD)
     assert refused.reason == "breaker_open"
-    assert refused.retry_after_s == pytest.approx(POLICY.breaker_cooldown_s)
+    assert refused.retry_after_s == pytest.approx(BREAKER_COOLDOWN_S)
     # Cooldown passes; the queue also drains meanwhile.
-    clock.advance(POLICY.breaker_cooldown_s + 1e-6)
+    clock.advance(BREAKER_COOLDOWN_S + 1e-6)
     assert not controller.breaker_open
     decision = controller.admit(RequestClass.UPLOAD)
     assert decision.admitted

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.fairness import ideal_spread, jain_index
@@ -264,6 +264,7 @@ def test_selector_rotation_is_maximally_fair(pool, rounds, picks):
 
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), min_size=1, max_size=50))
+@example([3.2757918086478735e-160] * 2)  # subnormal squares
 def test_jain_index_bounds(counts):
     value = jain_index(counts)
     assert 0.0 < value <= 1.0 + 1e-9

@@ -142,11 +142,8 @@ def test_truth_discovery_invariants(claims):
     st.floats(min_value=0.0, max_value=100.0),    # battery
     st.one_of(st.none(), st.floats(min_value=0.0, max_value=1e6)),  # last comm
     st.booleans(),                                # responsive
-    st.floats(min_value=0.0, max_value=1.0),      # reliability
 )
-def test_device_record_round_trip(
-    energy, selected, battery, last_comm, responsive, reliability
-):
+def test_device_record_round_trip(energy, selected, battery, last_comm, responsive):
     import json
 
     from repro.core.persistence import record_from_dict, record_to_dict
@@ -158,7 +155,6 @@ def test_device_record_round_trip(
         battery_pct=battery,
         last_comm_time=last_comm,
         responsive=responsive,
-        reliability=reliability,
         sensors=frozenset({SensorType.BAROMETER, SensorType.GPS}),
     )
     encoded = json.dumps(record_to_dict(record))

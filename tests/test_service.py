@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import OverloadPolicy, RetryPolicy
+from repro.core.config import RETRY_AFTER_CAP_S, OverloadPolicy, RetryPolicy
 from repro.core.overload import RequestClass
 from repro.service import (
     KINDS_BY_CLASS,
@@ -699,7 +699,7 @@ class TestRetryAfterRoundTrip:
         for attempt, hint, delay in waits:
             assert hint > 0.0  # every shed carried a hint
             assert delay == pytest.approx(retry_policy.shed_delay_s(attempt, hint))
-            assert delay >= min(hint, retry_policy.retry_after_cap_s)
+            assert delay >= min(hint, RETRY_AFTER_CAP_S)
 
     def test_retry_count_bounded_by_policy(self):
         retry_policy = RetryPolicy(max_attempts=2)

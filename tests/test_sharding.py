@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
 from repro.cellular.network import CellularNetwork
@@ -39,7 +41,6 @@ RETRY = RetryPolicy(
     ack_timeout_s=20.0,
     backoff_base_s=5.0,
     backoff_multiplier=2.0,
-    backoff_max_s=60.0,
     jitter_fraction=0.0,
     tail_wait_max_s=20.0,
 )
@@ -289,6 +290,21 @@ class TestFailover:
         assert replacement.epoch == old.epoch + 1
         assert fleet.hosted_by(victim) == record.standby_id
         assert network.sense_aid_path_available
+        fleet.shutdown()
+
+    def test_failover_logs_only_the_real_crash(self, tmp_path, caplog):
+        """The successor is started, not restarted: it never ran, so
+        it logs no crash of its own."""
+        sim = Simulator()
+        network, fleet = make_fleet(sim, wal_root=str(tmp_path))
+        add_fleet_clients(sim, network, fleet)
+        sim.run(until=30.0)
+        with caplog.at_level(logging.WARNING, logger="repro.core.server"):
+            fleet.crash_shard(fleet.ring.owner("d00"))
+            sim.run(until=60.0)
+        assert fleet.failovers == 1
+        crashes = [r for r in caplog.records if "server crashed" in r.getMessage()]
+        assert len(crashes) == 1
         fleet.shutdown()
 
     def test_clients_redirect_to_successor(self, tmp_path):

@@ -178,7 +178,7 @@ class TestDeviceDatastoreOnBackend:
         assert [r.device_id for r in rehydrated.records()] == expected
 
     def test_record_codec_round_trips(self):
-        record = _record("d0", battery_pct=42.5, reliability=0.75)
+        record = _record("d0", battery_pct=42.5)
         record.missed_deliveries = 2
         assert record_from_dict(record_to_dict(record)) == record
 

@@ -8,6 +8,11 @@ every stored reading, the device datastore contents, server stats, and
 the derived analysis outputs.  Floats are compared exactly, not
 approximately: both backends must perform the same arithmetic in the
 same order, or they are not the same system.
+
+The fingerprint also counts the clients' tail, piggyback and forced
+uploads, and one pinned campaign asserts that each kind happened: a
+proof over campaigns that never time an upload to a radio tail would
+say nothing about Sense-Aid.
 """
 
 from __future__ import annotations
@@ -50,6 +55,9 @@ campaign_strategy = st.fixed_dictionaries(
     }
 )
 
+#: Upload kinds the fingerprint counts, summed over clients.
+UPLOAD_KINDS = ("uploads_in_tail", "uploads_piggybacked", "uploads_forced")
+
 
 def _make_backend(kind: str):
     if kind == "memory":
@@ -79,6 +87,7 @@ def run_campaign(params, backend_kind: str) -> dict:
     )
     cas = CrowdsensingAppServer(server, "equiv")
     rng = sim.rng.stream("scenario")
+    clients = []
     for i in range(params["n_devices"]):
         offset = params["spread_m"] * rng.random()
         angle = rng.random() * 6.283185
@@ -87,7 +96,9 @@ def run_campaign(params, backend_kind: str) -> dict:
             CENTER.y + offset * math.sin(angle),
         )
         device = make_device(sim, f"d{i}", position=position)
-        SenseAidClient(sim, device, server, network).register()
+        client = SenseAidClient(sim, device, server, network)
+        client.register()
+        clients.append(client)
     duration = params["period_s"] * params["ticks"]
     for _ in range(params["n_tasks"]):
         cas.task(
@@ -110,10 +121,12 @@ def run_campaign(params, backend_kind: str) -> dict:
         sim.schedule_at(duration * params["restart_tick"], kill_and_recover)
     sim.run(until=duration + 120.0)
     server.shutdown()
-    return fingerprint(server, cas)
+    return fingerprint(server, cas, clients)
 
 
-def fingerprint(server: SenseAidServer, cas: CrowdsensingAppServer) -> dict:
+def fingerprint(
+    server: SenseAidServer, cas: CrowdsensingAppServer, clients: list
+) -> dict:
     """Everything two equivalent worlds must agree on, bit for bit."""
     storage = server.storage
     device_docs = {
@@ -143,6 +156,10 @@ def fingerprint(server: SenseAidServer, cas: CrowdsensingAppServer) -> dict:
         },
         "distinct_devices": cas.distinct_devices(),
         "reading_count": cas.reading_count(),
+        "uploads": {
+            kind: sum(getattr(c.stats, kind) for c in clients)
+            for kind in UPLOAD_KINDS
+        },
     }
 
 
@@ -155,6 +172,27 @@ def test_backends_are_bit_identical(params):
     assert memory_world.keys() == sqlite_world.keys()
     for facet in memory_world:
         assert memory_world[facet] == sqlite_world[facet], facet
+
+
+def test_pinned_campaign_exercises_the_mechanism():
+    """One campaign that makes every kind of upload and restarts the
+    server mid-run, and still agrees bit for bit across backends."""
+    params = {
+        "seed": 7,
+        "n_devices": 5,
+        "n_tasks": 3,
+        "density": 2,
+        "period_s": 120.0,
+        "ticks": 2,
+        "spread_m": 600.0,
+        "restart_tick": 0.5,
+    }
+    memory_world = run_campaign(params, "memory")
+    sqlite_world = run_campaign(params, "sqlite")
+    for kind in UPLOAD_KINDS:
+        assert memory_world["uploads"][kind] > 0, kind
+    assert memory_world["epoch"] >= 2
+    assert memory_world == sqlite_world
 
 
 @settings(max_examples=5, deadline=None)
