@@ -5,22 +5,22 @@ measures the asyncio service loop that framing implies.  Four tiers
 merge into one ``BENCH_service.json`` scorecard:
 
 - **latency** — open-loop arrivals at a rate the admission controller
-  and consumers comfortably sustain, so every request is served and
+  and run slots comfortably sustain, so every request is served and
   p50/p99 response latency is the headline.  Gate: p99 under a
   conservative CI ceiling.
 - **throughput** — closed-loop workers (send → wait → send) measure
-  max sustained RPS through the full submit → admit → queue → execute
-  path.  Gate: a conservative floor local runs clear by >10×.
+  max sustained RPS through the full submit → admit → run-slot →
+  execute path.  Gate: a conservative floor local runs clear by >10×.
 - **overload** — an arrival burst far past the fluid drain rate; the
   point is the backpressure path: sheds carry Retry-After hints sized
   by the admission controller, the generator's
   :class:`~repro.core.config.RetryPolicy` honours them, and the
   lifecycle ledger stays total (nothing skips SHED/FAILED accounting).
 - **determinism** — the same seed must produce the same request trace
-  (schedule fingerprint) at *any* consumer count, and serial (1
-  consumer) vs parallel (8 consumers) execution must produce identical
-  per-request outcomes.  The trace signature is committed in the
-  baseline and compared exactly.
+  (schedule fingerprint) at *any* number of run slots, and serial
+  (``consumers=1``: one run slot) vs parallel (``consumers=8``: eight)
+  execution must produce identical per-request outcomes.  The trace
+  signature is committed in the baseline and compared exactly.
 
 Wall-clock figures (latencies, achieved RPS) are machine-dependent and
 skipped by ``tolerances.json``; the gate constants and determinism
@@ -49,7 +49,7 @@ OPEN_ADMISSION = OverloadPolicy(queue_capacity=10_000, service_rate_per_s=100_00
 
 #: Conservative CI gates — local runs clear these by an order of
 #: magnitude; they exist to catch gross regressions (an accidental
-#: serialization point, a busy-wait, a lost consumer), not to measure.
+#: serialization point, a busy-wait, a leaked run slot), not to measure.
 P99_LATENCY_LIMIT_MS = 250.0
 MIN_CLOSED_LOOP_RPS = 300.0
 
@@ -80,8 +80,8 @@ def _service(config: ServiceConfig, *, seed: int = 7):
 
 def echo_handler(request):
     """Pure handler for the determinism tier: the response is a
-    function of the request alone, so outcomes cannot depend on
-    consumer interleaving."""
+    function of the request alone, so outcomes cannot depend on how
+    requests interleave across run slots."""
     return {"kind": request.kind.value, "index": request.payload.get("index")}
 
 
@@ -277,7 +277,7 @@ def test_service_overload(benchmark):
 
 
 # ----------------------------------------------------------------------
-# Tier 4: determinism — one seed, one trace, any consumer count
+# Tier 4: determinism — one seed, one trace, any number of run slots
 # ----------------------------------------------------------------------
 
 

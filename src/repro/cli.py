@@ -353,13 +353,24 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=7, help="backend world seed (default 7)"
     )
     serve_parser.add_argument(
-        "--consumers", type=int, default=4, help="consumer coroutines (default 4)"
+        "--consumers",
+        type=int,
+        default=4,
+        help="cap on requests running at once; the service runs "
+        "min(--consumers, --slots) (default 4)",
     )
     serve_parser.add_argument(
-        "--slots", type=int, default=8, help="concurrency slots (default 8)"
+        "--slots",
+        type=int,
+        default=8,
+        help="cap on requests running at once; the service runs "
+        "min(--consumers, --slots) (default 8)",
     )
     serve_parser.add_argument(
-        "--queue-capacity", type=int, default=256, help="request queue bound"
+        "--queue-capacity",
+        type=int,
+        default=256,
+        help="requests that may wait for a run slot (default 256)",
     )
     serve_parser.add_argument(
         "--service-time",
@@ -393,10 +404,18 @@ def build_parser() -> argparse.ArgumentParser:
         "--concurrency", type=int, default=4, help="closed-loop worker count"
     )
     loadgen_parser.add_argument(
-        "--consumers", type=int, default=4, help="service consumer coroutines"
+        "--consumers",
+        type=int,
+        default=4,
+        help="cap on requests the service runs at once; it runs "
+        "min(--consumers, --slots) (default 4)",
     )
     loadgen_parser.add_argument(
-        "--slots", type=int, default=8, help="service concurrency slots"
+        "--slots",
+        type=int,
+        default=8,
+        help="cap on requests the service runs at once; it runs "
+        "min(--consumers, --slots) (default 8)",
     )
     loadgen_parser.add_argument(
         "--service-time",
@@ -596,8 +615,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     Each stdin line is ``{"kind": ..., "payload": {...}}``; each stdout
     line is the matching :class:`~repro.service.api.ServiceResponse`
-    as JSON.  EOF drains the queue and prints the scorecard to stderr —
-    a real request/response loop without needing a socket stack.
+    as JSON, printed as soon as it resolves.  Lines are read off the
+    event loop, so a request is answered while stdin stays open.  EOF
+    drains the service and prints the scorecard to stderr — a real
+    request/response loop without needing a socket stack.
     """
     import asyncio
     import json
@@ -624,9 +645,14 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             overload=OverloadPolicy(),
         )
         service = SenseAidService(backend.handle, config)
+        loop = asyncio.get_running_loop()
+        readline = sys.stdin.readline
         pending = []
         async with service:
-            for line in sys.stdin:
+            while True:
+                line = await loop.run_in_executor(None, readline)
+                if not line:
+                    break
                 line = line.strip()
                 if not line:
                     continue
@@ -644,7 +670,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                     response = await service.submit(kind, payload)
                     print(json.dumps(response.as_dict()), flush=True)
 
-                pending.append(asyncio.ensure_future(roundtrip()))
+                pending.append(loop.create_task(roundtrip()))
             if pending:
                 await asyncio.gather(*pending)
         service.ledger.assert_accounted()

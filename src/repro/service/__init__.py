@@ -9,10 +9,11 @@ sensing*; this package provides the service loop that framing implies
 - :mod:`repro.service.lifecycle` — the explicit per-request state
   machine (QUEUED → ADMITTED → RUNNING → DONE/SHED/FAILED) and the
   totality-checked accounting ledger;
-- :mod:`repro.service.server` — :class:`SenseAidService`: bounded
-  ``asyncio.Queue``, N consumer coroutines, concurrency-slot
-  semaphore, and the :class:`~repro.core.overload.AdmissionController`
-  as the front-door backpressure gate (Retry-After hints included);
+- :mod:`repro.service.server` — :class:`SenseAidService`: each
+  admitted request runs in its caller's coroutine under one of a few
+  run slots, waiting in a bounded FIFO only while every slot is busy,
+  behind the :class:`~repro.core.overload.AdmissionController` as the
+  front-door backpressure gate (Retry-After hints included);
 - :mod:`repro.service.backend` — adapters executing requests against
   a real :class:`~repro.serverlib.appserver.CrowdsensingAppServer`;
 - :mod:`repro.service.loadgen` — the seed-deterministic open-/closed-

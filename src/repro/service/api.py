@@ -5,9 +5,10 @@ crowdsensing application talks to the middleware through a four-call
 API (``task`` / ``update_task_param`` / ``delete_task`` and data
 delivery).  :mod:`repro.service` promotes that API from a library
 facade to an actual request/response service — every call becomes a
-:class:`ServiceRequest` envelope that travels through a bounded
-``asyncio.Queue``, and every caller gets a :class:`ServiceResponse`
-carrying the outcome, the admission verdict, and timing.
+:class:`ServiceRequest` envelope that passes the admission gate and
+runs under one of the service's run slots, and every caller gets a
+:class:`ServiceResponse` carrying the outcome, the admission verdict,
+and timing.
 
 Each request kind maps onto one of the three
 :class:`~repro.core.overload.RequestClass` priorities the admission
@@ -76,7 +77,7 @@ class ResponseStatus(Enum):
 
 @dataclass(slots=True)
 class ServiceRequest:
-    """One typed request travelling through the service queue."""
+    """One typed request travelling through the service front."""
 
     request_id: str
     kind: RequestKind
@@ -108,7 +109,7 @@ class ServiceResponse:
     retry_after_s: float = 0.0
     #: Wall time from submit to response resolution.
     latency_s: float = 0.0
-    #: Portion of ``latency_s`` spent waiting in the request queue.
+    #: Portion of ``latency_s`` spent waiting for a run slot.
     queue_delay_s: float = 0.0
 
     @property

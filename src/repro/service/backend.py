@@ -9,7 +9,7 @@ request mix is meaningful regardless of execution interleaving:
 creating an occupied slot, or updating/deleting a vacant one, is a
 recorded no-op instead of an error.  That keeps the request trace
 deterministic while the outcome of each call stays well-defined at
-any consumer count.
+any number of run slots.
 
 :func:`build_world` assembles a minimal single-server world (sim,
 towers, network, Sense-Aid server, app server) for the CLI and the

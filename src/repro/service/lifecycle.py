@@ -5,16 +5,16 @@ machine::
 
     QUEUED ──► ADMITTED ──► RUNNING ──► DONE
       │            │            └─────► FAILED
-      └──► SHED    └──────────────────► FAILED   (shutdown drain)
+      └──► SHED    └──────────────────► FAILED   (shutdown / cancellation)
 
 - ``QUEUED``: the request arrived at the front door and is being
   admission-checked;
-- ``ADMITTED``: the admission controller accepted it and it sits in
-  the bounded request queue;
-- ``RUNNING``: a consumer coroutine holds a concurrency slot and is
-  executing the handler;
+- ``ADMITTED``: the admission controller accepted it and it is
+  waiting for a run slot (for no time at all while one is free);
+- ``RUNNING``: it holds a run slot and is executing the handler (and
+  any modelled service time);
 - ``DONE`` / ``SHED`` / ``FAILED``: terminal.  ``SHED`` only ever
-  happens at the front door (admission refusal or queue full) — once
+  happens at the front door (admission refusal or a full wait list) — once
   admitted, a request is either served or failed, never silently
   dropped.
 

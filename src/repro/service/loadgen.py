@@ -6,9 +6,9 @@ The generator separates *planning* from *execution*:
   materialised arrival schedule — request kinds, payloads, and
   inter-arrival offsets — using one seeded ``random.Random``.  The
   schedule is a pure function of the spec, so the request trace is
-  identical at any consumer count, on any machine, in either loop
-  mode (:func:`trace_signature` fingerprints it for the determinism
-  gate).
+  identical at any number of run slots, on any machine, in either
+  loop mode (:func:`trace_signature` fingerprints it for the
+  determinism gate).
 - :class:`LoadGenerator` replays a schedule against a running
   :class:`~repro.service.server.SenseAidService`:
 
@@ -145,7 +145,7 @@ def trace_signature(schedule: List[PlannedRequest]) -> str:
     """SHA-256 fingerprint of a schedule — the determinism gate's unit.
 
     Two runs with the same spec must produce the same signature; the
-    signature is also independent of how many consumers later execute
+    signature is also independent of how many run slots later execute
     the schedule, because it is computed before execution starts.
     """
     payload = json.dumps(

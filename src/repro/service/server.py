@@ -9,9 +9,12 @@ loop* in front of it —
   :class:`~repro.core.overload.AdmissionController` (priority
   shedding, circuit breaker, Retry-After hints) driven by a wall-clock
   adapter;
-- admitted requests enter a **bounded** ``asyncio.Queue`` and are
-  drained by N consumer coroutines, each executing under a
-  concurrency-slot semaphore;
+- an admitted request runs in its caller's own coroutine under one of
+  ``min(consumers, concurrency_slots)`` run slots.  While a slot is
+  free it runs at once and, with no modelled service time, never
+  suspends; while every slot is busy it waits in a **bounded** FIFO,
+  and each finishing request hands its slot straight to the oldest
+  waiter;
 - every request moves through the explicit lifecycle state machine of
   :mod:`repro.service.lifecycle` (QUEUED → ADMITTED → RUNNING →
   DONE/SHED/FAILED), and the :class:`LifecycleLedger` proves no
@@ -27,11 +30,12 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, Optional
 
 from repro.core.config import OverloadPolicy
-from repro.core.overload import AdmissionController, RequestClass
+from repro.core.overload import AdmissionController
 from repro.service.api import (
     RequestKind,
     ResponseStatus,
@@ -82,11 +86,17 @@ class ManualClock:
 class ServiceConfig:
     """Shape of the service loop.
 
+    ``consumers`` and ``concurrency_slots`` are two caps on how many
+    requests run at once: the service has ``min(consumers,
+    concurrency_slots)`` run slots, and a request holds one from RUNNING
+    to its terminal state.  ``queue_capacity`` bounds how many admitted
+    requests may wait for a slot; past it a request is shed.
+
     ``service_time_s`` models the per-request work a real deployment
     would spend (parameter validation, datastore writes, downstream
-    fan-out) as an ``asyncio.sleep`` held under a concurrency slot —
-    zero keeps unit tests instant, a couple of milliseconds gives the
-    benchmark a realistic saturation point.
+    fan-out) as a wait held under the run slot — zero keeps unit tests
+    instant, a couple of milliseconds gives the benchmark a realistic
+    saturation point.
     """
 
     queue_capacity: int = 256
@@ -121,14 +131,10 @@ class ServiceStats:
         self.by_kind[kind.value] = self.by_kind.get(kind.value, 0) + 1
 
 
-@dataclass(slots=True)
-class _InFlight:
-    """Queue entry: the request plus its response future and timestamps."""
-
-    request: ServiceRequest
-    future: "asyncio.Future[ServiceResponse]"
-    created_at: float
-    admitted_at: float = 0.0
+def _wake(future: "asyncio.Future[Any]", value: Any) -> None:
+    """Resolve ``future`` unless its caller was cancelled first."""
+    if not future.done():
+        future.set_result(value)
 
 
 class SenseAidService:
@@ -155,9 +161,18 @@ class SenseAidService:
         self.admission = AdmissionController(self.clock, self.config.overload)
         self.ledger = LifecycleLedger()
         self.stats = ServiceStats()
-        self._queue: Optional["asyncio.Queue[_InFlight]"] = None
-        self._slots: Optional[asyncio.Semaphore] = None
-        self._consumers: List["asyncio.Task[None]"] = []
+        self._run_slots = min(self.config.consumers, self.config.concurrency_slots)
+        self._free_slots = self._run_slots
+        #: Callers waiting for a run slot, oldest first.  Each sleeps on
+        #: its future: True hands it a slot, False fails it at shutdown.
+        self._waiters: Deque["asyncio.Future[bool]"] = deque()
+        #: Futures of the requests inside their service-time wait, in
+        #: the order they began it (a dict, so shutdown order is fixed).
+        self._sleepers: Dict["asyncio.Future[None]", None] = {}
+        #: Resolved when the last slot comes back while :meth:`stop` waits.
+        self._idle: Optional["asyncio.Future[None]"] = None
+        #: Set by ``stop(drain=False)``: no service-time wait may go on.
+        self._aborting = False
         self._next_id = 0
         self._running = False
 
@@ -172,55 +187,35 @@ class SenseAidService:
     async def start(self) -> None:
         if self._running:
             raise RuntimeError("service already running")
-        self._queue = asyncio.Queue(maxsize=self.config.queue_capacity)
-        self._slots = asyncio.Semaphore(self.config.concurrency_slots)
-        self._consumers = [
-            asyncio.get_running_loop().create_task(
-                self._consume(i), name=f"senseaid-consumer-{i}"
-            )
-            for i in range(self.config.consumers)
-        ]
+        self._aborting = False
         self._running = True
 
     async def stop(self, *, drain: bool = True) -> None:
         """Stop the service loop.
 
-        ``drain=True`` waits for every queued request to finish first;
-        ``drain=False`` fails queued-but-unstarted requests with a
-        ``shutdown`` error (their futures resolve, nothing hangs).
+        New submissions are refused at once.  ``drain=True`` waits until
+        no request runs or waits.  ``drain=False`` fails every waiting
+        request with a ``shutdown`` error and cuts every service-time
+        wait short, failing that request ``cancelled``; it returns once
+        those requests are recorded, so nothing hangs and the ledger
+        stays total.  No caller's task is cancelled.
         """
         if not self._running:
             return
         self._running = False  # refuse new submissions immediately
-        if drain and self._queue is not None:
-            await self._queue.join()
-        for task in self._consumers:
-            task.cancel()
-        for task in self._consumers:
+        if not drain:
+            self._aborting = True
+            for wake in self._waiters:
+                _wake(wake, False)
+            self._waiters.clear()
+            for wake in self._sleepers:
+                _wake(wake, None)
+        if self._free_slots < self._run_slots:
+            self._idle = asyncio.get_running_loop().create_future()
             try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        self._consumers = []
-        # Anything still queued never reached a consumer: fail it out
-        # so the ledger stays total and callers unblock.
-        if self._queue is not None:
-            while not self._queue.empty():
-                item = self._queue.get_nowait()
-                self._queue.task_done()
-                self._finish(
-                    item,
-                    RequestState.FAILED,
-                    ServiceResponse(
-                        request_id=item.request.request_id,
-                        kind=item.request.kind,
-                        status=ResponseStatus.FAILED,
-                        error="shutdown",
-                        latency_s=self.clock.now - item.created_at,
-                    ),
-                )
-        self._queue = None
-        self._slots = None
+                await self._idle
+            finally:
+                self._idle = None
 
     async def __aenter__(self) -> "SenseAidService":
         await self.start()
@@ -243,43 +238,85 @@ class SenseAidService:
     ) -> ServiceResponse:
         """Submit one request and await its response.
 
+        The request runs in the caller's coroutine.  With a run slot
+        free it runs at once and suspends only for ``service_time_s``;
+        with every slot busy it first waits its turn in the FIFO.
+
         Never raises for shed/failed requests — the outcome is always
         a :class:`ServiceResponse` (``ServiceClosedError`` only when
-        the service is not running).
+        the service is not running).  A caller cancelled while its
+        request waits or runs has the request recorded FAILED, passes
+        its slot on, and gets the ``CancelledError``.
         """
-        if not self._running or self._queue is None:
+        if not self._running:
             raise ServiceClosedError("service is not running")
         if request is None:
             request = make_request(self._next_id, kind, payload, app=app)
         self._next_id += 1
-        now = self.clock.now
-        self.stats.submitted += 1
-        self.stats.note_kind(request.kind)
-        self.ledger.create(request.request_id, now)
+        clock, ledger, stats = self.clock, self.ledger, self.stats
+        request_id = request.request_id
+        created_at = clock.now
+        stats.submitted += 1
+        stats.note_kind(request.kind)
+        ledger.create(request_id, created_at)
 
         decision = self.admission.admit(request.request_class)
         if not decision.admitted:
-            self.stats.shed_admission += 1
-            return self._shed_response(request, now, decision.retry_after_s)
+            stats.shed_admission += 1
+            return self._shed_response(request, created_at, decision.retry_after_s)
 
-        item = _InFlight(request=request, future=self._new_future(), created_at=now)
+        if self._free_slots:
+            # A finishing request hands its slot to the oldest waiter, so
+            # a free slot means nobody waits: take it without suspending.
+            self._free_slots -= 1
+            admitted_at = started = clock.now
+            ledger.advance(request_id, RequestState.ADMITTED, admitted_at)
+        else:
+            if len(self._waiters) >= self.config.queue_capacity:
+                # Admission said yes but the wait list is full: shed
+                # with a hint sized to draining one full queue.
+                stats.shed_queue_full += 1
+                hint = (
+                    self.config.overload.retry_after_base_s
+                    + self.config.queue_capacity / self.config.overload.service_rate_per_s
+                )
+                return self._shed_response(request, created_at, hint)
+            admitted_at = clock.now
+            ledger.advance(request_id, RequestState.ADMITTED, admitted_at)
+            try:
+                granted = await self._wait_for_slot()
+            except asyncio.CancelledError:
+                self._fail(request, created_at, "cancelled")
+                raise
+            if not granted:
+                return self._fail(request, created_at, "shutdown")
+            started = clock.now
+
+        ledger.advance(request_id, RequestState.RUNNING, started)
+        queue_delay = started - admitted_at
         try:
-            self._queue.put_nowait(item)
-        except asyncio.QueueFull:
-            # Admission said yes but the physical queue is at capacity:
-            # shed with a hint sized to draining one full queue.
-            self.stats.shed_queue_full += 1
-            hint = (
-                self.config.overload.retry_after_base_s
-                + self.config.queue_capacity / self.config.overload.service_rate_per_s
+            if self.config.service_time_s > 0 and not await self._service_wait():
+                return self._fail(request, created_at, "cancelled", queue_delay)
+            result = self._handler(request)
+        except asyncio.CancelledError:
+            self._fail(request, created_at, "cancelled", queue_delay)
+            raise
+        except Exception as exc:  # noqa: BLE001 — failures become responses
+            return self._fail(request, created_at, f"{type(exc).__name__}: {exc}", queue_delay)
+        else:
+            finished = clock.now
+            ledger.advance(request_id, RequestState.DONE, finished)
+            stats.ok += 1
+            return ServiceResponse(
+                request_id=request_id,
+                kind=request.kind,
+                status=ResponseStatus.OK,
+                result=result,
+                latency_s=finished - created_at,
+                queue_delay_s=queue_delay,
             )
-            return self._shed_response(request, now, hint)
-        item.admitted_at = self.clock.now
-        self.ledger.advance(request.request_id, RequestState.ADMITTED, item.admitted_at)
-        return await item.future
-
-    def _new_future(self) -> "asyncio.Future[ServiceResponse]":
-        return asyncio.get_running_loop().create_future()
+        finally:
+            self._release()
 
     def _shed_response(
         self, request: ServiceRequest, created_at: float, retry_after_s: float
@@ -295,100 +332,80 @@ class SenseAidService:
             latency_s=now - created_at,
         )
 
-    # ------------------------------------------------------------------
-    # Consumer coroutines
-    # ------------------------------------------------------------------
-
-    async def _consume(self, index: int) -> None:
-        assert self._queue is not None and self._slots is not None
-        queue, slots = self._queue, self._slots
-        while True:
-            item = await queue.get()
-            try:
-                async with slots:
-                    await self._execute(item)
-            except asyncio.CancelledError:
-                # Cancelled before _execute finished the request (e.g.
-                # while waiting for a slot): resolve it as FAILED so the
-                # ledger stays total and the submitter unblocks.
-                if not item.future.done():
-                    self._finish(
-                        item,
-                        RequestState.FAILED,
-                        ServiceResponse(
-                            request_id=item.request.request_id,
-                            kind=item.request.kind,
-                            status=ResponseStatus.FAILED,
-                            error="cancelled",
-                            latency_s=self.clock.now - item.created_at,
-                        ),
-                    )
-                raise
-            finally:
-                queue.task_done()
-
-    async def _execute(self, item: _InFlight) -> None:
-        request = item.request
-        started = self.clock.now
-        self.ledger.advance(request.request_id, RequestState.RUNNING, started)
-        queue_delay = started - item.admitted_at
-        try:
-            if self.config.service_time_s > 0:
-                await asyncio.sleep(self.config.service_time_s)
-            result = self._handler(request)
-        except asyncio.CancelledError:
-            # Shutdown mid-request: account it as FAILED, then let the
-            # cancellation unwind the consumer.
-            self._finish(
-                item,
-                RequestState.FAILED,
-                ServiceResponse(
-                    request_id=request.request_id,
-                    kind=request.kind,
-                    status=ResponseStatus.FAILED,
-                    error="cancelled",
-                    latency_s=self.clock.now - item.created_at,
-                    queue_delay_s=queue_delay,
-                ),
-            )
-            raise
-        except Exception as exc:  # noqa: BLE001 — failures become responses
-            self._finish(
-                item,
-                RequestState.FAILED,
-                ServiceResponse(
-                    request_id=request.request_id,
-                    kind=request.kind,
-                    status=ResponseStatus.FAILED,
-                    error=f"{type(exc).__name__}: {exc}",
-                    latency_s=self.clock.now - item.created_at,
-                    queue_delay_s=queue_delay,
-                ),
-            )
-            return
-        self._finish(
-            item,
-            RequestState.DONE,
-            ServiceResponse(
-                request_id=request.request_id,
-                kind=request.kind,
-                status=ResponseStatus.OK,
-                result=result,
-                latency_s=self.clock.now - item.created_at,
-                queue_delay_s=queue_delay,
-            ),
+    def _fail(
+        self,
+        request: ServiceRequest,
+        created_at: float,
+        error: str,
+        queue_delay_s: float = 0.0,
+    ) -> ServiceResponse:
+        now = self.clock.now
+        self.ledger.advance(request.request_id, RequestState.FAILED, now)
+        self.stats.failed += 1
+        return ServiceResponse(
+            request_id=request.request_id,
+            kind=request.kind,
+            status=ResponseStatus.FAILED,
+            error=error,
+            latency_s=now - created_at,
+            queue_delay_s=queue_delay_s,
         )
 
-    def _finish(
-        self, item: _InFlight, state: RequestState, response: ServiceResponse
-    ) -> None:
-        self.ledger.advance(item.request.request_id, state, self.clock.now)
-        if state is RequestState.DONE:
-            self.stats.ok += 1
-        elif state is RequestState.FAILED:
-            self.stats.failed += 1
-        if not item.future.done():
-            item.future.set_result(response)
+    # ------------------------------------------------------------------
+    # Run slots
+    # ------------------------------------------------------------------
+
+    async def _wait_for_slot(self) -> bool:
+        """Wait in the FIFO; True once handed a slot, False at shutdown.
+
+        A cancelled caller leaves the FIFO, or passes on the slot it was
+        handed just before the cancellation landed.
+        """
+        wake: "asyncio.Future[bool]" = asyncio.get_running_loop().create_future()
+        self._waiters.append(wake)
+        try:
+            return await wake
+        except asyncio.CancelledError:
+            if wake.cancelled():
+                try:
+                    self._waiters.remove(wake)
+                except ValueError:  # already skipped by a release
+                    pass
+            elif wake.result():
+                self._release()
+            raise
+
+    async def _service_wait(self) -> bool:
+        """Hold the slot for ``service_time_s``; False when shutdown cut it.
+
+        The service owns this wait, so ``stop(drain=False)`` ends it
+        without cancelling the caller's task.
+        """
+        if self._aborting:
+            return False
+        loop = asyncio.get_running_loop()
+        wake: "asyncio.Future[None]" = loop.create_future()
+        timer = loop.call_later(self.config.service_time_s, _wake, wake, None)
+        self._sleepers[wake] = None
+        try:
+            await wake
+        finally:
+            timer.cancel()
+            del self._sleepers[wake]
+        return not self._aborting
+
+    def _release(self) -> None:
+        """Hand the caller's slot to the oldest waiter, or free it."""
+        waiters = self._waiters
+        while waiters:
+            wake = waiters.popleft()
+            if not wake.done():  # a cancelled waiter's future is done
+                wake.set_result(True)
+                return
+        self._free_slots += 1
+        idle = self._idle
+        if idle is not None and self._free_slots == self._run_slots and not idle.done():
+            idle.set_result(None)
 
     # ------------------------------------------------------------------
     # Introspection

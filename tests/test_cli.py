@@ -190,6 +190,41 @@ class TestServiceCommands:
         assert scorecard["lifecycle"]["done"] == 3
 
 
+    def test_serve_answers_each_line_while_stdin_is_open(self):
+        """A request is answered as its line arrives, not at EOF."""
+        import json
+        import os
+        import select
+        import subprocess
+        import sys as _sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        line = json.dumps({"kind": "query_data", "payload": {"slot": 0}}) + "\n"
+        with subprocess.Popen(
+            [_sys.executable, "-m", "repro", "serve"],
+            stdin=subprocess.PIPE,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src},
+        ) as proc:
+            try:
+                proc.stdin.write(line.encode())
+                proc.stdin.flush()
+                ready, _, _ = select.select([proc.stdout], [], [], 10.0)
+                assert ready, "no response within 10 s while stdin was open"
+                response = json.loads(proc.stdout.readline())
+                _, err = proc.communicate(timeout=60)  # closes stdin: EOF
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+        assert response["kind"] == "query_data"
+        assert response["status"] == "ok"
+        assert proc.returncode == 0
+        assert json.loads(err)["lifecycle"]["done"] == 1
+
+
 class TestStorageCheckCommand:
     def test_memory_backend_passes(self, capsys):
         assert main(["storage", "check", "--spec", "memory"]) == 0

@@ -2,10 +2,12 @@
 
 Covers the ISSUE 9 service-layer checklist: the lifecycle transition
 table is *total* (no request can skip SHED/FAILED accounting), illegal
-transitions raise, queue-full behaviour sheds with a sized hint,
-shutdown resolves every in-flight future, the load generator's trace
-is seed-deterministic and identical at any consumer count, and shed
-Retry-After hints round-trip through ``RetryPolicy.shed_delay_s``.
+transitions raise, a full wait list sheds with a sized hint,
+shutdown resolves every in-flight request, the run slots hand over in
+FIFO order and match the queue front they replaced, the load
+generator's trace is seed-deterministic and identical at any number
+of run slots, and shed Retry-After hints round-trip through
+``RetryPolicy.shed_delay_s``.
 
 No pytest-asyncio in the image: async scenarios run via ``asyncio.run``
 inside synchronous test functions.
@@ -22,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import RETRY_AFTER_CAP_S, OverloadPolicy, RetryPolicy
-from repro.core.overload import RequestClass
+from repro.core.overload import AdmissionController, RequestClass
 from repro.service import (
     KINDS_BY_CLASS,
     LEGAL_TRANSITIONS,
@@ -33,14 +35,18 @@ from repro.service import (
     LifecycleLedger,
     LoadGenerator,
     LoadSpec,
+    ManualClock,
     RequestKind,
     RequestState,
     ResponseStatus,
     SenseAidService,
     ServiceClosedError,
     ServiceConfig,
+    ServiceResponse,
+    ServiceStats,
     build_schedule,
     build_world,
+    make_request,
     percentile,
     trace_signature,
 )
@@ -53,7 +59,7 @@ OPEN_ADMISSION = OverloadPolicy(queue_capacity=10_000, service_rate_per_s=100_00
 
 def echo_handler(request):
     """Pure function of the request — identical results at any
-    consumer count."""
+    number of run slots."""
     return {"kind": request.kind.value, "index": request.payload.get("index")}
 
 
@@ -482,24 +488,24 @@ class TestServiceLoop:
         run(scenario())
 
     def test_queue_full_sheds_with_sized_hint_and_shutdown_resolves_all(self):
-        """Fill the one-deep physical queue behind a slow request, then
+        """Fill the one-deep wait list behind a slow request, then
         verify the overflow shed hint and that drain=False shutdown
-        resolves every outstanding future (ledger stays total)."""
+        resolves every outstanding request (ledger stays total)."""
 
         async def scenario():
             config = ServiceConfig(
                 queue_capacity=1,
                 consumers=1,
                 concurrency_slots=1,
-                service_time_s=5.0,  # consumer parks here; never finishes
+                service_time_s=5.0,  # `first` parks here; never finishes
                 overload=OPEN_ADMISSION,
             )
             service = SenseAidService(echo_handler, config)
             await service.start()
             first = asyncio.ensure_future(service.submit(RequestKind.QUERY_DATA))
-            await asyncio.sleep(0.05)  # consumer picked `first`, queue empty
+            await asyncio.sleep(0.05)  # `first` holds the only slot
             second = asyncio.ensure_future(service.submit(RequestKind.QUERY_DATA))
-            await asyncio.sleep(0.05)  # `second` occupies the only queue slot
+            await asyncio.sleep(0.05)  # `second` takes the only wait place
             overflow = await service.submit(RequestKind.QUERY_DATA)
             assert overflow.shed
             expected_hint = (
@@ -550,6 +556,418 @@ class TestServiceLoop:
             ServiceConfig(concurrency_slots=0)
         with pytest.raises(ValueError):
             ServiceConfig(service_time_s=-1.0)
+
+
+# ----------------------------------------------------------------------
+# Run slots and the wait list
+# ----------------------------------------------------------------------
+
+QUERY = RequestKind.QUERY_DATA
+
+
+def _states(service, request_id):
+    return [state for state, _ in service.ledger.records[request_id].history]
+
+
+def run_bounded(coro):
+    """Run a wait-path scenario for at most 10 s.
+
+    The scenarios stop their service only once they succeeded: a slot
+    that is never handed on would make ``stop`` wait forever, and the
+    test must fail, not hang.
+    """
+    return run(asyncio.wait_for(coro, timeout=10.0))
+
+
+class TestRunSlots:
+    def test_free_slot_request_finishes_on_its_first_step(self):
+        """With a slot free and no service time, ``submit`` runs to its
+        response without suspending: no future, no task, no queue hop."""
+
+        async def scenario():
+            config = ServiceConfig(overload=OPEN_ADMISSION)
+            async with SenseAidService(echo_handler, config) as service:
+                loop = asyncio.get_running_loop()
+                futures = []
+                create_future = loop.create_future
+                loop.create_future = lambda: futures.append(1) or create_future()
+                tasks = asyncio.all_tasks()
+                coro = service.submit(QUERY, {"index": 5})
+                try:
+                    coro.send(None)
+                except StopIteration as finished:
+                    response = finished.value
+                else:
+                    pytest.fail("submit suspended although a slot was free")
+                finally:
+                    coro.close()
+                    del loop.create_future
+                assert futures == []
+                assert asyncio.all_tasks() == tasks
+            assert response.ok and response.result["index"] == 5
+            assert response.queue_delay_s == 0.0
+            assert _states(service, response.request_id) == [
+                RequestState.QUEUED,
+                RequestState.ADMITTED,
+                RequestState.RUNNING,
+                RequestState.DONE,
+            ]
+
+        run(scenario())
+
+    def test_fifo_hand_off_lets_no_newcomer_overtake(self):
+        """A finishing request hands its slot to the oldest waiter, also
+        when its handler raised, so a request submitted during the
+        hand-off queues behind every waiter."""
+        order: List[int] = []
+        late = []
+
+        async def scenario():
+            config = ServiceConfig(
+                consumers=1, service_time_s=0.005, queue_capacity=8, overload=OPEN_ADMISSION
+            )
+
+            def handler(request):
+                index = request.payload["index"]
+                order.append(index)
+                if index == 0:
+                    late.append(asyncio.ensure_future(service.submit(QUERY, {"index": 3})))
+                    raise ValueError("boom")
+                return index
+
+            service = SenseAidService(handler, config)
+            await service.start()
+            responses = await asyncio.gather(
+                *(service.submit(QUERY, {"index": i}) for i in range(3))
+            )
+            responses.append(await late[0])
+            await service.stop()
+            return service, responses
+
+        service, responses = run_bounded(scenario())
+        assert order == [0, 1, 2, 3]
+        assert [r.status for r in responses] == [
+            ResponseStatus.FAILED,
+            ResponseStatus.OK,
+            ResponseStatus.OK,
+            ResponseStatus.OK,
+        ]
+        assert [r.result for r in responses[1:]] == [1, 2, 3]
+        assert all(r.queue_delay_s > 0.0 for r in responses[1:])
+        assert service.ledger.open_requests == 0
+        service.ledger.assert_accounted()
+
+    @pytest.mark.parametrize("consumers,slots", [(1, 8), (8, 2)])
+    def test_at_most_the_smaller_cap_runs_at_once(self, consumers, slots):
+        running: List[int] = []
+
+        async def scenario():
+            config = ServiceConfig(
+                consumers=consumers,
+                concurrency_slots=slots,
+                queue_capacity=16,
+                service_time_s=0.005,
+                overload=OPEN_ADMISSION,
+            )
+
+            def handler(request):
+                records = service.ledger.records
+                running.append(sum(records[rid].state is RequestState.RUNNING for rid in records))
+
+            service = SenseAidService(handler, config)
+            await service.start()
+            responses = await asyncio.gather(
+                *(service.submit(QUERY, {"index": i}) for i in range(12))
+            )
+            await service.stop()
+            assert all(r.ok for r in responses)
+
+        run_bounded(scenario())
+        assert len(running) == 12
+        assert max(running) == min(consumers, slots)
+
+    @pytest.mark.parametrize("when", ["running", "waiting", "handed"])
+    def test_cancelled_caller_is_failed_and_its_slot_passes_on(self, when):
+        """``running``: cancelled inside its service-time wait;
+        ``waiting``: cancelled in the FIFO, before its turn; ``handed``:
+        cancelled after the slot was handed over, before it resumed."""
+        victim = 0 if when == "running" else 1
+        tasks = []
+
+        async def scenario():
+            config = ServiceConfig(consumers=1, service_time_s=0.005, overload=OPEN_ADMISSION)
+
+            def handler(request):
+                if when == "handed" and request.payload["index"] == 0:
+                    asyncio.get_running_loop().call_soon(tasks[1].cancel)
+                return request.payload["index"]
+
+            service = SenseAidService(handler, config)
+            await service.start()
+            tasks.extend(
+                asyncio.ensure_future(service.submit(QUERY, {"index": i})) for i in range(3)
+            )
+            await asyncio.sleep(0)  # 0 runs, 1 and 2 wait
+            if when != "handed":
+                tasks[victim].cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await tasks[victim]
+            survivors = [t for i, t in enumerate(tasks) if i != victim]
+            responses = await asyncio.gather(*survivors)
+            await service.stop()
+            return service, responses
+
+        service, responses = run_bounded(scenario())
+        assert all(r.ok for r in responses)
+        history = _states(service, f"r{victim:08d}")
+        assert history[-1] is RequestState.FAILED
+        assert (RequestState.RUNNING in history) == (when == "running")
+        assert service.stats.failed == 1 and service.stats.ok == 2
+        assert service.ledger.open_requests == 0
+        service.ledger.assert_accounted()
+
+    def test_abort_fails_the_waiters_and_cuts_every_service_wait(self):
+        """``stop(drain=False)`` returns with every request recorded:
+        the running ones ``cancelled``, the waiting ones ``shutdown``."""
+
+        async def scenario():
+            config = ServiceConfig(
+                consumers=2, concurrency_slots=2, service_time_s=5.0, overload=OPEN_ADMISSION
+            )
+            service = SenseAidService(echo_handler, config)
+            await service.start()
+            pending = [asyncio.ensure_future(service.submit(QUERY, {"index": i})) for i in range(5)]
+            await asyncio.sleep(0)  # two run, three wait
+            await service.stop(drain=False)
+            assert service.ledger.open_requests == 0
+            return service, await asyncio.gather(*pending)
+
+        service, responses = run_bounded(scenario())
+        assert all(r.status is ResponseStatus.FAILED for r in responses)
+        assert [r.error for r in responses] == ["cancelled"] * 2 + ["shutdown"] * 3
+        assert service.stats.failed == 5
+        service.ledger.assert_accounted()
+
+    def test_drain_waits_for_the_waiting_requests(self):
+        async def scenario():
+            config = ServiceConfig(
+                consumers=2, concurrency_slots=2, service_time_s=0.005, overload=OPEN_ADMISSION
+            )
+            service = SenseAidService(echo_handler, config)
+            await service.start()
+            pending = [asyncio.ensure_future(service.submit(QUERY, {"index": i})) for i in range(6)]
+            await asyncio.sleep(0)  # two run, four wait
+            records = service.ledger.records
+            assert [records[rid].state for rid in records].count(RequestState.ADMITTED) == 4
+            await service.stop(drain=True)
+            assert all(task.done() for task in pending)
+            responses = [task.result() for task in pending]
+            assert [r.result["index"] for r in responses] == list(range(6))
+            assert all(r.ok for r in responses)
+            assert service.ledger.done == 6
+            assert service.ledger.open_requests == 0
+
+        run_bounded(scenario())
+
+
+# ----------------------------------------------------------------------
+# The queue front the run slots replaced, as the reference
+# ----------------------------------------------------------------------
+
+
+class _QueueFront:
+    """The service front as a bounded ``asyncio.Queue`` drained by
+    consumer tasks under a semaphore, each request resolving a future
+    (with no service time): the reference the run-slot front must match
+    on sequential submits."""
+
+    scorecard = SenseAidService.scorecard
+
+    def __init__(self, handler, config: ServiceConfig, *, clock) -> None:
+        self._handler = handler
+        self.config = config
+        self.clock = clock
+        self.admission = AdmissionController(clock, config.overload)
+        self.ledger = LifecycleLedger()
+        self.stats = ServiceStats()
+        self._queue = None
+        self._slots = None
+        self._consumers = []
+        self._next_id = 0
+        self._running = False
+
+    async def __aenter__(self):
+        self._queue = asyncio.Queue(maxsize=self.config.queue_capacity)
+        self._slots = asyncio.Semaphore(self.config.concurrency_slots)
+        loop = asyncio.get_running_loop()
+        self._consumers = [loop.create_task(self._consume()) for _ in range(self.config.consumers)]
+        self._running = True
+        return self
+
+    async def __aexit__(self, *exc_info) -> None:
+        self._running = False
+        await self._queue.join()
+        for task in self._consumers:
+            task.cancel()
+        for task in self._consumers:
+            try:
+                await task
+            except asyncio.CancelledError:
+                pass
+
+    async def submit(self, kind, payload=None):
+        if not self._running:
+            raise ServiceClosedError("service is not running")
+        request = make_request(self._next_id, kind, payload)
+        self._next_id += 1
+        now = self.clock.now
+        self.stats.submitted += 1
+        self.stats.note_kind(request.kind)
+        self.ledger.create(request.request_id, now)
+        decision = self.admission.admit(request.request_class)
+        if not decision.admitted:
+            self.stats.shed_admission += 1
+            return self._shed(request, now, decision.retry_after_s)
+        future = asyncio.get_running_loop().create_future()
+        item = [request, future, now, 0.0]
+        try:
+            self._queue.put_nowait(item)
+        except asyncio.QueueFull:
+            self.stats.shed_queue_full += 1
+            overload = self.config.overload
+            hint = overload.retry_after_base_s + (
+                self.config.queue_capacity / overload.service_rate_per_s
+            )
+            return self._shed(request, now, hint)
+        item[3] = self.clock.now
+        self.ledger.advance(request.request_id, RequestState.ADMITTED, item[3])
+        return await future
+
+    def _shed(self, request, created_at, retry_after_s):
+        now = self.clock.now
+        self.ledger.advance(request.request_id, RequestState.SHED, now)
+        return ServiceResponse(
+            request_id=request.request_id,
+            kind=request.kind,
+            status=ResponseStatus.SHED,
+            error="overloaded",
+            retry_after_s=retry_after_s,
+            latency_s=now - created_at,
+        )
+
+    async def _consume(self) -> None:
+        while True:
+            item = await self._queue.get()
+            try:
+                async with self._slots:
+                    self._execute(*item)
+            finally:
+                self._queue.task_done()
+
+    def _execute(self, request, future, created_at, admitted_at) -> None:
+        started = self.clock.now
+        self.ledger.advance(request.request_id, RequestState.RUNNING, started)
+        fields = {"queue_delay_s": started - admitted_at}
+        try:
+            fields["result"] = self._handler(request)
+        except Exception as exc:  # noqa: BLE001
+            state, status = RequestState.FAILED, ResponseStatus.FAILED
+            fields["error"] = f"{type(exc).__name__}: {exc}"
+            self.stats.failed += 1
+        else:
+            state, status = RequestState.DONE, ResponseStatus.OK
+            self.stats.ok += 1
+        now = self.clock.now
+        self.ledger.advance(request.request_id, state, now)
+        future.set_result(
+            ServiceResponse(
+                request_id=request.request_id,
+                kind=request.kind,
+                status=status,
+                latency_s=now - created_at,
+                **fields,
+            )
+        )
+
+
+def boom_handler(request):
+    """Fails the requests whose payload asks for it."""
+    if request.payload.get("boom"):
+        raise ValueError(f"boom {request.payload['index']}")
+    return {"kind": request.kind.value, "index": request.payload["index"]}
+
+
+def run_front(front, config: ServiceConfig, steps: List[Tuple]) -> Dict[str, object]:
+    """Advance a manual clock and submit, one request at a time."""
+
+    async def scenario():
+        clock = ManualClock()
+        service = front(boom_handler, config, clock=clock)
+        responses = []
+        async with service:
+            for index, (kind, boom, dt) in enumerate(steps):
+                clock.advance(dt)
+                responses.append(await service.submit(kind, {"index": index, "boom": boom}))
+        ledger = service.ledger
+        return {
+            "responses": responses,
+            "ledger": ledger.as_dict(),
+            "terminal_counts": ledger.terminal_counts,
+            "histories": [ledger.records[rid].history for rid in ledger.records],
+            "stats": service.stats,
+            "admission": service.admission.stats,
+            "scorecard": service.scorecard(),
+        }
+
+    return run(scenario())
+
+
+front_configs = st.builds(
+    ServiceConfig,
+    queue_capacity=st.integers(1, 4),
+    consumers=st.integers(1, 8),
+    concurrency_slots=st.integers(1, 8),
+    overload=st.builds(
+        OverloadPolicy,
+        queue_capacity=st.integers(1, 8),
+        service_rate_per_s=st.sampled_from([0.5, 2.0, 20.0]),
+        retry_after_base_s=st.sampled_from([0.0, 2.0]),
+        breaker_threshold=st.integers(1, 5),
+    ),
+)
+front_steps = st.lists(
+    st.tuples(
+        st.sampled_from(list(RequestKind)),
+        st.booleans(),
+        st.sampled_from([0.0, 0.0, 0.1, 1.0, 31.0]),
+    ),
+    max_size=30,
+)
+
+
+class TestRunSlotsEqualTheQueueFront:
+    @settings(max_examples=60, deadline=None)
+    @given(config=front_configs, steps=front_steps)
+    def test_sequential_submits_match(self, config, steps):
+        assert run_front(SenseAidService, config, steps) == run_front(_QueueFront, config, steps)
+
+    def test_pinned_example_covers_every_outcome(self):
+        """Two queries pass, the next two are shed and open the breaker,
+        which refuses the fifth; a registration still gets in and fails."""
+        config = ServiceConfig(
+            consumers=2,
+            overload=OverloadPolicy(queue_capacity=4, service_rate_per_s=2.0, breaker_threshold=2),
+        )
+        steps = [(QUERY, False, 0.0)] * 5 + [(RequestKind.CREATE_TASK, True, 0.0)]
+        observed = run_front(SenseAidService, config, steps)
+        assert observed == run_front(_QueueFront, config, steps)
+        statuses = [r.status for r in observed["responses"]]
+        assert statuses == [ResponseStatus.OK] * 2 + [ResponseStatus.SHED] * 3 + [
+            ResponseStatus.FAILED
+        ]
+        admission = observed["admission"]
+        assert admission.breaker_opens == 1 and admission.breaker_rejects == 1
+        assert observed["stats"].shed_admission == 3
 
 
 # ----------------------------------------------------------------------

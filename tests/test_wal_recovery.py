@@ -312,6 +312,38 @@ class TestRestartRecovery:
         assert ack is not None and ack.accepted and ack.reason == "duplicate"
         assert server.stats.data_points == before
 
+    def test_upload_into_a_crash_stays_in_flight_until_the_restart(self, tmp_path):
+        """A ``crashed`` verdict is no ack: the upload stays in flight,
+        and the retry after the restart is accepted exactly once."""
+        sim = Simulator(seed=23)
+        server, _, _, clients = wal_setup(sim, tmp_path / "wal")
+        verdicts = []
+        receive = server.receive_sensed_data
+
+        def spy(message, receipt):
+            ack = receive(message, receipt)
+            verdicts.append((message.payload["upload_id"], ack.reason))
+            return ack
+
+        server.receive_sensed_data = spy
+        server.submit_task(make_spec(spatial_density=2), lambda p: None)
+        # Round 0 ends at 600 s; the clients force-flush it 60 s (the
+        # deadline grace) earlier, into the crash.
+        sim.run(until=540.0)
+        server.crash()
+        sim.run(until=555.0)
+        crashed = sorted(uid for uid, reason in verdicts if reason == "crashed")
+        assert [uid.split(":", 1)[0] for uid in crashed] == ["d0", "d1"]
+        for client, upload_id in zip(clients, crashed):
+            assert list(client._inflight) == [upload_id.split(":", 1)[1]]
+        server.restart()
+        sim.run(until=1500.0)
+        for client, upload_id in zip(clients, crashed):
+            accepted = [uid for uid, reason in verdicts if reason == "accepted"]
+            assert accepted.count(upload_id) == 1
+            assert client._accepted_acks[upload_id] == 1
+            assert upload_id in client.acked_uploads
+
     def test_midrun_compaction_preserves_recovery(self, tmp_path):
         sim = Simulator(seed=31)
         server, _, _, _ = wal_setup(sim, tmp_path / "wal")
