@@ -16,14 +16,15 @@ comparisons.
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 
 import pytest
 
 from repro.bench.compare import ARTIFACT_SCHEMA_VERSION
-from repro.core.persistence import atomic_write_json
 from repro.experiments.common import ScenarioConfig
+from repro.storage import atomic_write
 
 ARTIFACT_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "artifacts")
 
@@ -68,21 +69,18 @@ def write_artifact(name: str, payload: dict) -> str:
     """Persist a benchmark scorecard as ``benchmarks/artifacts/<name>.json``.
 
     The payload is wrapped in a stamped envelope (artifact schema
-    version + git SHA) and written crash-safely (temp file + atomic
-    replace) so a scorecard on disk is always complete.  Returns the
-    path.
+    version + git SHA) and written with :func:`repro.storage.atomic_write`
+    so a scorecard on disk is always complete.  Returns the path.
     """
     os.makedirs(ARTIFACT_DIR, exist_ok=True)
     path = os.path.join(ARTIFACT_DIR, f"{name}.json")
-    atomic_write_json(
-        path,
-        {
-            "name": name,
-            "schema_version": ARTIFACT_SCHEMA_VERSION,
-            "git_sha": _git_sha(),
-            "metrics": payload,
-        },
-    )
+    envelope = {
+        "name": name,
+        "schema_version": ARTIFACT_SCHEMA_VERSION,
+        "git_sha": _git_sha(),
+        "metrics": payload,
+    }
+    atomic_write(path, json.dumps(envelope, indent=2).encode("utf-8"))
     _written_this_session.append(name)
     return path
 

@@ -8,6 +8,11 @@ makes :class:`~repro.core.server.SenseAidServer` durable:
   log (``wal.jsonl``) plus an atomically-replaced checkpoint file
   (``checkpoint.json``).  ``compact()`` snapshots the full durable
   state and truncates the log, bounding replay time.
+- :func:`checkpoint_server` — the checkpoint format: device records,
+  each task with the absolute window its remainder resumes in, the
+  aggregate :class:`~repro.core.server.ServerStats`, the burned
+  idempotency keys and the pending per-request assignment bookkeeping,
+  as one JSON-compatible dict.
 - :class:`DurableLog` — the server-facing recorder: one ``record_*``
   method per state-mutating control-plane event (register, deregister,
   task submit/update/delete, selection, upload accept + key burn), and
@@ -22,33 +27,134 @@ makes :class:`~repro.core.server.SenseAidServer` durable:
 
 The server never imports this module; it calls the duck-typed ``wal``
 object handed to its constructor, so the dependency points one way
-(wal → persistence → server).
+(wal → server).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import zlib
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.core.persistence import (
-    SUPPORTED_VERSIONS,
-    atomic_write_json,
-    checkpoint_server,
-    record_from_dict,
-    record_to_dict,
-    restore_pending,
-    resume_task_spec,
-    stats_from_dict,
-    task_to_dict,
+from repro.core.datastores import record_from_dict, record_to_dict, task_to_dict
+from repro.core.server import (
+    SenseAidServer,
+    SensedDataPoint,
+    ServerStats,
+    _RequestTracking,
 )
-from repro.core.server import SenseAidServer, SensedDataPoint, _RequestTracking
 from repro.core.tasks import SensingRequest, TaskSpec
+from repro.devices.sensors import SensorType
+from repro.environment.geometry import Point
+from repro.storage import atomic_write
 
 DataCallback = Callable[[SensedDataPoint], None]
 
+#: Version of the :func:`checkpoint_server` format.  Version 1
+#: snapshots (devices + task remainders only) still load, with the
+#: newer fields defaulting to empty.
+FORMAT_VERSION = 2
+SUPPORTED_VERSIONS = (1, 2)
+
 CRC_FIELD = "crc32"
+#: Checkpoint field holding the highest log ``seq`` the snapshot covers.
+SEQ_FIELD = "last_seq"
+
+
+# ----------------------------------------------------------------------
+# The checkpoint format
+# ----------------------------------------------------------------------
+
+
+def stats_from_dict(data: dict) -> ServerStats:
+    known = {f.name for f in dataclasses.fields(ServerStats)}
+    return ServerStats(**{k: v for k, v in data.items() if k in known})
+
+
+def pending_to_dict(tracking: _RequestTracking) -> dict:
+    """One in-flight request's assignment bookkeeping, serialised."""
+    request = tracking.request
+    return {
+        "request_id": request.request_id,
+        "task_id": request.task.task_id,
+        "sequence": request.sequence,
+        "issue_time": request.issue_time,
+        "deadline": request.deadline,
+        "assigned": sorted(tracking.assigned),
+        "received": sorted(tracking.received),
+        "satisfied": tracking.satisfied,
+    }
+
+
+def checkpoint_server(server: SenseAidServer) -> dict:
+    """Snapshot the server's durable state as a JSON-compatible dict.
+
+    Tasks are stored with an absolute end time *and* their effective
+    start so a restore at a later point can re-submit exactly the
+    unexpired remainder, numbered like the original requests.
+    """
+    now = server._sim.now
+    tasks = []
+    for task in server.tasks.all_tasks():
+        entry = task_to_dict(task)
+        duration = task.duration_s()
+        start = server._task_starts.get(
+            task.task_id, task.start_time if task.start_time is not None else now
+        )
+        entry["absolute_end"] = (
+            task.end_time
+            if task.end_time is not None
+            else (start + duration if duration is not None else now)
+        )
+        entry["effective_start"] = start
+        tasks.append(entry)
+    pending = [
+        pending_to_dict(tracking)
+        for _, tracking in sorted(server._tracking.items())
+    ]
+    return {
+        "version": FORMAT_VERSION,
+        "taken_at": now,
+        "epoch": server.epoch,
+        "devices": [record_to_dict(r) for r in server.devices.records()],
+        "tasks": tasks,
+        "stats": dataclasses.asdict(server.stats),
+        "seen_upload_ids": sorted(server._seen_upload_ids),
+        "pending": pending,
+    }
+
+
+def resume_task_spec(entry: dict) -> Optional[TaskSpec]:
+    """The original-identity spec a checkpointed task resumes as.
+
+    One-shot tasks (no sampling period) do not resume.  Periodic tasks
+    come back with their original ``task_id`` and an explicit
+    start/end window anchored at the *original* effective start, so
+    ``expand_requests(..., resume=True)`` regenerates exactly the
+    not-yet-issued requests with their original sequence numbers,
+    issue times, and deadlines.
+    """
+    if entry["sampling_period_s"] is None:
+        return None
+    return TaskSpec(
+        task_id=entry["task_id"],
+        sensor_type=SensorType[entry["sensor_type"]],
+        center=Point(entry["center"][0], entry["center"][1]),
+        area_radius_m=entry["area_radius_m"],
+        spatial_density=entry["spatial_density"],
+        sampling_period_s=entry["sampling_period_s"],
+        start_time=entry.get("effective_start", entry.get("start_time")),
+        end_time=entry["absolute_end"],
+        device_type=entry["device_type"],
+        origin=entry["origin"],
+    )
+
+
+# ----------------------------------------------------------------------
+# The write-ahead log
+# ----------------------------------------------------------------------
 
 
 class CheckpointCorruptError(ValueError):
@@ -68,11 +174,12 @@ def checkpoint_crc(snapshot: dict) -> int:
 class WriteAheadLog:
     """Append-only JSON-lines log with an atomic checkpoint.
 
-    Entries are sequence-numbered; the log holds only events *after*
-    the checkpoint, because :meth:`compact` installs a new snapshot and
-    truncates the log in that order — a crash between the two steps
-    merely leaves entries that replay as no-ops against the newer
-    snapshot's state.
+    Entries are sequence-numbered, and :meth:`compact` stamps each
+    checkpoint with the highest ``seq`` it covers before it truncates
+    the log.  Recovery replays only entries above the stamp, so a crash
+    between installing the checkpoint and truncating the log replays
+    nothing twice — ``assign`` and ``upload_accept`` are not
+    idempotent.  A checkpoint without a stamp replays the whole log.
 
     Checkpoints carry a CRC32 footer over their canonical JSON body.
     :meth:`compact` keeps the superseded checkpoint and the log entries
@@ -97,10 +204,21 @@ class WriteAheadLog:
             directory, self.PREV_CHECKPOINT_NAME
         )
         self.fallbacks = 0
-        self._seq = 0
-        for path in (self.prev_log_path, self.log_path):
-            for entry in self._entries_at(path):
-                self._seq = max(self._seq, entry.get("seq", 0))
+        # Number new entries above everything on disk, the checkpoint
+        # stamps included: two compactions in a row leave both logs
+        # empty, and an entry numbered at or below a stamp would be
+        # skipped on replay.
+        self._seq = max(
+            [
+                self._stamp_at(path)
+                for path in (self.prev_checkpoint_path, self.checkpoint_path)
+            ]
+            + [
+                entry.get("seq", 0)
+                for path in (self.prev_log_path, self.log_path)
+                for entry in self._entries_at(path)
+            ]
+        )
 
     def append(self, kind: str, **fields) -> dict:
         """Durably append one event; returns the stored entry."""
@@ -163,6 +281,16 @@ class WriteAheadLog:
             )
         return snapshot
 
+    @classmethod
+    def _stamp_at(cls, path: str) -> int:
+        """The ``seq`` stamp of the checkpoint at ``path``; 0 if it is
+        missing, unstamped or unreadable (the other files bound it)."""
+        try:
+            snapshot = cls._load_checkpoint_at(path)
+        except ValueError:
+            return 0
+        return snapshot.get(SEQ_FIELD, 0) if snapshot else 0
+
     def recovery_base(self) -> Tuple[Optional[dict], List[dict], bool]:
         """The (checkpoint, entries, degraded) triple recovery starts from.
 
@@ -173,9 +301,11 @@ class WriteAheadLog:
         ``wal.prev.jsonl`` + ``wal.jsonl``, so the rebuilt state is
         identical, just reached the slow way.  ``degraded`` reports
         that the fallback was taken (also counted in ``fallbacks``).
+        Either way, entries at or below the checkpoint's ``seq`` stamp
+        are dropped: the snapshot already holds their effect.
         """
         try:
-            return self.load_checkpoint(), self.entries(), False
+            snapshot, entries, degraded = self.load_checkpoint(), self.entries(), False
         except CheckpointCorruptError:
             self.fallbacks += 1
             try:
@@ -183,7 +313,9 @@ class WriteAheadLog:
             except CheckpointCorruptError:
                 snapshot = None
             entries = self._entries_at(self.prev_log_path) + self.entries()
-            return snapshot, entries, True
+            degraded = True
+        covered = snapshot.get(SEQ_FIELD, 0) if snapshot else 0
+        return snapshot, [e for e in entries if e["seq"] > covered], degraded
 
     def compact(self, snapshot: dict) -> None:
         """Install ``snapshot`` as the recovery base and truncate the log.
@@ -191,13 +323,17 @@ class WriteAheadLog:
         Order of operations preserves a valid recovery base at every
         crash point: first the superseded checkpoint and the log
         entries it subsumes are retained as ``*.prev`` files, then the
-        new checkpoint (stamped with its CRC footer) replaces
-        atomically, and only then is the log truncated.
+        new checkpoint (stamped with the last ``seq`` it covers and its
+        CRC footer) replaces atomically, and only then is the log
+        truncated.
         """
         snapshot = dict(snapshot)
+        snapshot[SEQ_FIELD] = self._seq
         snapshot[CRC_FIELD] = checkpoint_crc(snapshot)
         self._retain_previous()
-        atomic_write_json(self.checkpoint_path, snapshot)
+        atomic_write(
+            self.checkpoint_path, json.dumps(snapshot, indent=2).encode("utf-8")
+        )
         with open(self.log_path, "w", encoding="utf-8") as f:
             f.flush()
             os.fsync(f.fileno())
@@ -214,13 +350,58 @@ class WriteAheadLog:
                 os.remove(dst)
             return
         with open(src, "rb") as f:
-            payload = f.read()
-        tmp = dst + ".tmp"
-        with open(tmp, "wb") as f:
-            f.write(payload)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, dst)
+            atomic_write(dst, f.read())
+
+
+# ----------------------------------------------------------------------
+# Recovery steps shared by checkpoint restore and log replay
+# ----------------------------------------------------------------------
+
+
+def _register_missing(server: SenseAidServer, data: dict) -> None:
+    """Register a recorded device unless the server already knows it."""
+    record = record_from_dict(data)
+    if record.device_id not in server.devices:
+        server.devices.register(record)
+
+
+def _resume_remainder(
+    server: SenseAidServer, entry: dict, callback: Optional[DataCallback]
+) -> None:
+    """Re-submit a recorded task's unexpired remainder under its original
+    identity; expired, one-shot, already-resumed and callback-less
+    tasks stay down."""
+    now = server._sim.now
+    if entry.get("absolute_end", now) <= now:
+        return
+    remainder = resume_task_spec(entry)
+    if remainder is None or remainder.task_id in server.tasks or callback is None:
+        return
+    server.submit_task(remainder, callback, resume=True)
+
+
+def _live_tracking(
+    server: SenseAidServer, entry: dict
+) -> Optional[_RequestTracking]:
+    """The tracking of a recorded request, rebuilt if missing.
+
+    Only a request whose task is open and whose deadline is still ahead
+    comes back; ``None`` means the request is history.
+    """
+    task_id = entry["task_id"]
+    if task_id not in server.tasks or entry["deadline"] <= server._sim.now:
+        return None
+    tracking = server._tracking.get(entry["request_id"])
+    if tracking is None:
+        request = SensingRequest(
+            task=server.tasks.get(task_id),
+            sequence=entry["sequence"],
+            issue_time=entry["issue_time"],
+            deadline=entry["deadline"],
+        )
+        tracking = _RequestTracking(request=request)
+        server._tracking[request.request_id] = tracking
+    return tracking
 
 
 class DurableLog:
@@ -402,27 +583,22 @@ class DurableLog:
         overrides: Dict[str, DataCallback],
         fallback: Dict[str, DataCallback],
     ) -> None:
-        now = server._sim.now
         for data in snapshot["devices"]:
-            record = record_from_dict(data)
-            if record.device_id not in server.devices:
-                server.devices.register(record)
+            _register_missing(server, data)
         if "stats" in snapshot:
             server.stats = stats_from_dict(snapshot["stats"])
         server._seen_upload_ids.update(snapshot.get("seen_upload_ids", ()))
         for entry in snapshot["tasks"]:
-            if entry.get("absolute_end", now) <= now:
-                continue
-            remainder = resume_task_spec(entry)
-            if remainder is None or remainder.task_id in server.tasks:
-                continue
             callback = self._resolve_callback(
-                server, remainder.task_id, entry["origin"], overrides, fallback
+                server, entry["task_id"], entry["origin"], overrides, fallback
             )
-            if callback is None:
-                continue
-            server.submit_task(remainder, callback, resume=True)
-        restore_pending(server, snapshot.get("pending", ()))
+            _resume_remainder(server, entry, callback)
+        for entry in snapshot.get("pending", ()):
+            tracking = _live_tracking(server, entry)
+            if tracking is not None:
+                tracking.assigned.update(entry["assigned"])
+                tracking.received.update(entry["received"])
+                tracking.satisfied = entry["satisfied"]
 
     def _replay_entry(
         self,
@@ -432,34 +608,29 @@ class DurableLog:
         fallback: Dict[str, DataCallback],
     ) -> None:
         kind = entry["kind"]
-        now = server._sim.now
         if kind == "register":
-            record = record_from_dict(entry["record"])
-            if record.device_id not in server.devices:
-                server.devices.register(record)
+            _register_missing(server, entry["record"])
         elif kind == "deregister":
             if entry["device_id"] in server.devices:
                 server.devices.deregister(entry["device_id"])
         elif kind in ("task_submitted", "task_updated"):
             task_dict = entry["task"]
             task_id = task_dict["task_id"]
+            # Resolved before the delete, which drops the task's callback.
             callback = self._resolve_callback(
                 server, task_id, task_dict["origin"], overrides, fallback
             )
             if task_id in server.tasks:
                 server.delete_task(task_id)
-            if entry["absolute_end"] <= now:
-                return
-            remainder = resume_task_spec(
+            _resume_remainder(
+                server,
                 {
                     **task_dict,
                     "effective_start": entry["effective_start"],
                     "absolute_end": entry["absolute_end"],
-                }
+                },
+                callback,
             )
-            if remainder is None or callback is None:
-                return
-            server.submit_task(remainder, callback, resume=True)
         elif kind == "task_deleted":
             if entry["task_id"] in server.tasks:
                 server.delete_task(entry["task_id"])
@@ -468,18 +639,8 @@ class DurableLog:
             if device_id in server.devices:
                 # Fairness counters are durable: re-count the selection.
                 server.devices.record(device_id).times_selected += 1
-            task_id = entry["task_id"]
-            if task_id in server.tasks and entry["deadline"] > now:
-                tracking = server._tracking.get(entry["request_id"])
-                if tracking is None:
-                    request = SensingRequest(
-                        task=server.tasks.get(task_id),
-                        sequence=entry["sequence"],
-                        issue_time=entry["issue_time"],
-                        deadline=entry["deadline"],
-                    )
-                    tracking = _RequestTracking(request=request)
-                    server._tracking[request.request_id] = tracking
+            tracking = _live_tracking(server, entry)
+            if tracking is not None:
                 tracking.assigned.add(device_id)
         elif kind == "upload_accept":
             server._seen_upload_ids.add(entry["upload_id"])
@@ -729,6 +890,7 @@ __all__ = [
     "WriteAheadLog",
     "DurableLog",
     "checkpoint_crc",
+    "checkpoint_server",
     "durable_state",
     "RecoveryViolation",
     "check_recovery_invariants",

@@ -8,7 +8,7 @@ truncated entry that later poisons a run.  Any unreadable, mismatched,
 or cross-schema entry is treated as a miss and discarded.
 
 Large payloads do not live in the entry file: anything whose pickle
-exceeds ``spill_threshold`` bytes spills to a content-addressed object
+reaches :data:`SPILL_THRESHOLD` bytes spills to a content-addressed object
 store under ``objects/`` (named by the SHA-256 of the bytes, written
 atomically) and the entry keeps only the digest reference.  Identical
 artifacts produced by different sweep points therefore share one file,
@@ -21,31 +21,27 @@ from __future__ import annotations
 import hashlib
 import os
 import pickle
-import tempfile
 from typing import Any, Optional, Tuple
+
+from repro.storage import atomic_write
 
 #: Bump to invalidate every existing cache entry (pickle layout or
 #: keying scheme changes).  v2: large payloads moved out of the entry
 #: into the digest-addressed object store.
 CACHE_SCHEMA_VERSION = 2
 
-#: Payload pickles at or above this many bytes spill to the object
-#: store by default (small entries stay self-contained for speed).
-DEFAULT_SPILL_THRESHOLD = 262_144
+#: Payload pickles at or above this many bytes (256 KiB) spill to the
+#: object store (small entries stay self-contained for speed).
+SPILL_THRESHOLD = 262_144
 
 
 class ResultCache:
     """Directory of content-addressed pickled point results."""
 
-    def __init__(
-        self, root: str, *, spill_threshold: int = DEFAULT_SPILL_THRESHOLD
-    ) -> None:
-        if spill_threshold < 1:
-            raise ValueError("spill_threshold must be positive")
+    def __init__(self, root: str) -> None:
         self.root = os.path.abspath(root)
         self.objects_dir = os.path.join(self.root, "objects")
         os.makedirs(self.root, exist_ok=True)
-        self.spill_threshold = spill_threshold
         self.hits = 0
         self.misses = 0
         self.spills = 0
@@ -98,43 +94,20 @@ class ResultCache:
             "key": key,
             "fn": fn,
         }
-        if len(blob) >= self.spill_threshold:
+        if len(blob) >= SPILL_THRESHOLD:
             digest = hashlib.sha256(blob).hexdigest()
-            self._store_object(digest, blob)
+            object_path = self.object_path(digest)
+            os.makedirs(self.objects_dir, exist_ok=True)
+            # Content addressing makes the write idempotent: an existing
+            # object already holds exactly these bytes.
+            if not os.path.exists(object_path):
+                atomic_write(object_path, blob)
             entry["payload_ref"] = {"digest": digest, "size": len(blob)}
             self.spills += 1
         else:
             entry["payload"] = value
         path = self.path_for(key)
-        fd, tmp_path = tempfile.mkstemp(dir=self.root, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                pickle.dump(entry, f, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_path, path)
-        except BaseException:
-            self._discard(tmp_path)
-            raise
-        return path
-
-    def _store_object(self, digest: str, blob: bytes) -> str:
-        """Write a payload blob to the object store, atomically.
-
-        Content addressing makes the write idempotent: if the object
-        already exists it is left untouched (its content is, by
-        construction, the same bytes).
-        """
-        os.makedirs(self.objects_dir, exist_ok=True)
-        path = self.object_path(digest)
-        if os.path.exists(path):
-            return path
-        fd, tmp_path = tempfile.mkstemp(dir=self.objects_dir, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(blob)
-            os.replace(tmp_path, path)
-        except BaseException:
-            self._discard(tmp_path)
-            raise
+        atomic_write(path, pickle.dumps(entry, protocol=pickle.HIGHEST_PROTOCOL))
         return path
 
     def _load_object(self, ref: Any) -> Optional[Any]:

@@ -29,6 +29,10 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.runner.cache import CACHE_SCHEMA_VERSION, ResultCache
 from repro.runner.hashing import config_hash, derive_seed
 
+#: How many times a point whose *worker process died* is retried alone
+#: in a fresh pool before it is marked failed.
+MAX_CRASH_RETRIES = 1
+
 
 @dataclass
 class TaskOutcome:
@@ -94,31 +98,13 @@ class ExperimentEngine:
     cache_dir:
         If set, point results are cached content-addressed under this
         directory and already-computed points are skipped.
-    max_crash_retries:
-        How many times a point whose *worker process died* is retried
-        in a fresh pool before being marked failed.
     """
 
-    def __init__(
-        self,
-        workers: int = 1,
-        cache_dir: Optional[str] = None,
-        cache: Optional[ResultCache] = None,
-        max_crash_retries: int = 1,
-        spill_threshold: Optional[int] = None,
-    ) -> None:
+    def __init__(self, workers: int = 1, cache_dir: Optional[str] = None) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers!r}")
-        if max_crash_retries < 0:
-            raise ValueError("max_crash_retries must be >= 0")
         self.workers = workers
-        if cache is None and cache_dir is not None:
-            if spill_threshold is not None:
-                cache = ResultCache(cache_dir, spill_threshold=spill_threshold)
-            else:
-                cache = ResultCache(cache_dir)
-        self.cache = cache
-        self.max_crash_retries = max_crash_retries
+        self.cache = ResultCache(cache_dir) if cache_dir is not None else None
         self.stats = EngineStats()
 
     # -- keying ---------------------------------------------------------
@@ -250,7 +236,7 @@ class ExperimentEngine:
             if not self._run_batch(fn, [task], outcomes, solo=True):
                 continue
             task.attempts += 1
-            if task.attempts <= self.max_crash_retries:
+            if task.attempts <= MAX_CRASH_RETRIES:
                 crashed.insert(0, task)
             else:
                 outcome = outcomes[task.index]

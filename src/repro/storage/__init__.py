@@ -4,6 +4,7 @@ See :mod:`repro.storage.base` for the contract, ``docs/storage.md``
 for the architecture, and ``REPRO_DATASTORE`` for selection.
 """
 
+from repro.storage.atomic import atomic_write
 from repro.storage.base import (
     CHECKPOINT_SCHEMA_VERSION,
     ConformanceError,
@@ -30,6 +31,7 @@ __all__ = [
     "MemoryBackend",
     "SqliteBackend",
     "StorageBackend",
+    "atomic_write",
     "check_backend_conformance",
     "default_spec",
     "resolve_backend",

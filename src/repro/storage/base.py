@@ -20,11 +20,12 @@ Two shapes of state, two sets of operations:
   readings.
 
 Checkpoints snapshot the document namespaces plus per-log watermarks
-(entry counts) into one JSON-compatible dict — the exact serialization
-story :mod:`repro.core.persistence` already proves — and ``restore``
-rolls the backend back to it (documents replaced, logs truncated to
-the watermark).  Both backends share the format, so a checkpoint taken
-on one backend restores onto the other.
+(entry counts) into one JSON-compatible dict, and ``restore`` rolls
+the backend back to it (documents replaced, logs truncated to the
+watermark).  Both backends share the format, so a checkpoint taken on
+one backend restores onto the other.  The server's crash recovery
+does not use them: :mod:`repro.core.wal` keeps its own log and
+checkpoint files.
 
 Conformance: :func:`check_backend_conformance` drives any backend
 factory through the full contract; the test suite runs it over every

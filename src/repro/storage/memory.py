@@ -3,44 +3,29 @@
 Documents live in plain dicts, logs in plain lists; nothing is
 serialized on the hot path, so a server on this backend performs
 exactly like the seed did.  Checkpoints deep-copy state through the
-shared JSON-compatible snapshot format; with a ``directory`` the
-snapshot is also written crash-safely to disk (temp file + atomic
-rename), so a fresh process can :meth:`~MemoryBackend.restore` what an
-earlier one checkpointed — the same discipline the sqlite backend gets
-for free from its file.
+shared JSON-compatible snapshot format and live only as long as the
+backend does.
 """
 
 from __future__ import annotations
 
 import copy
-import json
-import os
-import tempfile
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.storage.base import (
-    CHECKPOINT_SCHEMA_VERSION,
-    Doc,
-    StorageBackend,
-    snapshot_dict,
-)
+from repro.storage.base import Doc, StorageBackend, snapshot_dict
 
 
 class MemoryBackend(StorageBackend):
-    """Dict/list-backed backend; optionally spills checkpoints to disk."""
+    """Dict/list-backed backend."""
 
     name = "memory"
 
-    def __init__(self, directory: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self._docs: Dict[str, Dict[str, Doc]] = {}
         #: ns -> (next sequence number, rows); rows are (seq, tag, doc).
         self._logs: Dict[str, Tuple[int, List[Tuple[int, Optional[str], Doc]]]] = {}
         self._checkpoints: Dict[str, Doc] = {}
         self._checkpoint_order: List[str] = []
-        self.directory = directory
-        if directory is not None:
-            os.makedirs(directory, exist_ok=True)
-            self._load_spilled_checkpoints()
 
     # -- documents ------------------------------------------------------
 
@@ -106,8 +91,6 @@ class MemoryBackend(StorageBackend):
         if tag not in self._checkpoints:
             self._checkpoint_order.append(tag)
         self._checkpoints[tag] = snap
-        if self.directory is not None:
-            self._spill_checkpoint(tag, snap)
         return snap
 
     def restore(self, tag: str) -> bool:
@@ -133,40 +116,3 @@ class MemoryBackend(StorageBackend):
 
     def namespaces(self) -> Dict[str, List[str]]:
         return {"docs": sorted(self._docs), "logs": sorted(self._logs)}
-
-    # -- disk spill -----------------------------------------------------
-
-    def _checkpoint_path(self, tag: str) -> str:
-        safe = "".join(c if c.isalnum() or c in "._-" else "_" for c in tag)
-        return os.path.join(self.directory, f"checkpoint-{safe}.json")
-
-    def _spill_checkpoint(self, tag: str, snap: Doc) -> None:
-        path = self._checkpoint_path(tag)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as f:
-                json.dump(snap, f, sort_keys=True)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
-
-    def _load_spilled_checkpoints(self) -> None:
-        for name in sorted(os.listdir(self.directory)):
-            if not (name.startswith("checkpoint-") and name.endswith(".json")):
-                continue
-            path = os.path.join(self.directory, name)
-            try:
-                with open(path, "r", encoding="utf-8") as f:
-                    snap = json.load(f)
-            except (OSError, json.JSONDecodeError):
-                continue  # truncated spill from a crashed writer: ignore
-            if snap.get("schema") != CHECKPOINT_SCHEMA_VERSION:
-                continue
-            tag = snap.get("tag")
-            if isinstance(tag, str) and tag not in self._checkpoints:
-                self._checkpoints[tag] = snap
-                self._checkpoint_order.append(tag)

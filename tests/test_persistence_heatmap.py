@@ -12,21 +12,21 @@ from repro.analysis.heatmap import (
     idw_interpolate,
     render_heatmap,
 )
-from repro.core.persistence import (
-    checkpoint_server,
-    load_checkpoint,
+from repro.cellular.enodeb import ENodeB, TowerRegistry
+from repro.core.datastores import (
     record_from_dict,
     record_to_dict,
-    restore_server,
-    save_checkpoint,
     task_from_dict,
     task_to_dict,
 )
+from repro.core.server import SenseAidServer
+from repro.core.wal import DurableLog, checkpoint_server
 from repro.devices.sensors import SensorType
 from repro.environment.geometry import Point
 from repro.sim.engine import Simulator
 from tests.test_core_datastores_queues import make_record
-from tests.test_core_server import make_setup, make_spec
+from tests.test_core_server import CENTER, make_setup, make_spec
+from tests.test_wal_recovery import wal_setup
 
 
 class TestCodecs:
@@ -70,28 +70,14 @@ class TestCheckpoint:
         assert snapshot["taken_at"] == 100.0
         json.dumps(snapshot)  # fully serialisable
 
-    def test_save_and_load(self, tmp_path):
-        sim = Simulator()
-        server, _, _, _ = make_setup(sim, n_devices=2)
-        path = str(tmp_path / "checkpoint.json")
-        save_checkpoint(server, path)
-        snapshot = load_checkpoint(path)
-        assert len(snapshot["devices"]) == 2
-
-    def test_load_rejects_unknown_version(self, tmp_path):
-        path = str(tmp_path / "bad.json")
-        with open(path, "w") as f:
-            json.dump({"version": 99}, f)
-        with pytest.raises(ValueError):
-            load_checkpoint(path)
-
-    def test_restore_into_fresh_server(self):
+    def test_restore_into_fresh_server(self, tmp_path):
         # Original server: 2 devices, a 1-hour campaign; checkpoint at
-        # t=700, then rebuild a brand-new server from the snapshot.
+        # t=700, then a brand-new server over the same WAL takes over,
+        # its delivery callback mapped from the task's origin.
         sim = Simulator()
-        server, network, devices, clients = make_setup(sim, n_devices=2)
+        server, network, _, _ = wal_setup(sim, tmp_path / "wal")
         data = []
-        server.submit_task(
+        task_id = server.submit_task(
             make_spec(
                 spatial_density=1,
                 sampling_period_s=600.0,
@@ -100,44 +86,37 @@ class TestCheckpoint:
             data.append,
         )
         sim.run(until=700.0)
-        snapshot = checkpoint_server(server)
+        server._wal.checkpoint(server)
         server.shutdown()
-
-        from repro.cellular.enodeb import ENodeB, TowerRegistry
-        from repro.core.server import SenseAidServer
-        from tests.test_core_server import CENTER
 
         fresh = SenseAidServer(
             sim,
             TowerRegistry([ENodeB("t0", CENTER, coverage_radius_m=5000.0)]),
             network,
+            wal=DurableLog(str(tmp_path / "wal")),
         )
-        resumed = restore_server(
-            fresh, snapshot, data_callbacks={"cas": data.append}
-        )
-        assert resumed == 1
-        restored = fresh.devices.record("d0")
-        assert restored.imei_hash == devices[0].imei_hash
-        assert restored.times_selected == server.devices.record("d0").times_selected
+        fresh.restart(data_callbacks={"cas": data.append})
+        assert task_id in fresh.tasks
+        for device_id in ("d0", "d1"):
+            restored = fresh.devices.record(device_id)
+            original = server.devices.record(device_id)
+            assert restored.imei_hash == original.imei_hash
+            assert restored.times_selected == original.times_selected
+        fresh.shutdown()
 
-    def test_restore_skips_expired_tasks(self):
-        sim = Simulator()
-        server, network, _, _ = make_setup(sim, n_devices=1)
-        server.submit_task(
+    def test_restore_skips_expired_tasks(self, tmp_path):
+        sim = Simulator(seed=5)
+        server, _, _, _ = wal_setup(sim, tmp_path / "wal", n_devices=1)
+        task_id = server.submit_task(
             make_spec(spatial_density=1, sampling_duration_s=600.0), lambda p: None
         )
-        snapshot = checkpoint_server(server)
+        server._wal.checkpoint(server)
         sim.run(until=1000.0)  # past the task's end
-        from repro.cellular.enodeb import ENodeB, TowerRegistry
-        from repro.core.server import SenseAidServer
-        from tests.test_core_server import CENTER
-
-        fresh = SenseAidServer(
-            sim,
-            TowerRegistry([ENodeB("t1", CENTER, coverage_radius_m=5000.0)]),
-            network,
-        )
-        assert restore_server(fresh, snapshot, {"cas": lambda p: None}) == 0
+        assert task_id in server.tasks  # an expired task lingers while live
+        server.crash()
+        server.restart()
+        assert task_id not in server.tasks
+        assert "d0" in server.devices
 
 
 class TestHeatmap:

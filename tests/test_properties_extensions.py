@@ -146,7 +146,7 @@ def test_truth_discovery_invariants(claims):
 def test_device_record_round_trip(energy, selected, battery, last_comm, responsive):
     import json
 
-    from repro.core.persistence import record_from_dict, record_to_dict
+    from repro.core.datastores import record_from_dict, record_to_dict
     from tests.test_core_datastores_queues import make_record
 
     record = make_record(

@@ -19,6 +19,10 @@ from repro.runner import (
     config_hash,
     derive_seed,
 )
+from repro.runner.cache import SPILL_THRESHOLD
+
+#: A payload whose pickle reaches the spill threshold.
+BIG = bytes(SPILL_THRESHOLD)
 
 
 # -- module-level point functions (worker processes pickle these) ------
@@ -147,8 +151,8 @@ class TestResultCache:
 
 class TestResultCacheSpill:
     def test_large_payload_spills_to_object_store(self, tmp_path):
-        cache = ResultCache(str(tmp_path), spill_threshold=1024)
-        big = {"blob": list(range(5000))}
+        cache = ResultCache(str(tmp_path))
+        big = {"blob": BIG}
         cache.put("big", big)
         assert cache.spills == 1
         assert os.path.isdir(cache.objects_dir)
@@ -159,25 +163,24 @@ class TestResultCacheSpill:
         assert hit and value == big
 
     def test_small_payload_stays_inline(self, tmp_path):
-        cache = ResultCache(str(tmp_path), spill_threshold=1024)
+        cache = ResultCache(str(tmp_path))
         cache.put("small", {"x": 1})
         assert cache.spills == 0
         assert not os.path.isdir(cache.objects_dir)
 
     def test_identical_artifacts_are_shared(self, tmp_path):
-        cache = ResultCache(str(tmp_path), spill_threshold=64)
-        payload = list(range(1000))
-        cache.put("a", payload)
-        cache.put("b", payload)
+        cache = ResultCache(str(tmp_path))
+        cache.put("a", BIG)
+        cache.put("b", BIG)
         assert len(os.listdir(cache.objects_dir)) == 1  # content-addressed
-        assert cache.get("a") == (True, payload)
-        assert cache.get("b") == (True, payload)
+        assert cache.get("a") == (True, BIG)
+        assert cache.get("b") == (True, BIG)
 
     def test_truncated_artifact_is_a_miss_not_a_hit(self, tmp_path):
         """A crash mid-artifact-write (or later corruption) must never
         come back as a cache hit — the digest check catches it."""
-        cache = ResultCache(str(tmp_path), spill_threshold=64)
-        cache.put("victim", list(range(1000)))
+        cache = ResultCache(str(tmp_path))
+        cache.put("victim", BIG)
         (name,) = os.listdir(cache.objects_dir)
         path = os.path.join(cache.objects_dir, name)
         with open(path, "rb") as f:
@@ -191,28 +194,18 @@ class TestResultCacheSpill:
         assert not os.path.exists(cache.path_for("victim"))
 
     def test_missing_artifact_is_a_miss(self, tmp_path):
-        cache = ResultCache(str(tmp_path), spill_threshold=64)
-        cache.put("victim", list(range(1000)))
+        cache = ResultCache(str(tmp_path))
+        cache.put("victim", BIG)
         (name,) = os.listdir(cache.objects_dir)
         os.unlink(os.path.join(cache.objects_dir, name))
         hit, _ = cache.get("victim")
         assert not hit
 
     def test_clear_removes_spilled_objects(self, tmp_path):
-        cache = ResultCache(str(tmp_path), spill_threshold=64)
-        cache.put("a", list(range(1000)))
+        cache = ResultCache(str(tmp_path))
+        cache.put("a", BIG)
         assert cache.clear() == 1
         assert os.listdir(cache.objects_dir) == []
-
-    def test_invalid_threshold_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            ResultCache(str(tmp_path), spill_threshold=0)
-
-    def test_engine_spill_threshold_passthrough(self, tmp_path):
-        engine = ExperimentEngine(
-            cache_dir=str(tmp_path), spill_threshold=128
-        )
-        assert engine.cache.spill_threshold == 128
 
 
 class TestEngineSerial:
@@ -295,7 +288,7 @@ class TestEngineParallel:
         # One point hard-kills its worker (os._exit): the pool is
         # rebuilt, the poisoned point fails after its retry budget, and
         # every other point still completes.
-        engine = ExperimentEngine(workers=2, max_crash_retries=1)
+        engine = ExperimentEngine(workers=2)
         outcomes = engine.map(_die_on, [{"x": x, "bad": 2} for x in range(5)])
         by_index = {o.index: o for o in outcomes}
         assert not by_index[2].ok

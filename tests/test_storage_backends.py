@@ -5,8 +5,6 @@ idempotency across checkpoint/restore, selector iteration order)."""
 
 from __future__ import annotations
 
-import os
-
 import pytest
 
 from repro.cellular.enodeb import ENodeB, TowerRegistry
@@ -47,7 +45,7 @@ def _sqlite_factory(tmp_path, counter=[0]):
     return SqliteBackend(str(tmp_path / f"conf-{counter[0]}.sqlite3"))
 
 
-BACKEND_PARAMS = ["memory", "memory+dir", "sqlite"]
+BACKEND_PARAMS = ["memory", "sqlite"]
 
 
 @pytest.fixture(params=BACKEND_PARAMS)
@@ -55,8 +53,6 @@ def backend_factory(request, tmp_path):
     """A zero-arg factory producing fresh, independent backends."""
     if request.param == "memory":
         return _memory_factory
-    if request.param == "memory+dir":
-        return lambda: MemoryBackend(directory=str(tmp_path / "spill"))
     return lambda: _sqlite_factory(tmp_path)
 
 
@@ -64,8 +60,6 @@ def backend_factory(request, tmp_path):
 def backend(request, tmp_path):
     if request.param == "memory":
         return MemoryBackend()
-    if request.param == "memory+dir":
-        return MemoryBackend(directory=str(tmp_path / "spill"))
     return SqliteBackend(str(tmp_path / "store.sqlite3"))
 
 
@@ -318,27 +312,3 @@ class TestServerOnBackends:
         assert server.stats.duplicate_uploads == before + 1
         assert server.stats.data_points == points_before
         assert len(data) == 1  # no re-delivery to the application
-
-
-class TestMemoryCheckpointSpill:
-    def test_spilled_checkpoint_survives_process_swap(self, tmp_path):
-        spill = str(tmp_path / "spill")
-        first = MemoryBackend(directory=spill)
-        first.put_doc("devices", "d0", {"battery": 80})
-        first.append_log("readings", {"v": 1})
-        first.checkpoint("epoch-1")
-        # A brand-new backend (fresh process) picks the snapshot up.
-        second = MemoryBackend(directory=spill)
-        assert second.checkpoint_tags() == ["epoch-1"]
-        assert second.restore("epoch-1")
-        assert second.get_doc("devices", "d0") == {"battery": 80}
-
-    def test_truncated_spill_is_ignored(self, tmp_path):
-        spill = str(tmp_path / "spill")
-        backend = MemoryBackend(directory=spill)
-        backend.checkpoint("good")
-        path = os.path.join(spill, "checkpoint-bad.json")
-        with open(path, "w", encoding="utf-8") as f:
-            f.write('{"schema": 1, "tag": "bad", "docs"')  # torn write
-        reloaded = MemoryBackend(directory=spill)
-        assert reloaded.checkpoint_tags() == ["good"]

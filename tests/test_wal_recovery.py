@@ -13,13 +13,6 @@ from repro.cellular.network import CellularNetwork, DeliveryReceipt
 from repro.cellular.packets import Message, MessageKind
 from repro.clientlib.client import SenseAidClient
 from repro.core.config import RetryPolicy, SenseAidConfig, ServerMode
-from repro.core.persistence import (
-    atomic_write_json,
-    checkpoint_server,
-    load_checkpoint,
-    save_checkpoint,
-    stats_from_dict,
-)
 from repro.core.server import SenseAidServer
 from repro.core.wal import (
     CheckpointCorruptError,
@@ -28,10 +21,13 @@ from repro.core.wal import (
     WriteAheadLog,
     check_recovery_invariants,
     checkpoint_crc,
+    checkpoint_server,
     durable_state,
+    stats_from_dict,
 )
 from repro.faults import FaultInjector, FaultPlan
 from repro.sim.engine import Simulator
+from repro.storage import atomic_write
 from tests.conftest import make_device
 from tests.test_core_server import CENTER, make_spec
 
@@ -43,6 +39,11 @@ RETRY = RetryPolicy(
     jitter_fraction=0.0,
     tail_wait_max_s=30.0,
 )
+
+
+def write_json(path, payload):
+    with open(path, "w", encoding="utf-8") as f:
+        json.dump(payload, f)
 
 
 def wal_setup(sim, wal_dir, n_devices=2, *, retry=RETRY, config=None, plan=None):
@@ -110,10 +111,24 @@ class TestWriteAheadLog:
         wal.compact({"version": 2, "marker": 7})
         assert wal.entries() == []
         assert wal.load_checkpoint()["marker"] == 7
+        assert wal.load_checkpoint()["last_seq"] == 1  # the seq it covers
+
+    def test_reopen_after_two_compactions_numbers_above_the_stamp(self, tmp_path):
+        wal = WriteAheadLog(str(tmp_path))
+        wal.append("register", device_id="d0")
+        wal.compact({"version": 2, "marker": 1})
+        wal.compact({"version": 2, "marker": 2})
+        # Both logs are empty now: only the checkpoints remember seq 1.
+        reopened = WriteAheadLog(str(tmp_path))
+        assert reopened.append("register", device_id="d1")["seq"] == 2
+        snapshot, entries, degraded = reopened.recovery_base()
+        assert snapshot["marker"] == 2
+        assert [e["device_id"] for e in entries] == ["d1"]
+        assert not degraded
 
     def test_unsupported_checkpoint_version_rejected(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path))
-        atomic_write_json(wal.checkpoint_path, {"version": 99})
+        write_json(wal.checkpoint_path, {"version": 99})
         with pytest.raises(ValueError, match="version"):
             wal.load_checkpoint()
 
@@ -127,43 +142,42 @@ class TestAtomicCheckpointWrites:
     def test_save_checkpoint_round_trips(self, tmp_path):
         sim = Simulator(seed=5)
         server, _, _, _ = wal_setup(sim, tmp_path / "wal")
-        path = str(tmp_path / "ckpt.json")
-        save_checkpoint(server, path)
-        snapshot = load_checkpoint(path)
+        server._wal.checkpoint(server)
+        wal = server._wal.wal
+        snapshot = wal.load_checkpoint()
         assert snapshot["version"] == 2
+        assert snapshot["last_seq"] == wal._seq
         assert {d["device_id"] for d in snapshot["devices"]} == {"d0", "d1"}
-        assert not [
-            name for name in os.listdir(str(tmp_path)) if name.endswith(".tmp")
-        ]
+        assert not [name for name in os.listdir(wal.directory) if name.endswith(".tmp")]
 
-    def test_failed_write_leaves_previous_file_intact(self, tmp_path):
+    def test_failed_write_leaves_previous_file_intact(self, tmp_path, monkeypatch):
         path = str(tmp_path / "ckpt.json")
-        atomic_write_json(path, {"version": 2, "generation": 1})
-        with pytest.raises(TypeError):
-            atomic_write_json(path, {"version": 2, "bad": {1, 2}})
-        assert load_checkpoint(path)["generation"] == 1
-        assert not [
-            name for name in os.listdir(str(tmp_path)) if name.endswith(".tmp")
-        ]
+        atomic_write(path, b"generation 1")
+
+        def replace_fails(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", replace_fails)
+        with pytest.raises(OSError, match="disk full"):
+            atomic_write(path, b"generation 2")
+        with open(path, "rb") as f:
+            assert f.read() == b"generation 1"
+        assert os.listdir(str(tmp_path)) == ["ckpt.json"]
 
 
 class TestCheckpointV2:
-    """Satellite: checkpoints carry stats, burned keys, and pending
-    assignment bookkeeping, and they round-trip."""
-
-    def _run_scenario(self, tmp_path, seed=11):
-        sim = Simulator(seed=seed)
-        server, network, _, clients = wal_setup(sim, tmp_path / "wal")
-        collected = []
-        server.submit_task(
-            make_spec(spatial_density=2, sampling_duration_s=1800.0),
-            collected.append,
-        )
-        sim.run(until=650.0)
-        return sim, server, network, collected
+    """Checkpoints carry stats, burned keys, and pending assignment
+    bookkeeping; ``test_midrun_compaction_preserves_recovery`` shows
+    they round-trip through a restart."""
 
     def test_checkpoint_carries_durable_accounting(self, tmp_path):
-        _, server, _, _ = self._run_scenario(tmp_path)
+        sim = Simulator(seed=11)
+        server, _, _, _ = wal_setup(sim, tmp_path / "wal")
+        server.submit_task(
+            make_spec(spatial_density=2, sampling_duration_s=1800.0),
+            lambda p: None,
+        )
+        sim.run(until=650.0)
         assert server.stats.data_points > 0
         snapshot = checkpoint_server(server)
         assert snapshot["version"] == 2
@@ -176,46 +190,6 @@ class TestCheckpointV2:
             assert by_id[request_id]["assigned"] == sorted(tracking.assigned)
             assert by_id[request_id]["received"] == sorted(tracking.received)
             assert by_id[request_id]["satisfied"] == tracking.satisfied
-
-    def test_restore_server_round_trips_new_fields(self, tmp_path):
-        from repro.core.persistence import restore_server
-
-        sim, server, network, collected = self._run_scenario(tmp_path)
-        path = str(tmp_path / "ckpt.json")
-        save_checkpoint(server, path)
-
-        registry = TowerRegistry([ENodeB("t1", CENTER, coverage_radius_m=5000.0)])
-        fresh = SenseAidServer(
-            sim,
-            registry,
-            network,
-            SenseAidConfig(mode=ServerMode.COMPLETE, deadline_grace_s=60.0),
-        )
-        resumed = restore_server(
-            fresh, load_checkpoint(path), {"cas": lambda p: None}
-        )
-        assert resumed == 1
-        assert fresh.epoch == server.epoch
-        assert fresh.stats.data_points == server.stats.data_points
-        assert fresh.stats.requests_satisfied == server.stats.requests_satisfied
-        assert fresh._seen_upload_ids == server._seen_upload_ids
-        assert set(fresh.devices.device_ids()) == set(server.devices.device_ids())
-        for device_id in server.devices.device_ids():
-            assert (
-                fresh.devices.record(device_id).times_selected
-                == server.devices.record(device_id).times_selected
-            )
-        # Pending bookkeeping with a live deadline came back too.
-        live = {
-            rid
-            for rid, t in server._tracking.items()
-            if t.request.deadline > sim.now
-        }
-        assert live and live <= set(fresh._tracking)
-        for rid in live:
-            assert fresh._tracking[rid].assigned == server._tracking[rid].assigned
-            assert fresh._tracking[rid].received == server._tracking[rid].received
-        fresh.shutdown()
 
 
 def _sensor_data_message(payload):
@@ -363,6 +337,31 @@ class TestRestartRecovery:
         server.restart()
         assert check_recovery_invariants(pre, durable_state(server)) == []
 
+    def test_interrupted_compaction_replays_nothing_twice(self, tmp_path):
+        """A crash after compaction installs its checkpoint but before it
+        truncates the log must not replay the covered entries on top of
+        the snapshot: ``assign`` and ``upload_accept`` are not
+        idempotent."""
+        sim = Simulator(seed=31)
+        server, _, _, _ = wal_setup(sim, tmp_path / "wal")
+        server.submit_task(
+            make_spec(spatial_density=2, sampling_duration_s=1800.0),
+            lambda p: None,
+        )
+        sim.run(until=650.0)
+        wal = server._wal.wal
+        with open(wal.log_path, "rb") as f:
+            covered = f.read()
+        server._wal.checkpoint(server)
+        with open(wal.log_path, "wb") as f:
+            f.write(covered)  # the truncation never happened
+        server.crash()
+        sim.run(until=700.0)
+        pre = durable_state(server)
+        assert pre["accepted_uploads"] > 0
+        server.restart()
+        assert check_recovery_invariants(pre, durable_state(server)) == []
+
     def test_repeated_crash_restart_cycles(self, tmp_path):
         sim = Simulator(seed=47)
         server, _, _, clients = wal_setup(sim, tmp_path / "wal")
@@ -507,7 +506,7 @@ class TestCheckpointCorruption:
 
     def test_legacy_checkpoint_without_crc_accepted(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path))
-        atomic_write_json(wal.checkpoint_path, {"version": 2, "marker": 5})
+        write_json(wal.checkpoint_path, {"version": 2, "marker": 5})
         assert wal.load_checkpoint()["marker"] == 5
 
     def test_recovery_base_clean_path(self, tmp_path):
