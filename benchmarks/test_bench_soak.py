@@ -15,13 +15,11 @@ The scorecard (``BENCH_soak.json``) gates on:
    to at most 25% of the original fault plan;
 3. the shrunken reproducer round-trips through JSON and still fails.
 
-Throughput (``episodes_per_s``) is machine-dependent and skipped by
-the regression gate; the structural metrics are exact.
+The structural metrics are exact; the scorecard records no wall-clock
+time.
 """
 
 from __future__ import annotations
-
-import time
 
 from benchmarks.conftest import run_once, write_artifact
 from repro.soak import (
@@ -55,9 +53,7 @@ def run_clean_soak(wal_root: str) -> dict:
         horizon_s=HORIZON_S,
         check_replay=True,
     )
-    started = time.perf_counter()
     report = harness.run(EPISODES)
-    wall_s = time.perf_counter() - started
     doc = report.as_dict()
     return {
         "episodes": report.episodes,
@@ -65,8 +61,6 @@ def run_clean_soak(wal_root: str) -> dict:
         "mean_plan_events": doc["mean_plan_events"],
         "replay_checked": sum(1 for r in report.results if r.replay_checked),
         "failures": len(report.failures),
-        "wall_s": round(wall_s, 3),
-        "episodes_per_s": round(report.episodes / wall_s, 3) if wall_s else 0.0,
     }
 
 

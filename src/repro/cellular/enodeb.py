@@ -17,11 +17,11 @@ Scale-out design (see ``docs/performance.md``): the registry keeps a
 device positions, so ``devices_within`` is a bucket lookup bounded by
 local occupancy instead of an O(fleet) scan, and position refreshes
 are incremental — devices whose mobility model reports them mid-pause
-(``position_valid_until``) are skipped outright.  Per-tower member
-sets are maintained on every attachment change, giving the server
-tower-granularity candidate batches for free.  All of it is exact:
-indexed queries return bit-identical results to the brute-force scan
-(``devices_within_scan``), which stays available for verification.
+(``position_valid_until``) are skipped outright, and only devices
+re-read since their last attachment decision are re-attached.  All of
+it is exact: indexed queries return bit-identical results to the
+brute-force scan (``devices_within_scan``), which stays available for
+verification.
 """
 
 from __future__ import annotations
@@ -88,8 +88,6 @@ class TowerRegistry:
         *,
         cell_size_m: float = 500.0,
         use_spatial_index: bool = True,
-        clock: Optional[object] = None,
-        perf: Optional[PerfRegistry] = None,
     ) -> None:
         if not towers:
             raise ValueError("at least one tower is required")
@@ -99,15 +97,14 @@ class TowerRegistry:
         self._towers: Dict[str, ENodeB] = {t.tower_id: t for t in towers}
         self._devices: Dict[str, object] = {}
         self._attachment: Dict[str, str] = {}
-        self._tower_members: Dict[str, Set[str]] = {t.tower_id: set() for t in towers}
         self.use_spatial_index = use_spatial_index
         self._grid = UniformGridIndex(cell_size_m)
         #: Until when each device's observed position is provably fresh.
         self._position_expiry: Dict[str, float] = {}
         #: Devices re-read since their attachment was last recomputed.
         self._attach_dirty: Set[str] = set()
-        self._clock = clock  # anything with a ``now`` attribute
-        self._perf = perf if perf is not None else PerfRegistry()
+        self._clock: Optional[object] = None  # set by ``bind``
+        self._perf = PerfRegistry()
         #: Membership/topology change counter (cache key for callers).
         self._version = 0
         #: Bumped by tower fail/restore — forces a full re-attachment.
@@ -122,17 +119,16 @@ class TowerRegistry:
     # ------------------------------------------------------------------
 
     def bind(self, sim: object) -> None:
-        """Adopt a simulator's clock (and perf registry, if it has one).
+        """Adopt a simulator's clock and perf registry.
 
-        Idempotent; the server calls this at construction so every
-        registry in a run shares the simulation clock for per-instant
-        refresh memoisation.  Explicit constructor arguments win.
+        The only way to give a registry a clock: ``SenseAidServer``
+        calls it at construction, so every registry in a run memoises
+        refreshes per simulation instant and counts its work in
+        ``sim.perf``.  An unbound registry re-reads positions on every
+        refresh and counts in a registry of its own.  Idempotent.
         """
-        if self._clock is None:
-            self._clock = sim
-        perf = getattr(sim, "perf", None)
-        if perf is not None:
-            self._perf = perf
+        self._clock = sim
+        self._perf = sim.perf
 
     @property
     def perf(self) -> PerfRegistry:
@@ -253,7 +249,7 @@ class TowerRegistry:
         self._devices[device_id] = device
         position = self._observe_position(device_id, device, self._now())
         tower = self.nearest_tower(position)
-        self._set_attachment(device_id, tower.tower_id)
+        self._attachment[device_id] = tower.tower_id
         self._attach_dirty.discard(device_id)
         self._version += 1
         return tower
@@ -261,9 +257,7 @@ class TowerRegistry:
     def detach_device(self, device_id: str) -> None:
         if self._devices.pop(device_id, None) is None:
             return
-        old_tower = self._attachment.pop(device_id, None)
-        if old_tower is not None:
-            self._tower_members[old_tower].discard(device_id)
+        self._attachment.pop(device_id, None)
         self._grid.remove(device_id)
         self._position_expiry.pop(device_id, None)
         self._attach_dirty.discard(device_id)
@@ -281,16 +275,6 @@ class TowerRegistry:
     def __contains__(self, device_id: object) -> bool:
         """Whether a device is attached — O(1), unlike ``device_ids()``."""
         return device_id in self._devices
-
-    def devices_on_tower(self, tower_id: str) -> List[str]:
-        """Device ids currently attached to a tower, sorted.
-
-        Maintained incrementally on every attachment change — the
-        tower-granularity candidate set Azari-style grouped scheduling
-        batches on, with no scan to build it.
-        """
-        self.tower(tower_id)  # raise on unknown id
-        return sorted(self._tower_members[tower_id])
 
     # ------------------------------------------------------------------
     # Position observation (spatial index maintenance)
@@ -323,17 +307,16 @@ class TowerRegistry:
         if now is not None and self._positions_time == now:
             self._perf.count("registry.refresh_positions.memo_hit")
             return
-        with self._perf.measure("registry.refresh_positions") as m:
-            reread = 0
-            for device_id, device in self._devices.items():
-                if now is not None and self._position_expiry.get(
-                    device_id, float("-inf")
-                ) > now:
-                    continue
-                reread += 1
-                self._observe_position(device_id, device, now)
-                self._attach_dirty.add(device_id)
-            m.items = reread
+        reread = 0
+        for device_id, device in self._devices.items():
+            if now is not None and self._position_expiry.get(
+                device_id, float("-inf")
+            ) > now:
+                continue
+            reread += 1
+            self._observe_position(device_id, device, now)
+            self._attach_dirty.add(device_id)
+        self._perf.count("registry.refresh_positions", reread)
         self._positions_time = now
 
     def refresh_attachments(self) -> None:
@@ -344,26 +327,16 @@ class TowerRegistry:
         against its grid cell's candidate towers only.
         """
         self.refresh_positions()
-        with self._perf.measure("registry.refresh_attachments") as m:
-            if self._attachments_topology != self._topology_version:
-                dirty = list(self._devices)
-                self._attachments_topology = self._topology_version
-            else:
-                dirty = [d for d in self._attach_dirty if d in self._devices]
-            position, nearest = self._grid.position, self.nearest_tower
-            for device_id in dirty:
-                self._set_attachment(device_id, nearest(position(device_id)).tower_id)
-            self._attach_dirty.clear()
-            m.items = len(dirty)
-
-    def _set_attachment(self, device_id: str, tower_id: str) -> None:
-        old = self._attachment.get(device_id)
-        if old == tower_id:
-            return
-        if old is not None:
-            self._tower_members[old].discard(device_id)
-        self._attachment[device_id] = tower_id
-        self._tower_members[tower_id].add(device_id)
+        if self._attachments_topology != self._topology_version:
+            dirty = list(self._devices)
+            self._attachments_topology = self._topology_version
+        else:
+            dirty = [d for d in self._attach_dirty if d in self._devices]
+        position, nearest = self._grid.position, self.nearest_tower
+        for device_id in dirty:
+            self._attachment[device_id] = nearest(position(device_id)).tower_id
+        self._attach_dirty.clear()
+        self._perf.count("registry.refresh_attachments", len(dirty))
 
     def serving_tower(self, device_id: str) -> ENodeB:
         self._require(device_id)
@@ -393,16 +366,15 @@ class TowerRegistry:
         if not self.use_spatial_index:
             return self.devices_within_scan(center, radius_m)
         self.refresh_positions()
-        with self._perf.measure("registry.devices_within") as m:
-            touched = 0
-            results = []
-            for device_id in self._grid.candidates_in_circle(center, radius_m):
-                touched += 1
-                distance = self._grid.position(device_id).distance_to(center)
-                if distance <= radius_m:
-                    results.append((distance, device_id))
-            results.sort()
-            m.items = touched
+        touched = 0
+        results = []
+        for device_id in self._grid.candidates_in_circle(center, radius_m):
+            touched += 1
+            distance = self._grid.position(device_id).distance_to(center)
+            if distance <= radius_m:
+                results.append((distance, device_id))
+        results.sort()
+        self._perf.count("registry.devices_within", touched)
         return [device_id for _, device_id in results]
 
     def devices_within_scan(self, center: Point, radius_m: float) -> List[str]:
@@ -414,14 +386,13 @@ class TowerRegistry:
         """
         if radius_m < 0:
             raise ValueError(f"radius must be non-negative, got {radius_m!r}")
-        with self._perf.measure("registry.devices_within_scan") as m:
-            results = []
-            for device_id, device in self._devices.items():
-                distance = device.position().distance_to(center)
-                if distance <= radius_m:
-                    results.append((distance, device_id))
-            results.sort()
-            m.items = len(self._devices)
+        results = []
+        for device_id, device in self._devices.items():
+            distance = device.position().distance_to(center)
+            if distance <= radius_m:
+                results.append((distance, device_id))
+        results.sort()
+        self._perf.count("registry.devices_within_scan", len(self._devices))
         return [device_id for _, device_id in results]
 
     def candidate_count_within(self, center: Point, radius_m: float) -> int:

@@ -630,13 +630,10 @@ class SenseAidServer:
         if hit is not None and hit[0] == cache_key:
             self._perf.count("server.qualified_devices.memo_hit")
             return list(hit[1])
-        with self._perf.measure("server.qualified_devices") as m:
-            in_region = self._registry.devices_within(
-                task.center, task.area_radius_m
-            )
-            eligible = self._eligible_for(task)
-            qualified = [d for d in in_region if d in eligible]
-            m.items = len(in_region)
+        in_region = self._registry.devices_within(task.center, task.area_radius_m)
+        eligible = self._eligible_for(task)
+        qualified = [d for d in in_region if d in eligible]
+        self._perf.count("server.qualified_devices", len(in_region))
         self._qual_cache[task.task_id] = (cache_key, list(qualified))
         return qualified
 
@@ -881,9 +878,8 @@ class SenseAidServer:
                 is not None
             )
 
-        with self._perf.measure("server.wait_check") as m:
-            drained = self.wait_queue.drain_satisfiable(satisfiable)
-            m.items = len(drained)
+        drained = self.wait_queue.drain_satisfiable(satisfiable)
+        self._perf.count("server.wait_check", len(drained))
         for request in drained:
             self.run_queue.push(request)
         self._drain_run_queue()
@@ -931,21 +927,18 @@ class SenseAidServer:
         if self._edge_view_key == key:
             self._perf.count("server.edge_refresh.memo_hit")
             return
-        with self._perf.measure("server.edge_refresh") as m:
-            self._registry.refresh_attachments()
-            if self.config.carrier_integrated:
-                synced = 0
-                for device_id in self.devices.device_ids():
-                    try:
-                        age = self._registry.seconds_since_last_comm(device_id)
-                    except KeyError:
-                        continue
-                    if age is not None:
-                        self.devices.update_state(
-                            device_id, last_comm_time=now - age
-                        )
-                    synced += 1
-                m.items = synced
+        self._registry.refresh_attachments()
+        synced = 0
+        if self.config.carrier_integrated:
+            for device_id in self.devices.device_ids():
+                try:
+                    age = self._registry.seconds_since_last_comm(device_id)
+                except KeyError:
+                    continue
+                if age is not None:
+                    self.devices.update_state(device_id, last_comm_time=now - age)
+                synced += 1
+        self._perf.count("server.edge_refresh", synced)
         # Attachment refresh does not bump the registry version, so the
         # key computed above is still current.
         self._edge_view_key = (now, self._registry.version, self._membership_version)

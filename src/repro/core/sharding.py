@@ -394,7 +394,7 @@ class ShardedSenseAid:
         #: distinct WAL-sharing incarnations of the same directory.
         self._incarnations: Dict[str, int] = {}
         for spec in specs:
-            registry = TowerRegistry(spec.build_towers(), perf=sim.perf)
+            registry = TowerRegistry(spec.build_towers())
             self._registries[spec.shard_id] = registry
             self._servers[spec.shard_id] = SenseAidServer(
                 sim,

@@ -36,7 +36,7 @@ import dataclasses
 import json
 import os
 import zlib
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, TextIO, Tuple
 
 from repro.core.datastores import record_from_dict, record_to_dict, task_to_dict
 from repro.core.server import (
@@ -187,12 +187,20 @@ class WriteAheadLog:
     a torn or bit-rotted current checkpoint degrades recovery to
     "previous checkpoint + full replay" instead of data loss — see
     :meth:`recovery_base`.
+
+    The first append opens the log and later appends reuse the handle;
+    :meth:`compact` and :meth:`recovery_base`, which rewrite or reread
+    the file by path, close it first, and :meth:`close` releases it.
     """
 
     LOG_NAME = "wal.jsonl"
     CHECKPOINT_NAME = "checkpoint.json"
     PREV_LOG_NAME = "wal.prev.jsonl"
     PREV_CHECKPOINT_NAME = "checkpoint.prev.json"
+
+    #: The open append handle, if any (a class default, so ``close``
+    #: is safe on an instance whose ``__init__`` raised).
+    _handle: Optional[TextIO] = None
 
     def __init__(self, directory: str) -> None:
         self.directory = directory
@@ -224,11 +232,20 @@ class WriteAheadLog:
         """Durably append one event; returns the stored entry."""
         self._seq += 1
         entry = {"seq": self._seq, "kind": kind, **fields}
-        with open(self.log_path, "a", encoding="utf-8") as f:
-            f.write(json.dumps(entry, sort_keys=True) + "\n")
-            f.flush()
-            os.fsync(f.fileno())
+        if self._handle is None:
+            self._handle = open(self.log_path, "a", encoding="utf-8")
+        self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
+        self._handle.flush()
+        os.fsync(self._handle.fileno())
         return entry
+
+    def close(self) -> None:
+        """Release the append handle; the next append reopens the log."""
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            handle.close()
+
+    __del__ = close
 
     def entries(self) -> List[dict]:
         """All intact entries, in append order.
@@ -304,6 +321,7 @@ class WriteAheadLog:
         Either way, entries at or below the checkpoint's ``seq`` stamp
         are dropped: the snapshot already holds their effect.
         """
+        self.close()
         try:
             snapshot, entries, degraded = self.load_checkpoint(), self.entries(), False
         except CheckpointCorruptError:
@@ -330,6 +348,7 @@ class WriteAheadLog:
         snapshot = dict(snapshot)
         snapshot[SEQ_FIELD] = self._seq
         snapshot[CRC_FIELD] = checkpoint_crc(snapshot)
+        self.close()
         self._retain_previous()
         atomic_write(
             self.checkpoint_path, json.dumps(snapshot, indent=2).encode("utf-8")

@@ -120,19 +120,17 @@ class LifecycleLedger:
     accounting: benchmarks and invariant checks read it rather than
     counting ad-hoc.
 
-    With ``keep_records`` it also appends every transition to a log of
-    three flat columns: the request id (a list), the state code (a
-    ``bytearray``) and the timestamp (an ``array('d')``).  A transition
-    costs about 17 bytes and no object the garbage collector tracks, so
-    a long-running service does not make every full collection walk its
-    whole request history.  :attr:`records` rebuilds a request's
-    :class:`RequestRecord` from the log when it is looked up.
+    Every transition is appended to a log of three flat columns: the
+    request id (a list), the state code (a ``bytearray``) and the
+    timestamp (an ``array('d')``).  A transition costs about 17 bytes
+    and no object the garbage collector tracks, so a long-running
+    service does not make every full collection walk its whole request
+    history.  :attr:`records` rebuilds a request's
+    :class:`RequestRecord` from the log when it is looked up.  An id is
+    never reused: creating it again, even after it finished, raises.
     """
 
-    def __init__(self, *, keep_records: bool = True) -> None:
-        #: Per-request transition history (optional — a long soak can
-        #: run with counters only).
-        self.keep_records = keep_records
+    def __init__(self) -> None:
         self.created = 0
         self.transitions: Dict[str, int] = {}
         self.terminal_counts: Dict[str, int] = {s.value: 0 for s in TERMINAL_STATES}
@@ -156,13 +154,12 @@ class LifecycleLedger:
 
     def create(self, request_id: str, now: float) -> None:
         """Register a new request in its initial QUEUED state."""
-        if request_id in self._open or request_id in self._created_rows:
+        if request_id in self._created_rows:
             raise ValueError(f"duplicate request id {request_id!r}")
         self.created += 1
         self._open[request_id] = _QUEUED
-        if self.keep_records:
-            self._created_rows[request_id] = len(self._ids)
-            self._log(request_id, _QUEUED, now)
+        self._created_rows[request_id] = len(self._ids)
+        self._log(request_id, _QUEUED, now)
 
     def advance(self, request_id: str, target: RequestState, now: float) -> None:
         """Move one request along a legal edge (raises otherwise)."""
@@ -177,8 +174,7 @@ class LifecycleLedger:
             raise IllegalTransitionError(request_id, _STATES[current], target)
         code, edge = step
         self.transitions[edge] = self.transitions.get(edge, 0) + 1
-        if self.keep_records:
-            self._log(request_id, code, now)
+        self._log(request_id, code, now)
         if _TERMINAL[code]:
             self.terminal_counts[value] += 1
             del self._open[request_id]

@@ -10,7 +10,7 @@ components are constructed.
 from repro.sim.clock import SimClock
 from repro.sim.engine import Simulator
 from repro.sim.events import Event, EventQueue
-from repro.sim.perf import PerfProbe, PerfRegistry, events_per_second
+from repro.sim.perf import PerfProbe, PerfRegistry
 from repro.sim.processes import PeriodicProcess
 from repro.sim.rng import RandomStreams
 
@@ -23,5 +23,4 @@ __all__ = [
     "RandomStreams",
     "SimClock",
     "Simulator",
-    "events_per_second",
 ]

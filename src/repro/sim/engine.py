@@ -27,8 +27,8 @@ class Simulator:
     def __init__(self, seed: int = 0, start_time: float = 0.0) -> None:
         self.clock = SimClock(start_time)
         self.rng = RandomStreams(seed)
-        #: Wall-clock perf probes for hot paths; never feeds the
-        #: simulation, so instrumentation cannot perturb determinism.
+        #: Work counters for hot paths; they read no clock and never
+        #: feed the simulation, so they cannot perturb determinism.
         self.perf = PerfRegistry()
         self._queue = EventQueue()
         self._running = False

@@ -84,12 +84,6 @@ class StructuredEventLog:
             out[record.kind] = out.get(record.kind, 0) + 1
         return out
 
-    def as_dicts(
-        self, kind: Optional[str] = None, source: Optional[str] = None
-    ) -> List[Dict[str, Any]]:
-        """Events as plain dicts (optionally filtered) — artifact fodder."""
-        return [r.as_dict() for r in self.records(kind=kind, source=source)]
-
     def signature(self) -> str:
         """SHA-256 over the canonical serialisation of every event.
 

@@ -2,18 +2,22 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 from repro.sim.engine import Simulator
-from repro.sim.perf import PerfRegistry, events_per_second
+from repro.sim.perf import PerfRegistry
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestPerfProbe:
     def test_observe_accumulates(self):
         perf = PerfRegistry()
         probe = perf.probe("op")
-        probe.observe(0.5, 10)
-        probe.observe(0.25, 4)
+        probe.observe(10)
+        probe.observe(4)
         assert probe.calls == 2
-        assert probe.wall_s == 0.75
         assert probe.items == 14
         assert probe.max_items == 10
         assert probe.items_per_call() == 7.0
@@ -21,7 +25,6 @@ class TestPerfProbe:
     def test_zero_call_rates(self):
         probe = PerfRegistry().probe("idle")
         assert probe.items_per_call() == 0.0
-        assert probe.rate_per_s() == 0.0
 
     def test_same_name_same_probe(self):
         perf = PerfRegistry()
@@ -29,15 +32,6 @@ class TestPerfProbe:
 
 
 class TestMeasure:
-    def test_measure_times_and_counts(self):
-        perf = PerfRegistry()
-        with perf.measure("work") as m:
-            m.items = 42
-        probe = perf.probe("work")
-        assert probe.calls == 1
-        assert probe.items == 42
-        assert probe.wall_s >= 0.0
-
     def test_count_is_untimed(self):
         perf = PerfRegistry()
         perf.count("hits")
@@ -45,7 +39,7 @@ class TestMeasure:
         probe = perf.probe("hits")
         assert probe.calls == 2
         assert probe.items == 3
-        assert probe.wall_s == 0.0
+        assert probe.max_items == 3
 
 
 class TestSnapshotAndExport:
@@ -55,19 +49,7 @@ class TestSnapshotAndExport:
         snap = perf.snapshot()
         assert snap["a"]["calls"] == 1
         assert snap["a"]["items"] == 2
-        assert set(snap["a"]) == {
-            "calls",
-            "wall_s",
-            "items",
-            "max_items",
-            "items_per_call",
-        }
-
-    def test_reset(self):
-        perf = PerfRegistry()
-        perf.count("op")
-        perf.reset()
-        assert perf.snapshot() == {}
+        assert set(snap["a"]) == {"calls", "items", "max_items", "items_per_call"}
 
 
 def test_simulator_owns_a_perf_registry():
@@ -77,10 +59,29 @@ def test_simulator_owns_a_perf_registry():
     assert sim.perf.probe("anything").calls == 1
 
 
-def test_events_per_second():
-    assert events_per_second(100, 2.0) == 50.0
-    assert events_per_second(100, 0.0) == 0.0
-    assert events_per_second(100, None) == 0.0
+#: The modules allowed to read the wall clock, relative to ``src/repro``:
+#: the service front's ``ServiceClock`` and the load generator's
+#: stopwatch, which the live latency and throughput gates read.
+WALL_CLOCK_MODULES = {"service/server.py", "service/loadgen.py"}
+WALL_CLOCK_IMPORTS = {"time", "datetime", "timeit"}
+
+
+def test_only_the_service_front_reads_the_wall_clock():
+    """Probes count work and the e2e tracer times it: no other module
+    under ``src/repro`` may import a wall-clock module."""
+    offenders = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] in WALL_CLOCK_IMPORTS for name in names):
+                offenders.append(path.relative_to(SRC / "repro").as_posix())
+    assert sorted(set(offenders) - WALL_CLOCK_MODULES) == []
 
 
 def test_server_instruments_hot_paths():

@@ -153,21 +153,12 @@ class TestLifecycleLedger:
         with pytest.raises(AssertionError):
             ledger.assert_accounted()
 
-    def test_counters_only_mode(self):
-        ledger = LifecycleLedger(keep_records=False)
-        ledger.create("r1", 0.0)
-        ledger.advance("r1", RequestState.SHED, 0.0)
-        assert ledger.records == {}
-        assert ledger.shed == 1
-        ledger.assert_accounted()
-
 
 class _DictLedger:
     """The ledger as a dict of live ``RequestRecord`` objects: the
     reference the columnar log must match call for call."""
 
-    def __init__(self, *, keep_records: bool = True) -> None:
-        self.keep_records = keep_records
+    def __init__(self) -> None:
         self.records: Dict[str, RequestRecord] = {}
         self.created = 0
         self.transitions: Dict[str, int] = {}
@@ -175,12 +166,11 @@ class _DictLedger:
         self._open_states: Dict[str, RequestState] = {}
 
     def create(self, request_id: str, now: float) -> None:
-        if request_id in self._open_states or (self.keep_records and request_id in self.records):
+        if request_id in self.records:
             raise ValueError(f"duplicate request id {request_id!r}")
         self.created += 1
         self._open_states[request_id] = RequestState.QUEUED
-        if self.keep_records:
-            self.records[request_id] = RequestRecord(request_id, [(RequestState.QUEUED, now)])
+        self.records[request_id] = RequestRecord(request_id, [(RequestState.QUEUED, now)])
 
     def advance(self, request_id: str, target: RequestState, now: float) -> None:
         current = self._open_states.get(request_id)
@@ -190,8 +180,7 @@ class _DictLedger:
             raise IllegalTransitionError(request_id, current, target)
         edge = f"{current.value}->{target.value}"
         self.transitions[edge] = self.transitions.get(edge, 0) + 1
-        if self.keep_records:
-            self.records[request_id].history.append((target, now))
+        self.records[request_id].history.append((target, now))
         if target in TERMINAL_STATES:
             self.terminal_counts[target.value] += 1
             del self._open_states[request_id]
@@ -256,11 +245,11 @@ def _observed(ledger) -> Dict[str, object]:
     }
 
 
-def run_ledger_steps(steps: List[Tuple], keep_records: bool) -> Dict[str, int]:
+def run_ledger_steps(steps: List[Tuple]) -> Dict[str, int]:
     """Drive the log and the reference through ``steps``; they must agree
     after every one.  Returns how often each outcome happened."""
-    log = LifecycleLedger(keep_records=keep_records)
-    reference = _DictLedger(keep_records=keep_records)
+    log = LifecycleLedger()
+    reference = _DictLedger()
     census = {"ok": 0, "illegal": 0, "duplicate": 0, "unknown": 0}
     seen = set()
     for step in steps:
@@ -291,11 +280,10 @@ ledger_step = st.one_of(
 
 
 class TestLedgerLogEquivalence:
-    @pytest.mark.parametrize("keep_records", [True, False])
     @settings(max_examples=150, deadline=None)
     @given(steps=st.lists(ledger_step, max_size=40))
-    def test_log_equals_the_dict_ledger(self, keep_records, steps):
-        run_ledger_steps(steps, keep_records)
+    def test_log_equals_the_dict_ledger(self, steps):
+        run_ledger_steps(steps)
 
     #: All seven legal edges, illegal edges (one to a member of another
     #: enum with the same value), a duplicate create and an unknown id,
@@ -312,7 +300,7 @@ class TestLedgerLogEquivalence:
         ("create", "c", 2.0),
         ("advance", "c", ResponseStatus.SHED, 2.4),  # illegal: another enum
         ("advance", "c", RequestState.SHED, 2.5),
-        ("create", "c", 3.0),  # duplicate while kept, a new request if not
+        ("create", "c", 3.0),  # duplicate: a finished id stays taken
         ("advance", "ghost", RequestState.ADMITTED, 3.1),  # never created
         ("create", "g", 3.5),
         ("advance", "g", RequestState.FAILED, 3.6),
@@ -328,12 +316,11 @@ class TestLedgerLogEquivalence:
         ("advance", "f", RequestState.RUNNING, 6.2),
     ]
 
-    @pytest.mark.parametrize("keep_records", [True, False])
-    def test_pinned_sequence_covers_every_edge(self, keep_records):
-        census = run_ledger_steps(self.PINNED, keep_records)
+    def test_pinned_sequence_covers_every_edge(self):
+        census = run_ledger_steps(self.PINNED)
         assert census["illegal"] >= 3 and census["unknown"] >= 1
-        assert census["duplicate"] == (1 if keep_records else 0)
-        log = LifecycleLedger(keep_records=keep_records)
+        assert census["duplicate"] == 1
+        log = LifecycleLedger()
         for step in self.PINNED:
             _outcome(log, step)
         legal = {

@@ -45,12 +45,8 @@ class _Dot:
         return self._position
 
 
-def _registry(cell_size_m: float = 500.0, **kwargs) -> TowerRegistry:
-    return TowerRegistry(
-        grid_towers(3000.0, 3000.0, rows=2, cols=2),
-        cell_size_m=cell_size_m,
-        **kwargs,
-    )
+def _registry(cell_size_m: float = 500.0) -> TowerRegistry:
+    return TowerRegistry(grid_towers(3000.0, 3000.0, rows=2, cols=2), cell_size_m=cell_size_m)
 
 
 class TestUniformGridIndex:
@@ -229,7 +225,8 @@ def test_fail_and_restore_invalidate_candidate_cache():
 class TestRegistryIncrementalRefresh:
     def test_memoised_per_instant_with_clock(self):
         sim = Simulator(seed=3)
-        registry = _registry(clock=sim)
+        registry = _registry()
+        registry.bind(sim)
         registry.attach_device(_Dot("a", Point(100.0, 100.0)))
         registry.devices_within(Point(0.0, 0.0), 500.0)
         before = registry.perf.probe("registry.refresh_positions").calls
@@ -240,7 +237,8 @@ class TestRegistryIncrementalRefresh:
 
     def test_paused_devices_skip_position_reads(self):
         sim = Simulator(seed=3)
-        registry = _registry(clock=sim)
+        registry = _registry()
+        registry.bind(sim)
         # StaticMobility promises the position never changes, so after
         # the first observation refreshes touch zero devices.
         for i in range(10):
@@ -253,7 +251,7 @@ class TestRegistryIncrementalRefresh:
         assert probe.calls == 1
         assert probe.items == 0
 
-    def test_devices_on_tower_tracks_attachment(self):
+    def test_attachment_follows_refresh(self):
         registry = TowerRegistry(
             [
                 ENodeB("west", Point(0.0, 0.0)),
@@ -262,17 +260,14 @@ class TestRegistryIncrementalRefresh:
         )
         walker = _Dot("w", Point(100.0, 0.0))
         registry.attach_device(walker)
-        assert registry.devices_on_tower("west") == ["w"]
-        assert registry.devices_on_tower("east") == []
+        assert registry.serving_tower("w").tower_id == "west"
         walker._position = Point(1900.0, 0.0)
         walker.mobility = StaticMobility(walker._position)
         registry.refresh_attachments()
-        assert registry.devices_on_tower("west") == []
-        assert registry.devices_on_tower("east") == ["w"]
+        assert registry.serving_tower("w").tower_id == "east"
         registry.detach_device("w")
-        assert registry.devices_on_tower("east") == []
         with pytest.raises(KeyError):
-            registry.devices_on_tower("north")
+            registry.serving_tower("w")
 
     def test_version_counts_membership_and_topology(self):
         registry = _registry()
@@ -290,10 +285,8 @@ class TestRegistryIncrementalRefresh:
         """Cell-cached attachment ≡ exact nearest-tower, under walking."""
         sim = Simulator(seed=11)
         campus = default_campus()
-        registry = TowerRegistry(
-            grid_towers(campus.width_m, campus.height_m, rows=3, cols=3),
-            clock=sim,
-        )
+        registry = TowerRegistry(grid_towers(campus.width_m, campus.height_m, rows=3, cols=3))
+        registry.bind(sim)
         devices = build_population(sim, campus, PopulationConfig(size=30))
         for device in devices:
             registry.attach_device(device)
