@@ -380,5 +380,5 @@ class FaultInjector:
 
 def _check_range(name: str, bounds: Tuple[float, float]) -> None:
     lo, hi = bounds
-    if lo < 0 or hi < lo:
+    if not 0 <= lo <= hi:
         raise ValueError(f"{name} must satisfy 0 <= lo <= hi, got {bounds!r}")

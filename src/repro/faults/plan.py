@@ -49,7 +49,7 @@ class FaultEvent:
     condition: Optional[Callable[[], bool]] = None
 
     def __post_init__(self) -> None:
-        if self.at < 0:
+        if not self.at >= 0:
             raise ValueError(f"fault time must be non-negative, got {self.at!r}")
 
 
@@ -101,7 +101,7 @@ def _check_kind(action: str, name: str, kind: str, value: Any) -> Any:
     if kind in ("number", "positive", "probability"):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise FaultPlanError(f"{label} must be a number, got {value!r}")
-        if kind == "positive" and value <= 0:
+        if kind == "positive" and not value > 0:
             raise FaultPlanError(f"{label} must be positive, got {value!r}")
         if kind == "probability" and not 0.0 <= value <= 1.0:
             raise FaultPlanError(f"{label} must be in [0, 1], got {value!r}")
@@ -119,7 +119,7 @@ def _check_kind(action: str, name: str, kind: str, value: Any) -> Any:
                 f"{label} must be a (lo, hi) pair of numbers, got {value!r}"
             )
         lo, hi = value
-        if lo < 0 or hi < lo:
+        if not 0 <= lo <= hi:
             raise FaultPlanError(
                 f"{label} must satisfy 0 <= lo <= hi, got {value!r}"
             )

@@ -7,20 +7,17 @@ reproducible run-to-run and insensitive to the order in which
 components are constructed.
 """
 
-from repro.sim.clock import SimClock
 from repro.sim.engine import Simulator
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event
 from repro.sim.perf import PerfProbe, PerfRegistry
 from repro.sim.processes import PeriodicProcess
 from repro.sim.rng import RandomStreams
 
 __all__ = [
     "Event",
-    "EventQueue",
     "PerfProbe",
     "PerfRegistry",
     "PeriodicProcess",
     "RandomStreams",
-    "SimClock",
     "Simulator",
 ]

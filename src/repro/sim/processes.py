@@ -26,7 +26,7 @@ class PeriodicProcess:
         priority: int = PRIORITY_DEFAULT,
         max_firings: Optional[int] = None,
     ) -> None:
-        if period <= 0:
+        if not period > 0:
             raise ValueError(f"period must be positive, got {period!r}")
         self._sim = sim
         self._period = float(period)

@@ -76,6 +76,21 @@ class TestEagerValidation:
                 10.0, "set_delay", probability=0.5, delay_range_s=(5.0, 1.0)
             )
 
+    def test_nan_kwargs_rejected(self):
+        nan = float("nan")
+        with pytest.raises(FaultPlanError, match="positive"):
+            FaultPlan().add(10.0, "overload_burst", rate_per_s=nan, duration_s=5.0)
+        with pytest.raises(FaultPlanError, match="lo <= hi"):
+            FaultPlan().add(
+                10.0, "set_delay", probability=0.5, delay_range_s=(nan, 1.0)
+            )
+
+    def test_nan_time_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            FaultEvent(at=float("nan"), action="partition")
+        with pytest.raises(ValueError, match="non-negative"):
+            FaultPlan().add(float("nan"), "partition")
+
     def test_loss_model_type_enforced(self):
         with pytest.raises(FaultPlanError, match="GilbertElliott"):
             FaultPlan().add(10.0, "set_loss_model", model={"loss_bad": 0.9})
@@ -193,6 +208,12 @@ class TestJsonRoundTrip:
         }
         with pytest.raises(FaultPlanError, match="unknown fields"):
             FaultPlan.from_json_obj(doc)
+
+    def test_nan_time_rejected(self):
+        """Python's json parses the bare token NaN."""
+        text = '{"schema": "%s", "events": [{"at": NaN, "action": "partition"}]}'
+        with pytest.raises(ValueError, match="non-negative"):
+            FaultPlan.from_json(text % PLAN_SCHEMA)
 
     def test_event_bad_kwargs_rejected_through_add(self):
         doc = {

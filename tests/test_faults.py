@@ -123,6 +123,10 @@ class TestFaultPlan:
         with pytest.raises(ValueError):
             FaultPlan().tower_up(-1.0, "t0")
 
+    def test_nan_time_rejected(self):
+        with pytest.raises(ValueError):
+            FaultPlan().tower_up(float("nan"), "t0")
+
     def test_events_sorted_by_time(self):
         plan = FaultPlan().heal(50.0).partition(10.0).tower_up(30.0, "t0")
         assert [e.at for e in plan.events] == [10.0, 30.0, 50.0]
@@ -238,6 +242,12 @@ class TestDelayAndDuplication:
         )
         sim.run(until=120.0)
         assert plan_order == ["second", "first"]
+
+    def test_nan_delay_range_rejected(self):
+        sim = Simulator()
+        network = CellularNetwork(sim)
+        with pytest.raises(ValueError, match="lo <= hi"):
+            FaultInjector(sim, network, delay_range_s=(float("nan"), 1.0))
 
 
 class TestTowerOutage:

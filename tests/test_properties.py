@@ -20,7 +20,6 @@ from repro.environment.campus import default_campus
 from repro.environment.geometry import Point
 from repro.environment.mobility import RandomWaypointMobility
 from repro.sim.engine import Simulator
-from repro.sim.events import EventQueue
 from tests.test_core_datastores_queues import make_record
 
 # ----------------------------------------------------------------------
@@ -28,14 +27,21 @@ from tests.test_core_datastores_queues import make_record
 # ----------------------------------------------------------------------
 
 
+def _drain(sim):
+    """Fire every remaining event one ``run`` step at a time; returns
+    the clock after each step."""
+    times = []
+    while sim.run(max_events=1):
+        times.append(sim.now)
+    return times
+
+
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6), max_size=50))
 def test_event_queue_pops_sorted(times):
-    queue = EventQueue()
+    sim = Simulator()
     for t in times:
-        queue.push(t, lambda: None)
-    popped = []
-    while queue:
-        popped.append(queue.pop().time)
+        sim.schedule_at(t, lambda: None)
+    popped = _drain(sim)
     assert popped == sorted(popped)
     assert len(popped) == len(times)
 
@@ -45,29 +51,25 @@ def test_event_queue_pops_sorted(times):
     st.data(),
 )
 def test_event_queue_cancellation_preserves_rest(times, data):
-    queue = EventQueue()
-    events = [queue.push(t, lambda: None) for t in times]
+    sim = Simulator()
+    events = [sim.schedule_at(t, lambda: None) for t in times]
     to_cancel = data.draw(
         st.sets(
             st.integers(min_value=0, max_value=len(events) - 1), max_size=len(events)
         )
     )
     for index in to_cancel:
-        events[index].cancel()
-        queue.note_cancelled()
+        sim.cancel(events[index])
     surviving_times = sorted(
         t for i, t in enumerate(times) if i not in to_cancel
     )
-    popped = []
-    while queue:
-        popped.append(queue.pop().time)
-    assert popped == surviving_times
+    assert _drain(sim) == surviving_times
 
 
 _QUEUE_OPS = st.one_of(
     st.tuples(
         st.just("push"),
-        # A handful of times, so most pushes collide on time.
+        # A handful of delays, so most pushes collide on time.
         st.sampled_from([0.0, 0.5, 1.0, 1.0, 2.0, 7.25]),
         st.integers(min_value=-3, max_value=3),
     ),
@@ -80,12 +82,16 @@ _QUEUE_OPS = st.one_of(
 @settings(max_examples=150, deadline=None)
 @given(st.lists(_QUEUE_OPS, max_size=60))
 def test_event_queue_order_is_time_priority_push_index(ops):
-    """Against a sorted-list model: pops come out in (time, priority,
-    push index) order, with cancellations interleaved, and
+    """Against a sorted-list model: events fire in (time, priority,
+    push index) order, with cancellations interleaved; ``run(until=u,
+    max_events=1)`` moves the clock to ``u`` only when no event due by
+    ``u`` is left; cancelling a fired event changes nothing; and
     ``Event.__lt__`` agrees with that order."""
-    queue = EventQueue()
+    sim = Simulator()
     events = []  # by push index
     live = {}  # push index -> model key
+    fired = []
+    now = 0.0
 
     def expected_next(until=None):
         if not live:
@@ -97,32 +103,37 @@ def test_event_queue_order_is_time_priority_push_index(ops):
 
     for op in ops:
         if op[0] == "push":
-            _, time, priority = op
-            events.append(queue.push(time, lambda: None, priority=priority))
-            live[len(events) - 1] = (time, priority, len(events) - 1)
+            _, delay, priority = op
+            events.append(sim.schedule(delay, fired.append, len(events), priority=priority))
+            live[len(events) - 1] = (now + delay, priority, len(events) - 1)
+            assert events[-1].time == now + delay
         elif op[0] == "cancel":
             index = op[1]
-            if index in live:
-                events[index].cancel()
-                queue.note_cancelled()
-                del live[index]
+            if index < len(events):
+                sim.cancel(events[index])
+                live.pop(index, None)
         else:
-            until = op[1] if op[0] == "pop_until" else None
+            until = now + op[1] if op[0] == "pop_until" else None
             index = expected_next(until)
-            popped = queue.pop_until(until) if op[0] == "pop_until" else queue.pop()
+            processed = sim.run(until=until, max_events=1)
             if index is None:
-                assert popped is None
+                assert processed == 0
+                assert fired == []
             else:
-                assert popped is events[index]
-                del live[index]
-        assert len(queue) == len(live)
-        head = expected_next()
-        assert queue.peek_time() == (None if head is None else live[head][0])
+                assert processed == 1
+                assert fired == [index]
+                now = live.pop(index)[0]
+                fired.clear()
+            if until is not None and expected_next(until) is None:
+                now = until
+            assert sim.now == now
+        assert sim.pending_events == len(live)
     drained = []
-    while queue:
-        drained.append(events.index(queue.pop()))
+    while sim.run(max_events=1):
+        drained.extend(fired)
+        fired.clear()
     assert drained == sorted(live, key=live.get)
-    assert queue.pop() is None
+    assert sim.run(max_events=1) == 0
     keyed = sorted(range(len(events)), key=lambda i: (events[i].time, events[i].priority, i))
     assert [events.index(e) for e in sorted(events)] == keyed
 

@@ -1,10 +1,11 @@
-"""Unit tests for the event queue primitives."""
+"""Unit tests for the event primitives and the simulator's event heap."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.sim.events import Event, EventQueue
+from repro.sim.engine import Simulator
+from repro.sim.events import Event
 
 
 class TestEvent:
@@ -48,68 +49,73 @@ class TestEvent:
 
 
 class TestEventQueue:
+    """The simulator's event heap, driven through its public calls:
+    ``schedule_at`` pushes, ``run(max_events=1)`` pops and fires the
+    head, ``cancel`` and ``pending_events``."""
+
+    @staticmethod
+    def pop(sim):
+        """Fire the next live event; returns its time, or None."""
+        return sim.now if sim.run(max_events=1) else None
+
     def test_empty_queue(self):
-        queue = EventQueue()
-        assert len(queue) == 0
-        assert not queue
-        assert queue.pop() is None
-        assert queue.peek_time() is None
+        sim = Simulator()
+        assert sim.pending_events == 0
+        assert self.pop(sim) is None
+        assert sim.now == 0.0
 
     def test_push_pop_in_time_order(self):
-        queue = EventQueue()
-        queue.push(3.0, lambda: "c")
-        queue.push(1.0, lambda: "a")
-        queue.push(2.0, lambda: "b")
-        times = [queue.pop().time for _ in range(3)]
+        sim = Simulator()
+        sim.schedule_at(3.0, lambda: "c")
+        sim.schedule_at(1.0, lambda: "a")
+        sim.schedule_at(2.0, lambda: "b")
+        times = [self.pop(sim) for _ in range(3)]
         assert times == [1.0, 2.0, 3.0]
 
     def test_same_time_pops_in_insertion_order(self):
-        queue = EventQueue()
+        sim = Simulator()
         order = []
-        queue.push(1.0, order.append, args=("first",))
-        queue.push(1.0, order.append, args=("second",))
-        queue.pop().fire()
-        queue.pop().fire()
+        sim.schedule_at(1.0, order.append, "first")
+        sim.schedule_at(1.0, order.append, "second")
+        self.pop(sim)
+        self.pop(sim)
         assert order == ["first", "second"]
 
     def test_priority_beats_insertion_order(self):
-        queue = EventQueue()
+        sim = Simulator()
         order = []
-        queue.push(1.0, order.append, args=("late",), priority=0)
-        queue.push(1.0, order.append, args=("early",), priority=-1)
-        queue.pop().fire()
-        queue.pop().fire()
+        sim.schedule_at(1.0, order.append, "late", priority=0)
+        sim.schedule_at(1.0, order.append, "early", priority=-1)
+        self.pop(sim)
+        self.pop(sim)
         assert order == ["early", "late"]
 
     def test_cancelled_events_are_skipped(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        event.cancel()
-        queue.note_cancelled()
-        assert len(queue) == 1
-        popped = queue.pop()
-        assert popped.time == 2.0
+        sim = Simulator()
+        event = sim.schedule_at(1.0, lambda: None)
+        sim.schedule_at(2.0, lambda: None)
+        sim.cancel(event)
+        assert sim.pending_events == 1
+        assert self.pop(sim) == 2.0
 
     def test_peek_time_skips_cancelled_head(self):
-        queue = EventQueue()
-        event = queue.push(1.0, lambda: None)
-        queue.push(5.0, lambda: None)
-        event.cancel()
-        queue.note_cancelled()
-        assert queue.peek_time() == 5.0
+        sim = Simulator()
+        event = sim.schedule_at(1.0, lambda: None)
+        sim.schedule_at(5.0, lambda: None)
+        sim.cancel(event)
+        assert self.pop(sim) == 5.0
 
     def test_clear(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None)
-        queue.clear()
-        assert not queue
-        assert queue.pop() is None
+        """Cancelling every event leaves nothing to fire."""
+        sim = Simulator()
+        sim.cancel(sim.schedule_at(1.0, lambda: None))
+        assert sim.pending_events == 0
+        assert self.pop(sim) is None
 
     def test_live_count_tracks_pushes_and_pops(self):
-        queue = EventQueue()
-        queue.push(1.0, lambda: None)
-        queue.push(2.0, lambda: None)
-        assert len(queue) == 2
-        queue.pop()
-        assert len(queue) == 1
+        sim = Simulator()
+        sim.schedule_at(1.0, lambda: None)
+        sim.schedule_at(2.0, lambda: None)
+        assert sim.pending_events == 2
+        self.pop(sim)
+        assert sim.pending_events == 1

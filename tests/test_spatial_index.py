@@ -245,7 +245,7 @@ class TestRegistryIncrementalRefresh:
             registry.attach_device(
                 make_device(sim, f"d{i}", position=Point(100.0 * i, 50.0))
             )
-        sim.clock.advance_to(100.0)
+        sim.run(until=100.0)
         registry.refresh_positions()
         probe = registry.perf.probe("registry.refresh_positions")
         assert probe.calls == 1
@@ -291,7 +291,7 @@ class TestRegistryIncrementalRefresh:
         for device in devices:
             registry.attach_device(device)
         for t in (600.0, 1200.0, 2400.0):
-            sim.clock.advance_to(t)
+            sim.run(until=t)
             registry.refresh_attachments()
             for device in devices:
                 expected = registry.nearest_tower(device.position()).tower_id
