@@ -59,16 +59,6 @@ def savings_pct(sense_aid_j: float, other_j: float) -> float:
     return (1.0 - sense_aid_j / other_j) * 100.0
 
 
-def summarize_savings(
-    sense_aid: EnergySummary, others: Dict[str, EnergySummary]
-) -> Dict[str, float]:
-    """Savings of Sense-Aid over each comparison framework (totals)."""
-    return {
-        name: savings_pct(sense_aid.total_j, other.total_j)
-        for name, other in others.items()
-    }
-
-
 def min_mean_max(values: Iterable[float]) -> tuple:
     """(min, mean, max) of a value sweep — Table 2's reporting shape."""
     values = list(values)

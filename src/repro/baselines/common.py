@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.cellular.network import CellularNetwork, DeliveryReceipt
 from repro.cellular.packets import Message, sensor_data_message
@@ -63,12 +63,11 @@ class BaselineFramework:
         sim: Simulator,
         network: CellularNetwork,
         devices: Sequence[SimDevice],
-        collector: Optional[BaselineCollector] = None,
     ) -> None:
         self._sim = sim
         self._network = network
         self._devices = list(devices)
-        self.collector = collector if collector is not None else BaselineCollector()
+        self.collector = BaselineCollector()
         self.stats = FrameworkStats()
         self._tasks: List[TaskSpec] = []
 

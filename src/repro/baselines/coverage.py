@@ -22,13 +22,20 @@ coverage shortfalls when the predicted users happen to be elsewhere
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.baselines.common import BaselineCollector, BaselineFramework
+from repro.baselines.common import BaselineFramework
 from repro.cellular.network import CellularNetwork
 from repro.core.tasks import SensingRequest, TaskSpec
 from repro.devices.device import SimDevice
 from repro.sim.engine import Simulator
+
+#: The mobility history a device's presence probability is read from.
+HISTORY_WINDOW_S = 4 * 3600.0
+#: Evenly spaced position samples taken over :data:`HISTORY_WINDOW_S`.
+HISTORY_SAMPLES = 48
+#: Recruit until the expected in-region count reaches density × margin.
+COVERAGE_MARGIN = 1.0
 
 
 @dataclass
@@ -51,20 +58,8 @@ class CoverageFramework(BaselineFramework):
         sim: Simulator,
         network: CellularNetwork,
         devices: Sequence[SimDevice],
-        collector: Optional[BaselineCollector] = None,
-        *,
-        history_window_s: float = 4 * 3600.0,
-        history_samples: int = 48,
-        coverage_margin: float = 1.0,
     ) -> None:
-        if history_samples < 1:
-            raise ValueError("history_samples must be positive")
-        if coverage_margin <= 0:
-            raise ValueError("coverage_margin must be positive")
-        super().__init__(sim, network, devices, collector)
-        self._history_window = history_window_s
-        self._history_samples = history_samples
-        self._margin = coverage_margin
+        super().__init__(sim, network, devices)
         self.plans: Dict[int, RecruitmentPlan] = {}
         self.coverage_shortfalls = 0
 
@@ -84,7 +79,7 @@ class CoverageFramework(BaselineFramework):
         }
         # Greedy: keep adding the most-likely-present devices until the
         # expected in-region count reaches density × margin.
-        target = task.spatial_density * self._margin
+        target = task.spatial_density * COVERAGE_MARGIN
         recruited: List[str] = []
         expected = 0.0
         for device_id, probability in sorted(
@@ -111,12 +106,12 @@ class CoverageFramework(BaselineFramework):
         """
         now = self._sim.now
         hits = 0
-        for i in range(self._history_samples):
-            t = now - self._history_window * i / self._history_samples
+        for i in range(HISTORY_SAMPLES):
+            t = now - HISTORY_WINDOW_S * i / HISTORY_SAMPLES
             position = device.mobility.position_at(max(0.0, t))
             if position.within(task.center, task.area_radius_m):
                 hits += 1
-        return hits / self._history_samples
+        return hits / HISTORY_SAMPLES
 
     # ------------------------------------------------------------------
     # Per-tick behaviour

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.baselines.common import BaselineCollector, BaselineFramework
+from repro.baselines.common import BaselineFramework
 from repro.cellular.network import CellularNetwork
 from repro.cellular.packets import TrafficCategory
 from repro.cellular.rrc import RRCState
@@ -59,14 +59,13 @@ class PCSFramework(BaselineFramework):
         sim: Simulator,
         network: CellularNetwork,
         devices: Sequence[SimDevice],
-        collector: Optional[BaselineCollector] = None,
         *,
         accuracy: float = 0.40,
         oracle_sessions: bool = False,
     ) -> None:
         if not 0.0 <= accuracy <= 1.0:
             raise ValueError(f"accuracy must be in [0, 1], got {accuracy!r}")
-        super().__init__(sim, network, devices, collector)
+        super().__init__(sim, network, devices)
         self.accuracy = accuracy
         #: The paper's Fig.-14 "energy cost model for PCS": a correct
         #: prediction *guarantees* a piggyback opportunity (the user

@@ -15,8 +15,9 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.experiments import (
     diurnal,
@@ -34,31 +35,42 @@ from repro.experiments import (
 from repro.experiments.common import ScenarioConfig
 from repro.runner import ExperimentEngine
 
-#: Experiment name -> (description, needs_scenario, runner).
-_SCENARIO_EXPERIMENTS: Dict[str, tuple] = {
-    "exp1": ("Experiment 1 / Figs 7-9 (area radius)", exp1_radius.main),
-    "exp2": ("Experiment 2 / Figs 10-11 (sampling period)", exp2_period.main),
-    "exp3": ("Experiment 3 / Figs 12-13 (concurrent tasks)", exp3_tasks.main),
-    "fig14": ("Fig 14 (PCS prediction accuracy)", pcs_accuracy.main),
-    "table2": ("Table 2 (energy-savings summary)", summary.main),
-    "weights": (
-        "Extension: selector-weight sensitivity (fairness vs energy)",
-        weight_sweep.main,
+#: Every experiment, in run order: name -> (description, argument
+#: kind, runner).  The kind says what the runner's first argument is:
+#: a ``scenario`` (``ScenarioConfig``), a bare ``seed``, or nothing
+#: (``plain``).  A runner that takes ``engine`` gets the parallel
+#: execution engine when one is configured.
+EXPERIMENTS: Dict[str, Tuple[str, str, Callable[..., str]]] = {
+    "fig1": ("Fig 1 (energy-tolerance survey)", "plain", survey.main),
+    "fig2": ("Fig 2 (app power case study)", "plain", power_case_study.main),
+    "fig6": ("Fig 6 (radio tail trace)", "plain", tailtime.main),
+    "exp1": ("Experiment 1 / Figs 7-9 (area radius)", "scenario", exp1_radius.main),
+    "exp2": (
+        "Experiment 2 / Figs 10-11 (sampling period)",
+        "scenario",
+        exp2_period.main,
     ),
-}
-
-_PLAIN_EXPERIMENTS: Dict[str, tuple] = {
-    "fig1": ("Fig 1 (energy-tolerance survey)", survey.main),
-    "fig2": ("Fig 2 (app power case study)", power_case_study.main),
-    "fig6": ("Fig 6 (radio tail trace)", tailtime.main),
-}
-
-#: Extension experiments take a bare seed rather than a scenario.
-_SEED_EXPERIMENTS: Dict[str, tuple] = {
-    "diurnal": ("Extension: savings across a 24 h usage cycle", diurnal.main),
+    "exp3": (
+        "Experiment 3 / Figs 12-13 (concurrent tasks)",
+        "scenario",
+        exp3_tasks.main,
+    ),
+    "fig14": ("Fig 14 (PCS prediction accuracy)", "scenario", pcs_accuracy.main),
+    "table2": ("Table 2 (energy-savings summary)", "scenario", summary.main),
+    "diurnal": (
+        "Extension: savings across a 24 h usage cycle",
+        "seed",
+        diurnal.main,
+    ),
     "robustness": (
         "Extension: savings distribution across seeded worlds",
+        "seed",
         robustness.main,
+    ),
+    "weights": (
+        "Extension: selector-weight sensitivity (fairness vs energy)",
+        "scenario",
+        weight_sweep.main,
     ),
 }
 
@@ -72,14 +84,7 @@ ALIASES = {
     "fig13": "exp3",
 }
 
-RUN_ORDER = [
-    "fig1", "fig2", "fig6", "exp1", "exp2", "exp3", "fig14", "table2",
-    "diurnal", "robustness", "weights",
-]
-
-#: Experiments whose ``main`` accepts the parallel execution engine
-#: (the sweeps — everything else is a single short run).
-_ENGINE_AWARE = {"exp1", "exp2", "exp3", "weights", "diurnal", "robustness"}
+RUN_ORDER = list(EXPERIMENTS)
 
 
 def available_experiments() -> List[str]:
@@ -89,11 +94,7 @@ def available_experiments() -> List[str]:
 def _resolve(name: str) -> str:
     name = name.lower()
     name = ALIASES.get(name, name)
-    if (
-        name not in _SCENARIO_EXPERIMENTS
-        and name not in _PLAIN_EXPERIMENTS
-        and name not in _SEED_EXPERIMENTS
-    ):
+    if name not in EXPERIMENTS:
         raise KeyError(name)
     return name
 
@@ -106,17 +107,16 @@ def run_experiment(
     ``engine`` (if given) parallelizes and caches the sweep
     experiments; the single-run experiments ignore it.
     """
-    resolved = _resolve(name)
+    _, kind, runner = EXPERIMENTS[_resolve(name)]
     extra = (
-        {"engine": engine} if engine is not None and resolved in _ENGINE_AWARE else {}
+        {"engine": engine}
+        if engine is not None and "engine" in inspect.signature(runner).parameters
+        else {}
     )
-    if resolved in _PLAIN_EXPERIMENTS:
-        _, runner = _PLAIN_EXPERIMENTS[resolved]
-        return runner()
-    if resolved in _SEED_EXPERIMENTS:
-        _, runner = _SEED_EXPERIMENTS[resolved]
+    if kind == "plain":
+        return runner(**extra)
+    if kind == "seed":
         return runner(seed, **extra)
-    _, runner = _SCENARIO_EXPERIMENTS[resolved]
     return runner(ScenarioConfig(seed=seed), **extra)
 
 
@@ -130,12 +130,7 @@ def _engine_from_args(args: argparse.Namespace) -> Optional[ExperimentEngine]:
 
 def _cmd_list(_args: argparse.Namespace) -> int:
     print("available experiments:")
-    for name in RUN_ORDER:
-        description = (
-            _PLAIN_EXPERIMENTS.get(name)
-            or _SCENARIO_EXPERIMENTS.get(name)
-            or _SEED_EXPERIMENTS.get(name)
-        )[0]
+    for name, (description, _, _) in EXPERIMENTS.items():
         print(f"  {name:8s} {description}")
     print("aliases:")
     for alias in sorted(ALIASES):

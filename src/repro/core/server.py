@@ -309,23 +309,6 @@ class SenseAidServer:
         self._network.set_sense_aid_path_available(False)
         self._wait_checker.stop()
 
-    def recover(self) -> None:
-        """Bring the server back.
-
-        Tasks live in the (persistent) task datastore and their
-        remaining sampling instants were scheduled at submission, so
-        they resume firing on their own; requests that came due during
-        the outage stay lost.
-        """
-        if not self._crashed:
-            return
-        self._crashed = False
-        self.log.warning("server recovered; resuming orchestration")
-        self._network.set_sense_aid_path_available(True)
-        self._wait_checker = PeriodicProcess(
-            self._sim, WAIT_CHECK_PERIOD_S, self._check_wait_queue
-        )
-
     def take_over(self) -> None:
         """First start of a successor built to take a failed server's
         place: a :meth:`restart` (WAL replay, epoch bump) without the
@@ -342,14 +325,16 @@ class SenseAidServer:
     ) -> None:
         """Cold restart: the process is replaced, volatile state is gone.
 
-        Unlike :meth:`recover` (a same-process resume where nothing was
-        lost), a restart clears in-memory tracking and assignment
-        handlers, bumps the incarnation :attr:`epoch`, and — when a
-        write-ahead log is attached — rebuilds the durable state from
-        the last checkpoint plus WAL replay.  Without a WAL the
-        datastores are treated as persistent storage and survive as-is.
-        Clients notice the epoch bump and resync; stale-epoch uploads
-        are rejected until they do.
+        A restart clears in-memory tracking and assignment handlers,
+        bumps the incarnation :attr:`epoch`, and — when a write-ahead
+        log is attached — rebuilds the durable state from the last
+        checkpoint plus WAL replay.  Without a WAL the datastores are
+        treated as persistent storage and survive as-is.  Either way
+        every surviving periodic task resumes under the new epoch with
+        its original identity (:meth:`TaskSpec.resumed`); expired and
+        one-shot tasks stay down, and instants that came due during
+        the outage stay lost.  Clients notice the epoch bump and
+        resync; stale-epoch uploads are rejected until they do.
 
         ``data_callbacks`` maps task origins to delivery callbacks for
         tasks resumed from the WAL (defaults to the callbacks already
@@ -376,10 +361,21 @@ class SenseAidServer:
             self._crashed = False  # recovery replays submit_task et al.
             self._wal.recover_into(self, data_callbacks=data_callbacks)
         else:
-            # Datastores stand in for persistent storage; only the
-            # incarnation number moves forward.
+            # Datastores stand in for persistent storage: the
+            # incarnation number moves forward and every surviving task
+            # is re-expanded under it (the old epoch's issue events are
+            # dropped as stale).
             self._crashed = False
             self.epoch += 1
+            now = self._sim.now
+            for task_id, start in sorted(self._task_starts.items()):
+                task = self.tasks.get(task_id)
+                remainder = task.resumed(start, self._task_end(task, start), now)
+                if remainder is not None:
+                    self.tasks.remove(task_id)
+                    self.submit_task(
+                        remainder, self._data_callbacks[str(task_id)], resume=True
+                    )
         self.log.event("server_restart", epoch=self.epoch)
         self.log.warning("server restarted as epoch %d", self.epoch)
         self._network.set_sense_aid_path_available(True)

@@ -155,6 +155,21 @@ class TaskSpec:
             requests = [r for r in requests if r.issue_time >= now]
         return requests
 
+    def resumed(self, start: float, end: float, now: float) -> Optional["TaskSpec"]:
+        """The spec this task resumes as after a restart at ``now``.
+
+        ``start`` and ``end`` are the task's original effective start
+        and absolute end.  Expired and one-shot tasks stay down
+        (``None``).  A periodic task comes back with its own
+        ``task_id`` and an explicit window anchored at ``start``, so
+        ``expand_requests(now, resume=True)`` regenerates exactly the
+        not-yet-issued requests with their original sequence numbers,
+        issue times and deadlines.
+        """
+        if self.one_shot or end <= now:
+            return None
+        return replace(self, sampling_duration_s=None, start_time=start, end_time=end)
+
     def with_updates(self, **changes) -> "TaskSpec":
         """A copy with updated parameters (same task_id) —
         the ``update_task_param()`` API."""

@@ -38,7 +38,12 @@ import os
 import zlib
 from typing import Callable, Dict, List, Optional, TextIO, Tuple
 
-from repro.core.datastores import record_from_dict, record_to_dict, task_to_dict
+from repro.core.datastores import (
+    record_from_dict,
+    record_to_dict,
+    task_from_dict,
+    task_to_dict,
+)
 from repro.core.server import (
     SenseAidServer,
     SensedDataPoint,
@@ -46,8 +51,6 @@ from repro.core.server import (
     _RequestTracking,
 )
 from repro.core.tasks import SensingRequest, TaskSpec
-from repro.devices.sensors import SensorType
-from repro.environment.geometry import Point
 from repro.storage import atomic_write
 
 DataCallback = Callable[[SensedDataPoint], None]
@@ -124,32 +127,6 @@ def checkpoint_server(server: SenseAidServer) -> dict:
         "seen_upload_ids": sorted(server._seen_upload_ids),
         "pending": pending,
     }
-
-
-def resume_task_spec(entry: dict) -> Optional[TaskSpec]:
-    """The original-identity spec a checkpointed task resumes as.
-
-    One-shot tasks (no sampling period) do not resume.  Periodic tasks
-    come back with their original ``task_id`` and an explicit
-    start/end window anchored at the *original* effective start, so
-    ``expand_requests(..., resume=True)`` regenerates exactly the
-    not-yet-issued requests with their original sequence numbers,
-    issue times, and deadlines.
-    """
-    if entry["sampling_period_s"] is None:
-        return None
-    return TaskSpec(
-        task_id=entry["task_id"],
-        sensor_type=SensorType[entry["sensor_type"]],
-        center=Point(entry["center"][0], entry["center"][1]),
-        area_radius_m=entry["area_radius_m"],
-        spatial_density=entry["spatial_density"],
-        sampling_period_s=entry["sampling_period_s"],
-        start_time=entry.get("effective_start", entry.get("start_time")),
-        end_time=entry["absolute_end"],
-        device_type=entry["device_type"],
-        origin=entry["origin"],
-    )
 
 
 # ----------------------------------------------------------------------
@@ -388,12 +365,14 @@ def _resume_remainder(
     server: SenseAidServer, entry: dict, callback: Optional[DataCallback]
 ) -> None:
     """Re-submit a recorded task's unexpired remainder under its original
-    identity; expired, one-shot, already-resumed and callback-less
-    tasks stay down."""
+    identity (:meth:`TaskSpec.resumed`); expired, one-shot,
+    already-resumed and callback-less tasks stay down."""
     now = server._sim.now
-    if entry.get("absolute_end", now) <= now:
-        return
-    remainder = resume_task_spec(entry)
+    remainder = task_from_dict(entry).resumed(
+        entry.get("effective_start", entry.get("start_time")),
+        entry.get("absolute_end", now),
+        now,
+    )
     if remainder is None or remainder.task_id in server.tasks or callback is None:
         return
     server.submit_task(remainder, callback, resume=True)

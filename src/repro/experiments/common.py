@@ -7,14 +7,22 @@ seeding every random stream from the scenario's master seed by stable
 names).  The paper had to hand each framework a *different* group of
 20 students and notes that cross-framework differences in qualified
 devices are mobility noise; fixing the world removes that noise.
+
+Experiments 1-3 and the robustness extension compare the same four
+arms at every sweep point: :func:`run_four_arms` runs them,
+:class:`FourArms` holds them, and :func:`format_savings_table` prints
+their :data:`COMPARISONS`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type, TypeVar
 
-from repro.analysis.energy import EnergySummary, summarize_devices
+from repro.analysis.energy import EnergySummary, savings_pct, summarize_devices
+from repro.analysis.tables import format_table
+from repro.baselines.common import BaselineFramework
 from repro.baselines.coverage import CoverageFramework
 from repro.baselines.pcs import PCSFramework
 from repro.baselines.periodic import PeriodicFramework
@@ -35,6 +43,16 @@ from repro.sim.engine import Simulator
 #: Extra simulated time after the last task deadline, so tails close
 #: and in-flight deliveries land.
 RUN_SLACK_S = 60.0
+
+#: Table 2's four savings comparisons, in the paper's order.  Each key
+#: names a Sense-Aid arm of :class:`FourArms` and the baseline arm it
+#: is measured against.
+COMPARISONS: Tuple[str, ...] = (
+    "basic_vs_periodic",
+    "complete_vs_periodic",
+    "basic_vs_pcs",
+    "complete_vs_pcs",
+)
 
 
 @dataclass(frozen=True)
@@ -106,9 +124,6 @@ class ArmResult:
             return 0.0
         counts = self.qualified_per_request.values()
         return sum(counts) / len(counts)
-
-    def mean_energy_per_device_j(self) -> float:
-        return self.energy.mean_per_device_j
 
     def active_devices(self) -> List[str]:
         """Devices that actually spent crowdsensing energy this run.
@@ -226,76 +241,46 @@ def run_sense_aid_arm(
     )
 
 
-def run_periodic_arm(
-    config: ScenarioConfig, tasks: Sequence[TaskParams]
+def _run_baseline_arm(
+    config: ScenarioConfig,
+    tasks: Sequence[TaskParams],
+    build: Callable[[Simulator, CellularNetwork, List[SimDevice]], BaselineFramework],
+    name: Optional[str] = None,
 ) -> ArmResult:
-    """Run the Periodic baseline over the scenario's world."""
+    """Run one baseline framework over the scenario's world.
+
+    ``build`` makes the framework; its tasks carry the framework's name
+    as their origin, and so does the arm unless ``name`` is given.
+    """
     if not tasks:
         raise ValueError("at least one task is required")
     sim, campus, registry, network, devices = _build_world(config)
-    framework = PeriodicFramework(sim, network, devices)
+    framework = build(sim, network, devices)
     for params in tasks:
-        framework.add_task(params.to_spec(campus, "periodic"))
+        framework.add_task(params.to_spec(campus, framework.name))
     sim.run(until=_run_duration(tasks))
     return ArmResult(
-        name="periodic",
+        name=name or framework.name,
         energy=summarize_devices(devices),
         data_points=framework.stats.data_points_delivered,
         participants_per_request=dict(framework.stats.participants_per_request),
         devices=devices,
         extras={"framework": framework},
     )
+
+
+def run_periodic_arm(
+    config: ScenarioConfig, tasks: Sequence[TaskParams]
+) -> ArmResult:
+    """Run the Periodic baseline over the scenario's world."""
+    return _run_baseline_arm(config, tasks, PeriodicFramework)
 
 
 def run_coverage_arm(
     config: ScenarioConfig, tasks: Sequence[TaskParams]
 ) -> ArmResult:
     """Run the coverage-recruitment (CrowdRecruiter-style) comparator."""
-    if not tasks:
-        raise ValueError("at least one task is required")
-    sim, campus, registry, network, devices = _build_world(config)
-    framework = CoverageFramework(sim, network, devices)
-    for params in tasks:
-        framework.add_task(params.to_spec(campus, "coverage"))
-    sim.run(until=_run_duration(tasks))
-    return ArmResult(
-        name="coverage",
-        energy=summarize_devices(devices),
-        data_points=framework.stats.data_points_delivered,
-        participants_per_request=dict(framework.stats.participants_per_request),
-        devices=devices,
-        extras={"framework": framework},
-    )
-
-
-def run_arm(
-    kind: str,
-    config: ScenarioConfig,
-    tasks: Sequence[TaskParams],
-    **kwargs,
-) -> ArmResult:
-    """Run one framework arm by name.
-
-    A single module-level entry point the parallel engine
-    (:class:`repro.runner.ExperimentEngine`) can pickle into worker
-    processes; ``kind`` is one of ``periodic``, ``pcs``, ``coverage``,
-    ``sense-aid-basic``, or ``sense-aid-complete``, and extra keyword
-    arguments flow to the underlying arm runner.
-    """
-    if kind == "periodic":
-        return run_periodic_arm(config, tasks, **kwargs)
-    if kind == "pcs":
-        return run_pcs_arm(config, tasks, **kwargs)
-    if kind == "coverage":
-        return run_coverage_arm(config, tasks, **kwargs)
-    if kind == "sense-aid-basic":
-        return run_sense_aid_arm(config, tasks, ServerMode.BASIC, **kwargs)
-    if kind == "sense-aid-complete":
-        return run_sense_aid_arm(config, tasks, ServerMode.COMPLETE, **kwargs)
-    raise ValueError(
-        f"unknown arm kind {kind!r}; expected periodic, pcs, coverage, "
-        "sense-aid-basic, or sense-aid-complete"
-    )
+    return _run_baseline_arm(config, tasks, CoverageFramework)
 
 
 def run_pcs_arm(
@@ -306,20 +291,94 @@ def run_pcs_arm(
     oracle_sessions: bool = False,
 ) -> ArmResult:
     """Run the PCS baseline over the scenario's world."""
-    if not tasks:
-        raise ValueError("at least one task is required")
-    sim, campus, registry, network, devices = _build_world(config)
-    framework = PCSFramework(
-        sim, network, devices, accuracy=accuracy, oracle_sessions=oracle_sessions
-    )
-    for params in tasks:
-        framework.add_task(params.to_spec(campus, "pcs"))
-    sim.run(until=_run_duration(tasks))
-    return ArmResult(
+    return _run_baseline_arm(
+        config,
+        tasks,
+        partial(PCSFramework, accuracy=accuracy, oracle_sessions=oracle_sessions),
         name=f"pcs@{accuracy:.0%}",
-        energy=summarize_devices(devices),
-        data_points=framework.stats.data_points_delivered,
-        participants_per_request=dict(framework.stats.participants_per_request),
-        devices=devices,
-        extras={"framework": framework},
     )
+
+
+@dataclass(frozen=True)
+class FourArms:
+    """Periodic, PCS, Sense-Aid Basic and Complete over one world.
+
+    Each experiment's sweep point is this record plus its one sweep
+    field (``radius_m``, ``period_s``, ``task_count``).
+    """
+
+    periodic: ArmResult
+    pcs: ArmResult
+    basic: ArmResult
+    complete: ArmResult
+
+    @property
+    def qualified_mean(self) -> float:
+        """Fig. 7: mean qualified devices per request."""
+        return self.basic.mean_qualified()
+
+    def savings_row(self) -> Dict[str, float]:
+        """Table-2-style savings percentages, keyed by :data:`COMPARISONS`."""
+        row = {}
+        for key in COMPARISONS:
+            sense_aid, baseline = key.split("_vs_")
+            row[key] = savings_pct(
+                getattr(self, sense_aid).energy.total_j,
+                getattr(self, baseline).energy.total_j,
+            )
+        return row
+
+    def selected_counts(self) -> Dict[str, float]:
+        """Figs. 10 and 12: mean devices used per request, per framework."""
+        return {
+            "periodic": self.periodic.mean_participants(),
+            "pcs": self.pcs.mean_participants(),
+            "sense-aid": self.basic.mean_participants(),
+        }
+
+    def energy_per_device(self) -> Dict[str, float]:
+        """Figs. 11 and 13: mean Joules per participating device."""
+        return {
+            "periodic": self.periodic.mean_energy_per_active_device_j(),
+            "pcs": self.pcs.mean_energy_per_active_device_j(),
+            "basic": self.basic.mean_energy_per_active_device_j(),
+            "complete": self.complete.mean_energy_per_active_device_j(),
+        }
+
+
+SweepPoint = TypeVar("SweepPoint", bound=FourArms)
+
+
+def run_four_arms(
+    point: Type[SweepPoint],
+    config: ScenarioConfig,
+    tasks: Sequence[TaskParams],
+    **sweep: object,
+) -> SweepPoint:
+    """Run Periodic, PCS, Basic and Complete, in that order, over the
+    scenario's world and return them as a ``point`` record.
+
+    Each arm is detached as soon as it finishes, so at most one live
+    world exists at a time.  ``sweep`` fills the record's sweep field.
+    """
+    return point(
+        periodic=run_periodic_arm(config, tasks).detached(),
+        pcs=run_pcs_arm(config, tasks).detached(),
+        basic=run_sense_aid_arm(config, tasks, ServerMode.BASIC).detached(),
+        complete=run_sense_aid_arm(config, tasks, ServerMode.COMPLETE).detached(),
+        **sweep,
+    )
+
+
+def format_savings_table(
+    sweep_header: str, rows: Sequence[Tuple[object, FourArms]], title: str
+) -> str:
+    """An experiment's savings table: one ``(sweep value, point)`` row
+    per sweep point, one percentage column per comparison."""
+    table_rows = []
+    for value, point in rows:
+        savings = point.savings_row()
+        table_rows.append((value, *(f"{savings[key]:.1f}%" for key in COMPARISONS)))
+    # Column labels in COMPARISONS order.
+    headers = [sweep_header, "B/Periodic", "C/Periodic", "B/PCS", "C/PCS"]
+    return format_table(headers, table_rows, title=title)

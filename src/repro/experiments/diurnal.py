@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.analysis.energy import savings_pct
 from repro.analysis.tables import format_table
 from repro.cellular.enodeb import TowerRegistry, grid_towers
 from repro.cellular.network import CellularNetwork
@@ -51,9 +52,7 @@ class WindowRow:
 
     @property
     def saving_pct(self) -> float:
-        if self.periodic_j == 0:
-            return 0.0
-        return (1.0 - self.sense_aid_j / self.periodic_j) * 100.0
+        return savings_pct(self.sense_aid_j, self.periodic_j)
 
 
 def _window_energy(samples: List[float], window: int) -> float:

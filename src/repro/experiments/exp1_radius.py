@@ -19,21 +19,18 @@ Reproduced artifacts:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.analysis.energy import savings_pct
 from repro.analysis.fairness import fairness_report
 from repro.analysis.tables import format_bar_chart, format_table
-from repro.core.config import ServerMode
 from repro.core.server import SelectionEvent
 from repro.experiments.common import (
-    ArmResult,
+    FourArms,
     ScenarioConfig,
     TaskParams,
-    run_pcs_arm,
-    run_periodic_arm,
-    run_sense_aid_arm,
+    format_savings_table,
+    run_four_arms,
 )
 from repro.runner import ExperimentEngine
 
@@ -44,26 +41,10 @@ SPATIAL_DENSITY = 2
 
 
 @dataclass(frozen=True)
-class RadiusPoint:
+class RadiusPoint(FourArms):
     """All four arms at one radius."""
 
     radius_m: float
-    qualified_mean: float
-    periodic: ArmResult
-    pcs: ArmResult
-    basic: ArmResult
-    complete: ArmResult
-
-    def savings_row(self) -> Dict[str, float]:
-        """Table-2-style savings percentages at this radius."""
-        e_per = self.periodic.energy.total_j
-        e_pcs = self.pcs.energy.total_j
-        return {
-            "basic_vs_periodic": savings_pct(self.basic.energy.total_j, e_per),
-            "complete_vs_periodic": savings_pct(self.complete.energy.total_j, e_per),
-            "basic_vs_pcs": savings_pct(self.basic.energy.total_j, e_pcs),
-            "complete_vs_pcs": savings_pct(self.complete.energy.total_j, e_pcs),
-        }
 
 
 @dataclass
@@ -92,7 +73,8 @@ class Experiment1Result:
         return [(e.time, e.selected) for e in self.fairness_log]
 
 
-def _task(radius_m: float) -> TaskParams:
+def task(radius_m: float) -> TaskParams:
+    """The Experiment 1 task at one radius."""
     return TaskParams(
         area_radius_m=radius_m,
         spatial_density=SPATIAL_DENSITY,
@@ -103,19 +85,7 @@ def _task(radius_m: float) -> TaskParams:
 
 def _radius_point(config: ScenarioConfig, radius_m: float) -> RadiusPoint:
     """One sweep point: all four frameworks at one radius (picklable)."""
-    tasks = [_task(radius_m)]
-    periodic = run_periodic_arm(config, tasks)
-    pcs = run_pcs_arm(config, tasks)
-    basic = run_sense_aid_arm(config, tasks, ServerMode.BASIC)
-    complete = run_sense_aid_arm(config, tasks, ServerMode.COMPLETE)
-    return RadiusPoint(
-        radius_m=radius_m,
-        qualified_mean=basic.mean_qualified(),
-        periodic=periodic.detached(),
-        pcs=pcs.detached(),
-        basic=basic.detached(),
-        complete=complete.detached(),
-    )
+    return run_four_arms(RadiusPoint, config, [task(radius_m)], radius_m=radius_m)
 
 
 def run(
@@ -177,23 +147,11 @@ def main(
         format_bar_chart(bar_rows, title="Figure 8 as bars (J):", width=46)
     )
     lines.append("")
-    savings_rows = []
-    for point in result.points:
-        s = point.savings_row()
-        savings_rows.append(
-            (
-                point.radius_m,
-                f"{s['basic_vs_periodic']:.1f}%",
-                f"{s['complete_vs_periodic']:.1f}%",
-                f"{s['basic_vs_pcs']:.1f}%",
-                f"{s['complete_vs_pcs']:.1f}%",
-            )
-        )
     lines.append(
-        format_table(
-            ["radius (m)", "B/Periodic", "C/Periodic", "B/PCS", "C/PCS"],
-            savings_rows,
-            title="Experiment 1 — Sense-Aid energy savings per radius",
+        format_savings_table(
+            "radius (m)",
+            [(point.radius_m, point) for point in result.points],
+            "Experiment 1 — Sense-Aid energy savings per radius",
         )
     )
     lines.append("")

@@ -18,19 +18,16 @@ Reproduced artifacts:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.analysis.energy import savings_pct
 from repro.analysis.tables import format_table
-from repro.core.config import ServerMode
 from repro.devices.battery import TWO_PERCENT_BUDGET_J
 from repro.experiments.common import (
-    ArmResult,
+    FourArms,
     ScenarioConfig,
     TaskParams,
-    run_pcs_arm,
-    run_periodic_arm,
-    run_sense_aid_arm,
+    format_savings_table,
+    run_four_arms,
 )
 from repro.runner import ExperimentEngine
 
@@ -41,39 +38,10 @@ AREA_RADIUS_M = 500.0
 
 
 @dataclass(frozen=True)
-class PeriodPoint:
+class PeriodPoint(FourArms):
+    """All four arms at one sampling period."""
+
     period_s: float
-    periodic: ArmResult
-    pcs: ArmResult
-    basic: ArmResult
-    complete: ArmResult
-
-    def selected_counts(self) -> Dict[str, float]:
-        """Fig. 10: mean devices used per request, per framework."""
-        return {
-            "periodic": self.periodic.mean_participants(),
-            "pcs": self.pcs.mean_participants(),
-            "sense-aid": self.basic.mean_participants(),
-        }
-
-    def energy_per_device(self) -> Dict[str, float]:
-        """Fig. 11: mean Joules per participating device."""
-        return {
-            "periodic": self.periodic.mean_energy_per_active_device_j(),
-            "pcs": self.pcs.mean_energy_per_active_device_j(),
-            "basic": self.basic.mean_energy_per_active_device_j(),
-            "complete": self.complete.mean_energy_per_active_device_j(),
-        }
-
-    def savings_row(self) -> Dict[str, float]:
-        e_per = self.periodic.energy.total_j
-        e_pcs = self.pcs.energy.total_j
-        return {
-            "basic_vs_periodic": savings_pct(self.basic.energy.total_j, e_per),
-            "complete_vs_periodic": savings_pct(self.complete.energy.total_j, e_per),
-            "basic_vs_pcs": savings_pct(self.basic.energy.total_j, e_pcs),
-            "complete_vs_pcs": savings_pct(self.complete.energy.total_j, e_pcs),
-        }
 
 
 @dataclass
@@ -121,14 +89,7 @@ def _task(period_s: float) -> TaskParams:
 
 def _period_point(config: ScenarioConfig, period_s: float) -> PeriodPoint:
     """One sweep point: all four frameworks at one period (picklable)."""
-    tasks = [_task(period_s)]
-    return PeriodPoint(
-        period_s=period_s,
-        periodic=run_periodic_arm(config, tasks).detached(),
-        pcs=run_pcs_arm(config, tasks).detached(),
-        basic=run_sense_aid_arm(config, tasks, ServerMode.BASIC).detached(),
-        complete=run_sense_aid_arm(config, tasks, ServerMode.COMPLETE).detached(),
-    )
+    return run_four_arms(PeriodPoint, config, [_task(period_s)], period_s=period_s)
 
 
 def run(
@@ -176,23 +137,11 @@ def main(
         )
     )
     lines.append("")
-    savings_rows = []
-    for point in result.points:
-        s = point.savings_row()
-        savings_rows.append(
-            (
-                f"{point.period_s / 60:.0f} min",
-                f"{s['basic_vs_periodic']:.1f}%",
-                f"{s['complete_vs_periodic']:.1f}%",
-                f"{s['basic_vs_pcs']:.1f}%",
-                f"{s['complete_vs_pcs']:.1f}%",
-            )
-        )
     lines.append(
-        format_table(
-            ["period", "B/Periodic", "C/Periodic", "B/PCS", "C/PCS"],
-            savings_rows,
-            title="Experiment 2 — Sense-Aid energy savings per sampling period",
+        format_savings_table(
+            "period",
+            [(f"{point.period_s / 60:.0f} min", point) for point in result.points],
+            "Experiment 2 — Sense-Aid energy savings per sampling period",
         )
     )
     output = "\n".join(lines)

@@ -21,18 +21,15 @@ Reproduced artifacts:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
-from repro.analysis.energy import savings_pct
 from repro.analysis.tables import format_table
-from repro.core.config import ServerMode
 from repro.experiments.common import (
-    ArmResult,
+    FourArms,
     ScenarioConfig,
     TaskParams,
-    run_pcs_arm,
-    run_periodic_arm,
-    run_sense_aid_arm,
+    format_savings_table,
+    run_four_arms,
 )
 from repro.runner import ExperimentEngine
 
@@ -44,37 +41,10 @@ AREA_RADIUS_M = 500.0
 
 
 @dataclass(frozen=True)
-class TaskCountPoint:
+class TaskCountPoint(FourArms):
+    """All four arms at one number of concurrent tasks."""
+
     task_count: int
-    periodic: ArmResult
-    pcs: ArmResult
-    basic: ArmResult
-    complete: ArmResult
-
-    def selected_counts(self) -> Dict[str, float]:
-        return {
-            "periodic": self.periodic.mean_participants(),
-            "pcs": self.pcs.mean_participants(),
-            "sense-aid": self.basic.mean_participants(),
-        }
-
-    def energy_per_device(self) -> Dict[str, float]:
-        return {
-            "periodic": self.periodic.mean_energy_per_active_device_j(),
-            "pcs": self.pcs.mean_energy_per_active_device_j(),
-            "basic": self.basic.mean_energy_per_active_device_j(),
-            "complete": self.complete.mean_energy_per_active_device_j(),
-        }
-
-    def savings_row(self) -> Dict[str, float]:
-        e_per = self.periodic.energy.total_j
-        e_pcs = self.pcs.energy.total_j
-        return {
-            "basic_vs_periodic": savings_pct(self.basic.energy.total_j, e_per),
-            "complete_vs_periodic": savings_pct(self.complete.energy.total_j, e_per),
-            "basic_vs_pcs": savings_pct(self.basic.energy.total_j, e_pcs),
-            "complete_vs_pcs": savings_pct(self.complete.energy.total_j, e_pcs),
-        }
 
 
 @dataclass
@@ -122,13 +92,8 @@ def _tasks(count: int) -> List[TaskParams]:
 
 def _count_point(config: ScenarioConfig, task_count: int) -> TaskCountPoint:
     """One sweep point: all four frameworks at one task count."""
-    tasks = _tasks(task_count)
-    return TaskCountPoint(
-        task_count=task_count,
-        periodic=run_periodic_arm(config, tasks).detached(),
-        pcs=run_pcs_arm(config, tasks).detached(),
-        basic=run_sense_aid_arm(config, tasks, ServerMode.BASIC).detached(),
-        complete=run_sense_aid_arm(config, tasks, ServerMode.COMPLETE).detached(),
+    return run_four_arms(
+        TaskCountPoint, config, _tasks(task_count), task_count=task_count
     )
 
 
@@ -174,23 +139,11 @@ def main(
         )
     )
     lines.append("")
-    savings_rows = []
-    for point in result.points:
-        s = point.savings_row()
-        savings_rows.append(
-            (
-                point.task_count,
-                f"{s['basic_vs_periodic']:.1f}%",
-                f"{s['complete_vs_periodic']:.1f}%",
-                f"{s['basic_vs_pcs']:.1f}%",
-                f"{s['complete_vs_pcs']:.1f}%",
-            )
-        )
     lines.append(
-        format_table(
-            ["tasks", "B/Periodic", "C/Periodic", "B/PCS", "C/PCS"],
-            savings_rows,
-            title="Experiment 3 — Sense-Aid energy savings vs concurrent tasks",
+        format_savings_table(
+            "tasks",
+            [(point.task_count, point) for point in result.points],
+            "Experiment 3 — Sense-Aid energy savings vs concurrent tasks",
         )
     )
     output = "\n".join(lines)

@@ -1,11 +1,11 @@
 """Seed-robustness extension: how stable are the headline savings?
 
 The paper's numbers come from one live user study; a simulation can do
-better and quantify run-to-run variance.  This experiment repeats the
-representative campaign (radius 1000 m, density 2, 10-minute period,
-90 minutes) over several independently seeded worlds and reports the
-mean ± spread of every savings comparison — evidence that the
-reproduction's conclusions don't hinge on one lucky world.
+better and quantify run-to-run variance.  This experiment repeats
+Experiment 1's 1000 m point (density 2, 10-minute period, 90 minutes)
+over several independently seeded worlds and reports the mean ± spread
+of every savings comparison — evidence that the reproduction's
+conclusions don't hinge on one lucky world.
 """
 
 from __future__ import annotations
@@ -14,33 +14,20 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.analysis.energy import savings_pct
 from repro.analysis.tables import format_table
-from repro.core.config import ServerMode
+from repro.experiments import exp1_radius
 from repro.experiments.common import (
+    COMPARISONS,
+    FourArms,
     ScenarioConfig,
-    TaskParams,
-    run_pcs_arm,
-    run_periodic_arm,
-    run_sense_aid_arm,
+    run_four_arms,
 )
 from repro.runner import ExperimentEngine
 
 DEFAULT_SEEDS = tuple(range(7, 17))
 
-TASK = TaskParams(
-    area_radius_m=1000.0,
-    spatial_density=2,
-    sampling_period_s=600.0,
-    sampling_duration_s=5400.0,
-)
-
-COMPARISONS = (
-    "basic_vs_periodic",
-    "complete_vs_periodic",
-    "basic_vs_pcs",
-    "complete_vs_pcs",
-)
+#: Experiment 1's representative campaign.
+TASK = exp1_radius.task(1000.0)
 
 
 @dataclass(frozen=True)
@@ -57,18 +44,7 @@ class RobustnessStats:
 
 def _seed_savings(seed: int) -> Dict[str, float]:
     """All four savings comparisons in one seeded world (picklable)."""
-    config = ScenarioConfig(seed=seed)
-    tasks = [TASK]
-    periodic = run_periodic_arm(config, tasks).energy.total_j
-    pcs = run_pcs_arm(config, tasks).energy.total_j
-    basic = run_sense_aid_arm(config, tasks, ServerMode.BASIC).energy.total_j
-    complete = run_sense_aid_arm(config, tasks, ServerMode.COMPLETE).energy.total_j
-    return {
-        "basic_vs_periodic": savings_pct(basic, periodic),
-        "complete_vs_periodic": savings_pct(complete, periodic),
-        "basic_vs_pcs": savings_pct(basic, pcs),
-        "complete_vs_pcs": savings_pct(complete, pcs),
-    }
+    return run_four_arms(FourArms, ScenarioConfig(seed=seed), [TASK]).savings_row()
 
 
 def run(

@@ -17,13 +17,14 @@ from typing import Dict, List, Optional, Tuple
 from repro.analysis.energy import min_mean_max
 from repro.analysis.tables import format_min_mean_max, format_table
 from repro.experiments import exp1_radius, exp2_period, exp3_tasks
-from repro.experiments.common import ScenarioConfig
+from repro.experiments.common import COMPARISONS, ScenarioConfig
 
-COMPARISONS = (
-    ("basic_vs_periodic", "1: Basic/Periodic"),
-    ("complete_vs_periodic", "2: Complete/Periodic"),
-    ("basic_vs_pcs", "3: Basic/PCS"),
-    ("complete_vs_pcs", "4: Complete/PCS"),
+#: Table 2's column label of each comparison, in :data:`COMPARISONS` order.
+LABELS = (
+    "1: Basic/Periodic",
+    "2: Complete/Periodic",
+    "3: Basic/PCS",
+    "4: Complete/PCS",
 )
 
 
@@ -53,7 +54,7 @@ class Table2Result:
 
 def _cells_from_savings(rows: List[Dict[str, float]]) -> List[SummaryCell]:
     cells = []
-    for key, _label in COMPARISONS:
+    for key in COMPARISONS:
         lo, mean, hi = min_mean_max(row[key] for row in rows)
         cells.append(SummaryCell(key, lo, mean, hi))
     return cells
@@ -83,27 +84,11 @@ def run(config: Optional[ScenarioConfig] = None) -> Table2Result:
 
 def main(config: Optional[ScenarioConfig] = None) -> str:
     result = run(config)
-    rows: List[Tuple[str, str, str, str, str]] = []
-    labels = {key: label for key, label in COMPARISONS}
+    rows: List[Tuple[str, ...]] = []
     for experiment, cells in result.experiment_cells.items():
-        formatted = {cell.comparison: cell.formatted() for cell in cells}
-        rows.append(
-            (
-                experiment,
-                formatted["basic_vs_periodic"],
-                formatted["complete_vs_periodic"],
-                formatted["basic_vs_pcs"],
-                formatted["complete_vs_pcs"],
-            )
-        )
+        rows.append((experiment, *(cell.formatted() for cell in cells)))
     table = format_table(
-        [
-            "experiment",
-            labels["basic_vs_periodic"],
-            labels["complete_vs_periodic"],
-            labels["basic_vs_pcs"],
-            labels["complete_vs_pcs"],
-        ],
+        ["experiment", *LABELS],
         rows,
         title="Table 2 — energy savings summary: average (min, max) per sweep",
     )

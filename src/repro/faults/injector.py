@@ -79,7 +79,6 @@ class FaultStats:
     overload_bursts: int = 0
     burst_requests: int = 0
     events_executed: int = 0
-    events_skipped: int = 0
 
 
 class FaultInjector:
@@ -233,10 +232,6 @@ class FaultInjector:
     # ------------------------------------------------------------------
 
     def _execute(self, event: FaultEvent) -> None:
-        if event.condition is not None and not event.condition():
-            self.stats.events_skipped += 1
-            self.log.event("fault.skipped", action=event.action)
-            return
         handler = getattr(self, f"_do_{event.action}")
         handler(**event.kwargs)
         self.stats.events_executed += 1

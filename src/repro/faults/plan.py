@@ -1,14 +1,10 @@
-"""The fault schedule: *what* breaks, *when*, and optionally *if*.
+"""The fault schedule: *what* breaks and *when*.
 
 A :class:`FaultPlan` is a declarative list of timed injections the
 :class:`~repro.faults.injector.FaultInjector` executes against a live
 simulation.  Building the plan is side-effect-free, so the same plan
 object can drive many runs (the chaos benchmark's determinism check
 re-runs one plan and demands bit-identical logs).
-
-Every entry may carry a ``condition`` — a zero-argument predicate
-evaluated at fire time; a False skips the injection (e.g. "partition
-only if the server has not already crashed").
 
 Plans are also *data*: :meth:`FaultPlan.to_json` serializes a plan to
 a schema-tagged JSON document and :meth:`FaultPlan.from_json` rebuilds
@@ -27,7 +23,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.faults.models import GilbertElliott
 
@@ -46,7 +42,6 @@ class FaultEvent:
     at: float
     action: str
     kwargs: Dict[str, Any] = field(default_factory=dict)
-    condition: Optional[Callable[[], bool]] = None
 
     def __post_init__(self) -> None:
         if not self.at >= 0:
@@ -158,13 +153,7 @@ class FaultPlan:
         """Events in firing order (stable for equal times)."""
         return tuple(sorted(self._events, key=lambda e: e.at))
 
-    def add(
-        self,
-        at: float,
-        action: str,
-        condition: Optional[Callable[[], bool]] = None,
-        **kwargs: Any,
-    ) -> "FaultPlan":
+    def add(self, at: float, action: str, **kwargs: Any) -> "FaultPlan":
         """Append one injection; unknown actions and malformed kwargs
         are rejected eagerly with the offending name spelled out."""
         schema = ACTION_SCHEMAS.get(action)
@@ -189,9 +178,7 @@ class FaultPlan:
             name: _check_kind(action, name, schema[name][0], value)
             for name, value in kwargs.items()
         }
-        self._events.append(
-            FaultEvent(at=at, action=action, kwargs=normalized, condition=condition)
-        )
+        self._events.append(FaultEvent(at=at, action=action, kwargs=normalized))
         return self
 
     # ------------------------------------------------------------------
@@ -205,9 +192,8 @@ class FaultPlan:
         ``heal``/``tower_up``/``shard_heal`` with no matching active
         outage would silently no-op at run time, so it is reported —
         raised as :class:`FaultPlanError` on a strict plan, warned on a
-        ``strict=False`` one.  Conditional outage events are counted
-        optimistically (their condition may well be true at fire time).
-        Returns the list of problems (empty == sane).
+        ``strict=False`` one.  Returns the list of problems (empty ==
+        sane).
         """
         problems: List[str] = []
         active: Dict[Tuple[str, Optional[str]], int] = {}
@@ -247,18 +233,9 @@ class FaultPlan:
     # ------------------------------------------------------------------
 
     def to_json_obj(self) -> dict:
-        """The plan as a JSON-ready dict (schema-tagged).
-
-        Conditions are run-time predicates and cannot be serialized; a
-        plan carrying any is refused rather than silently stripped.
-        """
+        """The plan as a JSON-ready dict (schema-tagged)."""
         events = []
         for event in self.events:
-            if event.condition is not None:
-                raise FaultPlanError(
-                    f"cannot serialize {event.action} at t={event.at}: "
-                    "fire-time conditions are not serializable"
-                )
             kwargs = {}
             for name, value in event.kwargs.items():
                 kind = ACTION_SCHEMAS[event.action][name][0]
@@ -345,18 +322,6 @@ class FaultPlan:
             raise FaultPlanError(f"unparseable fault plan JSON: {exc}") from None
         return cls.from_json_obj(obj, strict=strict)
 
-    @classmethod
-    def from_events(
-        cls, events: Sequence[FaultEvent], *, strict: bool = True
-    ) -> "FaultPlan":
-        """A plan over an existing event subset (the shrinker's tool:
-        candidate subsequences keep their original ``FaultEvent``
-        objects, conditions included)."""
-        plan = cls(strict=strict)
-        for event in events:
-            plan.add(event.at, event.action, event.condition, **event.kwargs)
-        return plan
-
     # ------------------------------------------------------------------
     # Convenience builders (all chainable)
     # ------------------------------------------------------------------
@@ -367,25 +332,20 @@ class FaultPlan:
         tower_id: str,
         *,
         restore_after: Optional[float] = None,
-        condition: Optional[Callable[[], bool]] = None,
     ) -> "FaultPlan":
         """Fail a tower; optionally schedule its restoration too."""
-        self.add(at, "tower_down", condition, tower_id=tower_id)
+        self.add(at, "tower_down", tower_id=tower_id)
         if restore_after is not None:
             if restore_after <= 0:
                 raise ValueError("restore_after must be positive")
-            self.add(at + restore_after, "tower_up", None, tower_id=tower_id)
+            self.add(at + restore_after, "tower_up", tower_id=tower_id)
         return self
 
     def tower_up(self, at: float, tower_id: str) -> "FaultPlan":
         return self.add(at, "tower_up", tower_id=tower_id)
 
     def partition(
-        self,
-        at: float,
-        *,
-        heal_after: Optional[float] = None,
-        condition: Optional[Callable[[], bool]] = None,
+        self, at: float, *, heal_after: Optional[float] = None
     ) -> "FaultPlan":
         """Cut the core path between the RAN and the Sense-Aid edge.
 
@@ -393,7 +353,7 @@ class FaultPlan:
         crowdsensing devices lose their control plane and — if so
         configured — drop into degraded autonomous mode.
         """
-        self.add(at, "partition", condition)
+        self.add(at, "partition")
         if heal_after is not None:
             if heal_after <= 0:
                 raise ValueError("heal_after must be positive")
@@ -435,11 +395,7 @@ class FaultPlan:
         return self.add(at, "set_duplication", probability=probability)
 
     def server_crash(
-        self,
-        at: float,
-        *,
-        restart_after: Optional[float] = None,
-        condition: Optional[Callable[[], bool]] = None,
+        self, at: float, *, restart_after: Optional[float] = None
     ) -> "FaultPlan":
         """Kill the Sense-Aid server process.
 
@@ -447,30 +403,24 @@ class FaultPlan:
         (new incarnation epoch, WAL recovery when one is attached) is
         scheduled too.
         """
-        self.add(at, "server_crash", condition)
+        self.add(at, "server_crash")
         if restart_after is not None:
             if restart_after <= 0:
                 raise ValueError("restart_after must be positive")
-            self.add(at + restart_after, "server_restart", None)
+            self.add(at + restart_after, "server_restart")
         return self
 
     def server_restart(self, at: float) -> "FaultPlan":
         """Cold-restart the server (crashing it first if still up)."""
         return self.add(at, "server_restart")
 
-    def shard_crash(
-        self,
-        at: float,
-        shard_id: str,
-        *,
-        condition: Optional[Callable[[], bool]] = None,
-    ) -> "FaultPlan":
+    def shard_crash(self, at: float, shard_id: str) -> "FaultPlan":
         """Hard-kill one shard's incumbent in a sharded fleet.
 
         The fleet's failure detector notices the missing heartbeats
         and (with auto-failover on) hands the ring range to a standby.
         """
-        return self.add(at, "shard_crash", condition, shard_id=shard_id)
+        return self.add(at, "shard_crash", shard_id=shard_id)
 
     def shard_partition(
         self,
@@ -478,15 +428,14 @@ class FaultPlan:
         shard_id: str,
         *,
         heal_after: Optional[float] = None,
-        condition: Optional[Callable[[], bool]] = None,
     ) -> "FaultPlan":
         """Cut one shard's peer links (split brain: it keeps serving
         devices while its peers declare it dead and fail over)."""
-        self.add(at, "shard_partition", condition, shard_id=shard_id)
+        self.add(at, "shard_partition", shard_id=shard_id)
         if heal_after is not None:
             if heal_after <= 0:
                 raise ValueError("heal_after must be positive")
-            self.add(at + heal_after, "shard_heal", None, shard_id=shard_id)
+            self.add(at + heal_after, "shard_heal", shard_id=shard_id)
         return self
 
     def shard_heal(self, at: float, shard_id: str) -> "FaultPlan":

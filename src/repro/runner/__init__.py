@@ -6,8 +6,8 @@ every sweep is an independent seeded simulation.  ``repro.runner``
 fans those points out across a process pool while keeping the results
 *bit-identical* to a serial run:
 
-- **Deterministic seeding** — :func:`derive_seed` hashes the scenario
-  config and replication index, so a task's world never depends on
+- **Deterministic points** — every point function is a pure function
+  of its fully seeded arguments, so a point's world never depends on
   which worker ran it or in what order.
 - **Content-addressed caching** — :class:`ResultCache` keys each
   point's result by a stable hash of the point function and its
@@ -31,7 +31,6 @@ from repro.runner.hashing import (
     canonical_json,
     canonicalize,
     config_hash,
-    derive_seed,
 )
 
 __all__ = [
@@ -43,5 +42,4 @@ __all__ = [
     "canonical_json",
     "canonicalize",
     "config_hash",
-    "derive_seed",
 ]

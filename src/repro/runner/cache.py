@@ -1,7 +1,7 @@
 """Content-addressed cache for experiment point results.
 
 A cache entry is one computed sweep point, keyed by the stable hash of
-(point function, arguments, code-version salt).  Entries are pickled —
+(point function, arguments, cache schema).  Entries are pickled —
 sweep points return rich result objects (full arm results, selection
 logs) — and written atomically so a crash mid-write can never leave a
 truncated entry that later poisons a run.  Any unreadable, mismatched,

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.runner.cache import CACHE_SCHEMA_VERSION, ResultCache
-from repro.runner.hashing import config_hash, derive_seed
+from repro.runner.hashing import config_hash
 
 #: How many times a point whose *worker process died* is retried alone
 #: in a fresh pool before it is marked failed.
@@ -110,15 +110,12 @@ class ExperimentEngine:
     # -- keying ---------------------------------------------------------
 
     @staticmethod
-    def task_key(
-        fn: Callable[..., Any], kwargs: Dict[str, Any], version: str = ""
-    ) -> str:
+    def task_key(fn: Callable[..., Any], kwargs: Dict[str, Any]) -> str:
         """Content hash identifying one point computation."""
         return config_hash(
             {
                 "fn": f"{fn.__module__}.{fn.__qualname__}",
                 "kwargs": kwargs,
-                "version": version,
                 "cache_schema": CACHE_SCHEMA_VERSION,
             }
         )
@@ -126,18 +123,14 @@ class ExperimentEngine:
     # -- execution ------------------------------------------------------
 
     def map(
-        self,
-        fn: Callable[..., Any],
-        kwargs_list: Sequence[Dict[str, Any]],
-        *,
-        version: str = "",
+        self, fn: Callable[..., Any], kwargs_list: Sequence[Dict[str, Any]]
     ) -> List[TaskOutcome]:
         """Run ``fn(**kwargs)`` for each entry; outcomes in input order."""
         outcomes: List[Optional[TaskOutcome]] = [None] * len(kwargs_list)
         pending: List[_Pending] = []
         fn_name = f"{fn.__module__}.{fn.__qualname__}"
         for index, kwargs in enumerate(kwargs_list):
-            key = self.task_key(fn, kwargs, version)
+            key = self.task_key(fn, kwargs)
             if self.cache is not None:
                 hit, value = self.cache.get(key)
                 if hit:
@@ -162,42 +155,14 @@ class ExperimentEngine:
         return done
 
     def run_points(
-        self,
-        fn: Callable[..., Any],
-        kwargs_list: Sequence[Dict[str, Any]],
-        *,
-        version: str = "",
+        self, fn: Callable[..., Any], kwargs_list: Sequence[Dict[str, Any]]
     ) -> List[Any]:
         """Like :meth:`map` but returns bare values, raising
         :class:`PointFailure` (after every point has run) if any failed."""
-        outcomes = self.map(fn, kwargs_list, version=version)
+        outcomes = self.map(fn, kwargs_list)
         if any(not o.ok for o in outcomes):
             raise PointFailure(outcomes)
         return [o.value for o in outcomes]
-
-    def replicate(
-        self,
-        fn: Callable[..., Any],
-        config: Any,
-        replications: int,
-        *,
-        kwargs: Optional[Dict[str, Any]] = None,
-        version: str = "",
-    ) -> List[Any]:
-        """Run ``fn(config=<reseeded config>, **kwargs)`` for each
-        replication, seeding each world with :func:`derive_seed`.
-
-        ``config`` must expose ``with_seed(seed)`` (as
-        ``ScenarioConfig`` does).
-        """
-        if replications < 1:
-            raise ValueError("replications must be >= 1")
-        base = dict(kwargs or {})
-        tasks = [
-            {"config": config.with_seed(derive_seed(config, rep)), **base}
-            for rep in range(replications)
-        ]
-        return self.run_points(fn, tasks, version=version)
 
     # -- internals ------------------------------------------------------
 

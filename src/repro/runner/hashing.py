@@ -1,10 +1,10 @@
 """Stable hashing of experiment configurations.
 
-Everything the engine does — cache keys, replication seeds — rests on
-one primitive: a *canonical* representation of a task's parameters
-that is identical across processes, interpreter restarts, and
-platforms.  Python's built-in ``hash()`` is salted per process, so the
-canonical form is JSON with sorted keys and the hash is SHA-256.
+The engine's cache keys rest on one primitive: a *canonical*
+representation of a task's parameters that is identical across
+processes, interpreter restarts, and platforms.  Python's built-in
+``hash()`` is salted per process, so the canonical form is JSON with
+sorted keys and the hash is SHA-256.
 
 Dataclass instances are tagged with their qualified class name so two
 config types with the same field values never collide; enums reduce to
@@ -19,10 +19,6 @@ import enum
 import hashlib
 import json
 from typing import Any
-
-#: Seeds fit the platform-independent positive 63-bit range, so they
-#: are valid for ``random.Random`` and numpy generators alike.
-_SEED_BITS = 63
 
 
 def canonicalize(obj: Any) -> Any:
@@ -71,18 +67,3 @@ def canonical_json(obj: Any) -> str:
 def config_hash(obj: Any) -> str:
     """SHA-256 hex digest of the canonical form of ``obj``."""
     return hashlib.sha256(canonical_json(obj).encode("utf-8")).hexdigest()
-
-
-def derive_seed(config: Any, replication: int, *, salt: str = "") -> int:
-    """A stable per-replication seed from a scenario config.
-
-    The seed depends only on the config's canonical content and the
-    replication index — never on worker identity, completion order, or
-    process start method — which is what makes a parallel sweep
-    bit-identical to a serial one.
-    """
-    payload = canonical_json(
-        {"config": canonicalize(config), "replication": replication, "salt": salt}
-    )
-    digest = hashlib.sha256(payload.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") & ((1 << _SEED_BITS) - 1)

@@ -8,7 +8,6 @@ from repro.analysis.energy import (
     min_mean_max,
     savings_pct,
     summarize_devices,
-    summarize_savings,
 )
 from repro.analysis.fairness import (
     fairness_report,
@@ -62,17 +61,6 @@ class TestEnergySummary:
         assert summary.total_j == 0.0
         assert summary.mean_per_device_j == 0.0
         assert summary.max_per_device_j == 0.0
-
-    def test_summarize_savings(self):
-        sim = Simulator()
-        sa = [make_device(sim, "sa")]
-        sa[0].ledger.charge(TrafficCategory.CROWDSENSING, 10.0, "x")
-        other = [make_device(sim, "o")]
-        other[0].ledger.charge(TrafficCategory.CROWDSENSING, 100.0, "x")
-        savings = summarize_savings(
-            summarize_devices(sa), {"periodic": summarize_devices(other)}
-        )
-        assert savings["periodic"] == pytest.approx(90.0)
 
 
 class TestFairness:

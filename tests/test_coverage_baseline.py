@@ -12,8 +12,8 @@ from tests.conftest import make_device
 from tests.test_baselines import CENTER, make_spec
 
 
-def make_framework(sim, devices, **kwargs):
-    return CoverageFramework(sim, CellularNetwork(sim), devices, **kwargs)
+def make_framework(sim, devices):
+    return CoverageFramework(sim, CellularNetwork(sim), devices)
 
 
 class TestRecruitment:
@@ -52,13 +52,6 @@ class TestRecruitment:
         task = make_spec(spatial_density=1)
         framework.add_task(task)
         assert framework.plans[task.task_id].recruited == ["ok"]
-
-    def test_parameter_validation(self):
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            make_framework(sim, [], history_samples=0)
-        with pytest.raises(ValueError):
-            make_framework(sim, [], coverage_margin=0.0)
 
 
 class TestCampaignBehaviour:

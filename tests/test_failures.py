@@ -1,4 +1,4 @@
-"""Failure-handling tests: server crash, fail-safe routing, recovery,
+"""Failure-handling tests: server crash, fail-safe routing, restart,
 and unresponsive devices."""
 
 from __future__ import annotations
@@ -49,10 +49,12 @@ class TestServerCrash:
         assert delivered[0].path == "path1"
 
     def test_recovery_resumes_scheduling(self):
+        """A WAL-less cold restart resumes the surviving task under the
+        new epoch: original request ids, the outage's instants lost."""
         sim = Simulator()
         server, _, _, _ = make_setup(sim, n_devices=3)
         data = []
-        server.submit_task(
+        task_id = server.submit_task(
             make_spec(
                 spatial_density=2,
                 sampling_period_s=600.0,
@@ -67,21 +69,27 @@ class TestServerCrash:
         assert server.stats.requests_lost_to_crash == 2
         data_during_crash = [p for p in data if 700.0 < p.delivered_at <= 1900.0]
         assert data_during_crash == []
-        server.recover()
+        server.restart()
+        assert server.epoch == 2
         sim.run(until=3700.0)
         # The remaining instants (issued at 2400 and 3000) resume.
         assert server.stats.requests_scheduled == 4
+        assert server.stats.requests_lost_to_crash == 2
         resumed = [p for p in data if p.delivered_at > 1900.0]
         assert len(resumed) == 2 * 2  # two requests × density 2
+        assert {p.request_id for p in resumed} == {
+            f"task{task_id}-r4",
+            f"task{task_id}-r5",
+        }
 
     def test_crash_is_idempotent(self):
         sim = Simulator()
         server, _, _, _ = make_setup(sim, n_devices=1)
         server.crash()
         server.crash()
-        server.recover()
-        server.recover()
+        server.restart()
         assert not server.crashed
+        assert server.epoch == 2
 
     def test_uploads_during_crash_are_not_counted(self):
         sim = Simulator()

@@ -4,7 +4,6 @@ temporal sanity (the soak harness's reproducer substrate)."""
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 
@@ -222,25 +221,6 @@ class TestJsonRoundTrip:
         }
         with pytest.raises(FaultPlanError, match="missing required"):
             FaultPlan.from_json_obj(doc)
-
-    def test_conditions_refuse_serialization(self):
-        plan = FaultPlan().partition(10.0, condition=lambda: True)
-        with pytest.raises(FaultPlanError, match="condition"):
-            plan.to_json()
-
-    def test_from_events_preserves_conditions(self):
-        cond = lambda: False  # noqa: E731
-        original = FaultPlan().partition(10.0, condition=cond).heal(20.0)
-        subset = FaultPlan.from_events(original.events)
-        assert subset.events[0].condition is cond
-
-    def test_from_events_strict_false_allows_orphan_heal(self):
-        original = full_vocabulary_plan()
-        orphan = [e for e in original.events if e.action == "heal"]
-        plan = FaultPlan.from_events(orphan, strict=False)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            assert len(plan.validate()) == 1
 
     def test_events_are_normalized_like_add(self):
         doc = {

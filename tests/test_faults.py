@@ -319,15 +319,6 @@ class TestPartitionAndChurn:
         assert injector.stats.partitions == 1
         assert injector.stats.heals == 1
 
-    def test_conditional_event_skipped(self):
-        sim = Simulator(seed=2)
-        plan = FaultPlan()
-        plan.partition(100.0, condition=lambda: False)
-        _, network, _, injector, _, _ = chaos_setup(sim, plan=plan)
-        sim.run(until=150.0)
-        assert network.sense_aid_path_available
-        assert injector.stats.events_skipped == 1
-
     def test_kill_device_powers_off_client_and_drops_messages(self):
         sim = Simulator(seed=2)
         plan = FaultPlan().kill_device(100.0, "d0")

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.tables import format_bar_chart
-from repro.experiments import robustness
+from repro.experiments import exp1_radius, robustness
+from repro.experiments.common import COMPARISONS, ScenarioConfig
 
 
 class TestBarChart:
@@ -41,7 +42,7 @@ class TestRobustness:
         return robustness.run(seeds=(7, 8, 9))
 
     def test_all_comparisons_present(self, stats):
-        assert {s.comparison for s in stats} == set(robustness.COMPARISONS)
+        assert {s.comparison for s in stats} == set(COMPARISONS)
         assert all(s.samples == 3 for s in stats)
 
     def test_savings_consistently_high(self, stats):
@@ -62,6 +63,12 @@ class TestRobustness:
             by_name["complete_vs_pcs"].mean_pct
             >= by_name["basic_vs_pcs"].mean_pct
         )
+
+    def test_seed_world_is_exp1_1000m_point(self):
+        """Each robustness world is Experiment 1's 1000 m point."""
+        for seed in (7, 11):
+            point = exp1_radius._radius_point(ScenarioConfig(seed=seed), 1000.0)
+            assert robustness._seed_savings(seed) == point.savings_row()
 
     def test_empty_seeds_rejected(self):
         with pytest.raises(ValueError):

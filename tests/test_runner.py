@@ -17,7 +17,6 @@ from repro.runner import (
     canonical_json,
     canonicalize,
     config_hash,
-    derive_seed,
 )
 from repro.runner.cache import SPILL_THRESHOLD
 
@@ -48,10 +47,6 @@ def _die_on(x, bad):
     return x + 200
 
 
-def _seed_of(config):
-    return config.seed
-
-
 class TestCanonicalization:
     def test_stable_across_calls(self):
         config = ScenarioConfig(seed=11)
@@ -79,31 +74,6 @@ class TestCanonicalization:
     def test_unknown_types_rejected(self):
         with pytest.raises(TypeError):
             canonicalize(object())
-
-
-class TestDeriveSeed:
-    def test_deterministic(self):
-        config = ScenarioConfig(seed=7)
-        assert derive_seed(config, 0) == derive_seed(config, 0)
-
-    def test_distinct_per_replication(self):
-        config = ScenarioConfig(seed=7)
-        seeds = {derive_seed(config, rep) for rep in range(64)}
-        assert len(seeds) == 64
-
-    def test_distinct_per_config(self):
-        assert derive_seed(ScenarioConfig(seed=1), 0) != derive_seed(
-            ScenarioConfig(seed=2), 0
-        )
-
-    def test_salt_separates_streams(self):
-        config = ScenarioConfig()
-        assert derive_seed(config, 0) != derive_seed(config, 0, salt="warmup")
-
-    def test_positive_63_bit_range(self):
-        config = ScenarioConfig()
-        for rep in range(16):
-            assert 0 <= derive_seed(config, rep) < 2**63
 
 
 class TestResultCache:
@@ -252,12 +222,6 @@ class TestEngineCache:
         engine.run_points(_mix, [{"x": 1.0, "y": 2.0}])
         assert engine.stats.executed == 2
 
-    def test_version_salt_invalidates(self, tmp_path):
-        engine = ExperimentEngine(cache_dir=str(tmp_path))
-        engine.run_points(_mix, [{"x": 1.0}], version="v1")
-        engine.run_points(_mix, [{"x": 1.0}], version="v2")
-        assert engine.stats.executed == 2
-
     def test_failures_never_cached(self, tmp_path):
         engine = ExperimentEngine(cache_dir=str(tmp_path))
         engine.map(_fail_on, [{"x": 0, "bad": 0}])
@@ -306,16 +270,3 @@ class TestEngineParallel:
         second = parallel.run_points(_mix, tasks)
         assert second == first
         assert parallel.stats.cached == 4 and parallel.stats.executed == 0
-
-
-class TestReplicate:
-    def test_replications_get_derived_seeds(self):
-        engine = ExperimentEngine()
-        config = ScenarioConfig(seed=7)
-        seeds = engine.replicate(_seed_of, config, 5)
-        assert seeds == [derive_seed(config, rep) for rep in range(5)]
-        assert len(set(seeds)) == 5
-
-    def test_invalid_replications_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentEngine().replicate(_seed_of, ScenarioConfig(), 0)

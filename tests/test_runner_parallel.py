@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.experiments import exp1_radius, robustness, weight_sweep
 from repro.experiments.common import ScenarioConfig
-from repro.runner import ExperimentEngine, derive_seed
+from repro.runner import ExperimentEngine
 
 RADII = (100.0, 300.0)
 
@@ -90,9 +90,3 @@ class TestParallelSerialProperty:
         serial = ExperimentEngine(workers=1).run_points(_metrics_for_seed, tasks)
         parallel = ExperimentEngine(workers=4).run_points(_metrics_for_seed, tasks)
         assert parallel == serial
-
-    @settings(max_examples=32, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2**31), rep=st.integers(0, 512))
-    def test_derived_seed_depends_only_on_config_and_replication(self, seed, rep):
-        config = ScenarioConfig(seed=seed)
-        assert derive_seed(config, rep) == derive_seed(ScenarioConfig(seed=seed), rep)

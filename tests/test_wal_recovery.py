@@ -401,16 +401,6 @@ class TestRestartRecovery:
 
 
 class TestEpochSemantics:
-    def test_warm_recover_keeps_epoch(self, tmp_path):
-        sim = Simulator(seed=3)
-        server, _, _, clients = wal_setup(sim, tmp_path / "wal")
-        sim.run(until=100.0)
-        server.crash()
-        sim.run(until=150.0)
-        server.recover()
-        assert server.epoch == 1
-        assert all(c.stats.epoch_resyncs == 0 for c in clients)
-
     def test_restart_without_wal_bumps_epoch_and_keeps_datastores(self):
         sim = Simulator(seed=7)
         registry = TowerRegistry([ENodeB("t0", CENTER, coverage_radius_m=5000.0)])
@@ -421,11 +411,37 @@ class TestEpochSemantics:
             retry_policy=RETRY,
         )
         client.register()
+        data = []
+        periodic = server.submit_task(
+            make_spec(
+                spatial_density=1, sampling_period_s=600.0, sampling_duration_s=3600.0
+            ),
+            data.append,
+        )
+        one_shot = make_spec(spatial_density=1, sampling_period_s=None)
+        expired = make_spec(
+            spatial_density=1, sampling_period_s=300.0, sampling_duration_s=600.0
+        )
+        server.submit_task(one_shot, data.append)
+        server.submit_task(expired, data.append)
+        sim.run(until=1000.0)
+        issued = server.stats.requests_issued
+        assert issued == 5  # 0 s and 600 s, the one-shot, the expired 0 s and 300 s
         server.restart()
         assert server.epoch == 2
         assert "d0" in server.devices  # datastore stands in for storage
+        # One-shot and expired tasks stay on record as they were.
+        assert server.tasks.get(one_shot.task_id) == one_shot
+        assert server.tasks.get(expired.task_id) == expired
+        sim.run(until=4000.0)
         assert client.stats.epoch_resyncs == 1
         assert client._server_epoch == 2
+        # The periodic task resumed under the new epoch with its own id:
+        # its 1200-3000 s instants were issued once each; the others
+        # stayed down.
+        assert server.stats.requests_issued == issued + 4
+        resumed = sorted({p.request_id for p in data if p.sensed_at > 1000.0})
+        assert resumed == [f"task{periodic}-r{i}" for i in range(2, 6)]
         server.shutdown()
 
     def test_invariant_checker_flags_divergence(self):
