@@ -15,8 +15,10 @@ The scorecard (``BENCH_soak.json``) gates on:
    to at most 25% of the original fault plan;
 3. the shrunken reproducer round-trips through JSON and still fails.
 
-The structural metrics are exact; the scorecard records no wall-clock
-time.
+The structural metrics are exact, and so is ``soak.signatures``: each
+clean episode's structured-log signature, compared string for string
+by ``repro bench compare``, so any change in the soak's behaviour
+fails the gate.  The scorecard records no wall-clock time.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ def run_clean_soak(wal_root: str) -> dict:
         "mean_plan_events": doc["mean_plan_events"],
         "replay_checked": sum(1 for r in report.results if r.replay_checked),
         "failures": len(report.failures),
+        "signatures": [r.signature for r in report.results],
     }
 
 

@@ -10,13 +10,13 @@ flag models the paper's "path 1 if the Sense-Aid server crashes".
 
 Failure semantics live in two places, deliberately separated:
 
-- the network's own i.i.d. ``loss_probability`` and optional
-  ``delay_jitter_s`` draw from the dedicated ``network:loss`` and
-  ``network:delay`` streams, so enabling either never perturbs the
+- the network's own i.i.d. ``loss_probability`` draws from the
+  dedicated ``network:loss`` stream, so enabling it never perturbs the
   mobility/traffic/sensor streams of a same-seed run;
-- richer, correlated failures (bursty loss, duplication, reordering,
-  tower outages) are delegated to an installed **fault hook** (see
-  :mod:`repro.faults`), which draws from its own ``faults:*`` streams.
+- richer, correlated failures (bursty loss, extra delay, duplication,
+  reordering, tower outages) are delegated to an installed **fault
+  hook** (see :mod:`repro.faults`), which draws from its own
+  ``faults:*`` streams.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ class CellularNetwork:
         core_latency_s: float = 0.05,
         *,
         loss_probability: float = 0.0,
-        delay_jitter_s: float = 0.0,
     ) -> None:
         if core_latency_s < 0:
             raise ValueError(
@@ -60,20 +59,13 @@ class CellularNetwork:
             raise ValueError(
                 f"loss_probability must be in [0, 1), got {loss_probability!r}"
             )
-        if delay_jitter_s < 0:
-            raise ValueError(
-                f"delay_jitter_s must be non-negative, got {delay_jitter_s!r}"
-            )
         self._sim = sim
         self._latency = core_latency_s
         #: Probability an uplink message is lost in the core after the
         #: radio transmitted it (energy spent, delivery never happens) —
         #: exercises the data-collection failure handling of §8.
         self.loss_probability = loss_probability
-        #: Uniform extra core delay in [0, delay_jitter_s) per delivery.
-        self.delay_jitter_s = delay_jitter_s
         self._loss_rng = sim.rng.stream("network:loss")
-        self._delay_rng = sim.rng.stream("network:delay")
         self._fault_hook = None
         self._sense_aid_up = True
         self._path_listeners: List[Callable[[bool], None]] = []
@@ -128,8 +120,8 @@ class CellularNetwork:
     def add_path_listener(self, listener: Callable[[bool], None]) -> None:
         """Subscribe to Sense-Aid path up/down transitions.
 
-        Clients use this to enter/leave degraded mode when the control
-        plane becomes unreachable (crash or partition).
+        Clients use a restoration to resync with a server that
+        restarted while the path was down.
         """
         self._path_listeners.append(listener)
 
@@ -248,13 +240,8 @@ class CellularNetwork:
         """Core-transit delays for one message's deliveries.
 
         One entry per copy: the original plus any injected duplicates.
-        The i.i.d. jitter is drawn once per message from the dedicated
-        ``network:delay`` stream (and only when the feature is on, so a
-        jitter-free run makes zero draws).
         """
         base = self._latency
-        if self.delay_jitter_s > 0.0:
-            base += self._delay_rng.random() * self.delay_jitter_s
         if decision is None:
             return [base]
         delays = [base + decision.extra_delay_s]

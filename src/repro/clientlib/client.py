@@ -26,26 +26,27 @@ Hardening against the chaos layer (see :mod:`repro.faults`):
   CONNECTED window before paying a cold promotion).  Retransmissions
   reuse the original reading and carry an attempt-independent
   ``upload_id``, so the server's idempotency keys count them once;
-- with a :class:`~repro.core.config.DegradedModePolicy`, losing the
-  Sense-Aid path (crash or partition) drops the client into the
-  paper's §3 fail-safe: autonomous periodic path-1 uploads, then a
-  resync (state report + replay of unacknowledged uploads) on
-  recovery.
+- while the Sense-Aid path is down (crash or partition), regular
+  traffic takes path 1 (the paper's §3 fail-safe) and uploads keep
+  their retry schedule; when the path comes back from a server
+  restart, the client resyncs with the new incarnation (state report
+  + replay of every unacknowledged upload), the same way
+  :meth:`SenseAidClient.redirect` follows a fleet failover.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Set
+from dataclasses import dataclass
+from typing import Callable, Dict, Optional, Set
 
 from repro.cellular.network import CellularNetwork
 from repro.cellular.packets import sensor_data_message
 from repro.cellular.rrc import RRCState
-from repro.core.config import DegradedModePolicy, RetryPolicy
+from repro.core.config import RetryPolicy
 from repro.core.overload import ServerOverloadedError
 from repro.core.server import Assignment, SenseAidServer
 from repro.devices.device import SimDevice
-from repro.devices.sensors import SensorReading, SensorType
+from repro.devices.sensors import SensorReading
 from repro.sim.engine import Simulator
 from repro.sim.events import Event
 from repro.sim.simlog import SimLogger
@@ -87,8 +88,6 @@ class ClientStats:
     uploads_acked: int = 0
     uploads_abandoned: int = 0
     retries_in_tail: int = 0
-    degraded_entries: int = 0
-    degraded_uploads: int = 0
     resync_uploads: int = 0
     epoch_resyncs: int = 0
     stale_assignments_dropped: int = 0
@@ -113,7 +112,6 @@ class SenseAidClient:
         network: CellularNetwork,
         *,
         retry_policy: Optional[RetryPolicy] = None,
-        degraded_policy: Optional[DegradedModePolicy] = None,
     ) -> None:
         self._sim = sim
         self._device = device
@@ -124,7 +122,6 @@ class SenseAidClient:
         self._powered = True
         self.stats = ClientStats()
         self.retry_policy = retry_policy
-        self.degraded_policy = degraded_policy
         self._inflight: Dict[str, _UploadState] = {}
         #: Upload ids the server has *accepted* (ground truth for
         #: anti-entropy reconciliation after partitions/failovers).
@@ -141,9 +138,6 @@ class SenseAidClient:
         #: serving this device's ring range, so retries can follow a
         #: failover instead of hammering a deposed instance.
         self._home_resolver: Optional[Callable[[], Optional[SenseAidServer]]] = None
-        self._degraded = False
-        self._degraded_timer: Optional[Event] = None
-        self._last_sensor_type: Optional[SensorType] = None
         self.log = SimLogger(sim, "repro.clientlib")
         # The retry jitter stream is created only when retries are on,
         # so legacy (no-retry) runs make exactly the draws they used to.
@@ -156,9 +150,8 @@ class SenseAidClient:
         #: on every upload so a restarted server can refuse stale ones.
         self._server_epoch = server.epoch
         device.modem.add_state_listener(self._on_radio_state)
-        # Always watch the Sense-Aid path: a restoration is how the
-        # client learns the server may have restarted (epoch resync);
-        # degraded-mode fallback additionally needs the downs.
+        # Watch the Sense-Aid path: a restoration is how the client
+        # learns the server may have restarted (epoch resync).
         network.add_path_listener(self._on_path_change)
 
     @property
@@ -195,11 +188,6 @@ class SenseAidClient:
             for upload_id, count in sorted(self._accepted_acks.items())
             if count > 1
         }
-
-    @property
-    def degraded(self) -> bool:
-        """True while in autonomous path-1 fallback mode."""
-        return self._degraded
 
     @property
     def powered(self) -> bool:
@@ -321,11 +309,8 @@ class SenseAidClient:
             old_epoch=old_epoch,
             new_epoch=server.epoch,
         )
-        if not self._degraded:
-            self._send_state_report()
-            for state in list(self._inflight.values()):
-                self.stats.resync_uploads += 1
-                self._transmit_upload(state)
+        self._send_state_report()
+        self._replay_inflight()
 
     def update_preferences(
         self,
@@ -502,21 +487,9 @@ class SenseAidClient:
         state = self._inflight.get(request_id)
         if state is None or not self._powered:
             return
-        if self._degraded:
-            # Control plane unreachable: retrying is futile.  Hold the
-            # upload; recovery resync will replay it.
-            return
         if self._maybe_follow_home():
             return
-        if state.attempts >= self.retry_policy.max_attempts:
-            self._inflight.pop(request_id, None)
-            self.stats.uploads_abandoned += 1
-            self.log.event(
-                "upload_abandoned",
-                device_id=self._device.device_id,
-                request_id=request_id,
-                attempts=state.attempts,
-            )
+        if self._give_up(request_id, state):
             return
         backoff = self.retry_policy.backoff_s(state.attempts)
         jitter = self.retry_policy.jitter_fraction
@@ -531,7 +504,7 @@ class SenseAidClient:
         least its Retry-After hint, then retry through the normal
         tail-aware path."""
         state = self._inflight.get(request_id)
-        if state is None or not self._powered or self._degraded:
+        if state is None or not self._powered:
             return
         self._cancel_timer(state, "ack_timer")
         self.stats.uploads_shed += 1
@@ -542,15 +515,7 @@ class SenseAidClient:
             attempt=state.attempts,
             retry_after_s=round(retry_after_s, 6),
         )
-        if state.attempts >= self.retry_policy.max_attempts:
-            self._inflight.pop(request_id, None)
-            self.stats.uploads_abandoned += 1
-            self.log.event(
-                "upload_abandoned",
-                device_id=self._device.device_id,
-                request_id=request_id,
-                attempts=state.attempts,
-            )
+        if self._give_up(request_id, state):
             return
         self._cancel_timer(state, "retry_timer")
         state.retry_timer = self._sim.schedule(
@@ -564,7 +529,7 @@ class SenseAidClient:
         resync, then retransmit under the new epoch (the request's
         bookkeeping survived the restart via the WAL)."""
         state = self._inflight.get(request_id)
-        if state is None or not self._powered or self._degraded:
+        if state is None or not self._powered:
             return
         self._cancel_timer(state, "ack_timer")
         self.stats.stale_epoch_resends += 1
@@ -576,21 +541,13 @@ class SenseAidClient:
             server_epoch=self._server.epoch,
         )
         self._resync_epoch()
-        if state.attempts >= self.retry_policy.max_attempts:
-            self._inflight.pop(request_id, None)
-            self.stats.uploads_abandoned += 1
-            self.log.event(
-                "upload_abandoned",
-                device_id=self._device.device_id,
-                request_id=request_id,
-                attempts=state.attempts,
-            )
+        if self._give_up(request_id, state):
             return
         self._transmit_upload(state)
 
     def _on_retry_due(self, request_id: str) -> None:
         state = self._inflight.get(request_id)
-        if state is None or not self._powered or self._degraded:
+        if state is None or not self._powered:
             return
         if self._maybe_follow_home():
             return
@@ -615,9 +572,33 @@ class SenseAidClient:
 
     def _on_retry_forced(self, request_id: str) -> None:
         state = self._inflight.get(request_id)
-        if state is None or not self._powered or self._degraded:
+        if state is None or not self._powered:
             return
         if state.waiting_for_tail:
+            self._transmit_upload(state)
+
+    def _give_up(self, request_id: str, state: _UploadState) -> bool:
+        """Abandon an upload that has used all its attempts.
+
+        Returns True when it did, so the caller stops its retry path.
+        """
+        if state.attempts < self.retry_policy.max_attempts:
+            return False
+        self._inflight.pop(request_id, None)
+        self.stats.uploads_abandoned += 1
+        self.log.event(
+            "upload_abandoned",
+            device_id=self._device.device_id,
+            request_id=request_id,
+            attempts=state.attempts,
+        )
+        return True
+
+    def _replay_inflight(self) -> None:
+        """Retransmit every unacknowledged upload after a resync; the
+        server's idempotency keys count an already-accepted one once."""
+        for state in list(self._inflight.values()):
+            self.stats.resync_uploads += 1
             self._transmit_upload(state)
 
     def _abandon_inflight(self) -> None:
@@ -633,24 +614,15 @@ class SenseAidClient:
             setattr(state, name, None)
 
     # ------------------------------------------------------------------
-    # Degraded mode (control plane unreachable)
+    # Resync after a server restart
     # ------------------------------------------------------------------
 
     def _on_path_change(self, available: bool) -> None:
-        if not self._powered:
-            return
-        if not available:
-            if self.degraded_policy is not None and not self._degraded:
-                self._enter_degraded()
-            return
-        # Path restored: first find out whether the server we knew is
-        # the one that came back (epoch resync — before any replay so
-        # retransmissions carry the new incarnation), then leave
-        # degraded mode.
-        if self._registered and self._server_epoch != self._server.epoch:
-            self._resync_epoch(not self._degraded)
-        if self._degraded:
-            self._exit_degraded()
+        # Path restored: find out whether the server we knew is the one
+        # that came back, and if not, resync and replay every
+        # unacknowledged upload under the new incarnation.
+        if available:
+            self._resync_epoch(replay=True)
 
     def _resync_epoch(self, replay: bool = False) -> None:
         """Adopt the server's current incarnation.
@@ -684,64 +656,7 @@ class SenseAidClient:
         )
         self._send_state_report()
         if replay:
-            for state in list(self._inflight.values()):
-                self.stats.resync_uploads += 1
-                self._transmit_upload(state)
-
-    def _enter_degraded(self) -> None:
-        self._degraded = True
-        self.stats.degraded_entries += 1
-        self.log.event("degraded_enter", device_id=self._device.device_id)
-        self._degraded_timer = self._sim.schedule(
-            self.degraded_policy.period_s, self._degraded_tick
-        )
-
-    def _degraded_tick(self) -> None:
-        if not self._degraded or not self._powered:
-            return
-        # Autonomous path-1 periodic upload: sample the last-known task
-        # sensor and push it straight to the S-GW (no Sense-Aid in the
-        # loop, cold radio economics — the price of the fail-safe).
-        if self._last_sensor_type is not None:
-            reading = self._device.sample(self._last_sensor_type)
-            message = sensor_data_message(
-                self._device.device_id,
-                {
-                    "device_id": self._device.device_id,
-                    "value": reading.value,
-                    "sensed_at": reading.time,
-                    "autonomous": True,
-                },
-            )
-            self._network.uplink(self._device, message)
-            self.stats.degraded_uploads += 1
-            self.log.event(
-                "degraded_upload",
-                device_id=self._device.device_id,
-                sensor=self._last_sensor_type.name,
-            )
-        self._degraded_timer = self._sim.schedule(
-            self.degraded_policy.period_s, self._degraded_tick
-        )
-
-    def _exit_degraded(self) -> None:
-        self._degraded = False
-        if self._degraded_timer is not None:
-            self._sim.cancel(self._degraded_timer)
-            self._degraded_timer = None
-        self.log.event(
-            "degraded_exit",
-            device_id=self._device.device_id,
-            resync_uploads=len(self._inflight),
-        )
-        if self._registered:
-            # Resync: tell the server where we stand, then replay every
-            # unacknowledged upload.  The server's idempotency keys
-            # make replay safe (acked-but-unconfirmed counts once).
-            self._send_state_report()
-            for state in list(self._inflight.values()):
-                self.stats.resync_uploads += 1
-                self._transmit_upload(state)
+            self._replay_inflight()
 
     # ------------------------------------------------------------------
     # Device churn (chaos layer)
@@ -761,10 +676,6 @@ class SenseAidClient:
             self._cancel_force_timer(pending)
         self._pending.clear()
         self._abandon_inflight()
-        if self._degraded_timer is not None:
-            self._sim.cancel(self._degraded_timer)
-            self._degraded_timer = None
-        self._degraded = False
         if self._device.traffic.running:
             self._device.traffic.stop()
         self.log.event("power_off", device_id=self._device.device_id)
@@ -794,7 +705,6 @@ class SenseAidClient:
             if self._server_epoch != assignment.epoch:
                 return  # resync deferred (overload); drop for now
         self.stats.assignments_received += 1
-        self._last_sensor_type = assignment.sensor_type
         pending = PendingAssignment(assignment=assignment)
         self._pending[assignment.request.request_id] = pending
         if self._device.modem.state in (RRCState.ACTIVE, RRCState.PROMOTING):
@@ -814,7 +724,7 @@ class SenseAidClient:
             return
         self._flush_pending_in_tail()
         self._flush_retries_in_tail()
-        if self._registered and not self._degraded:
+        if self._registered:
             self._send_state_report()
 
     def _flush_pending_in_tail(self) -> None:
@@ -825,7 +735,7 @@ class SenseAidClient:
             self._complete(pending, "tail")
 
     def _flush_retries_in_tail(self) -> None:
-        if self.retry_policy is None or self._degraded:
+        if self.retry_policy is None:
             return
         for request_id in list(self._inflight):
             state = self._inflight.get(request_id)

@@ -158,26 +158,6 @@ class RetryPolicy:
 
 
 @dataclass(frozen=True)
-class DegradedModePolicy:
-    """Client fail-safe when the Sense-Aid control plane is unreachable.
-
-    The paper's §3 fail-safe keeps *regular* traffic alive on path 1
-    when the Sense-Aid server disappears; this policy extends it to the
-    sensing function: the client falls back to autonomous periodic
-    sampling/uploading over path 1 (plain participatory sensing, cold
-    radio costs and all) every ``period_s``, and on recovery resyncs —
-    a state report plus retransmission of every unacknowledged upload,
-    which the server's idempotency keys make safe to replay.
-    """
-
-    period_s: float = 600.0
-
-    def __post_init__(self) -> None:
-        if self.period_s <= 0:
-            raise ValueError("period_s must be positive")
-
-
-@dataclass(frozen=True)
 class OverloadPolicy:
     """Server-side overload-control parameters (admission + shedding).
 

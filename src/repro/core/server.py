@@ -54,6 +54,9 @@ PRESSURE_VALID_RANGE = (850.0, 1100.0)
 #: Period of the wait-queue satisfiability re-check (Algorithm 1's
 #: ``wait_check_thread``).
 WAIT_CHECK_PERIOD_S = 30.0
+#: Seconds from issuing an assignment to its handler at the client
+#: (the pull control plane's server-to-device transit).
+CONTROL_LATENCY_S = 0.05
 #: Consecutive missed deliveries after which a device is marked
 #: unresponsive and excluded from selection ("if a mobile device
 #: becomes unresponsive, then the Sense-Aid server can exclude it from
@@ -187,7 +190,6 @@ class SenseAidServer:
         network: CellularNetwork,
         config: Optional[SenseAidConfig] = None,
         *,
-        control_latency_s: float = 0.05,
         privacy_policy: Optional[PrivacyPolicy] = None,
         wal=None,
         storage: Optional[StorageBackend] = None,
@@ -212,7 +214,6 @@ class SenseAidServer:
         self.selector = DeviceSelector(self.config.weights)
         self.stats = ServerStats()
         self.selection_log: List[SelectionEvent] = []
-        self._control_latency = control_latency_s
         self._assignment_handlers: Dict[str, AssignmentHandler] = {}
         self._data_callbacks: Dict[str, DataCallback] = {}
         self._tracking: Dict[str, _RequestTracking] = {}
@@ -762,7 +763,7 @@ class SenseAidServer:
         if self.config.control_plane is ControlPlane.PUSH_PAGED:
             self._page_assignment(device_id, handler, assignment)
         else:
-            self._sim.schedule(self._control_latency, handler, assignment)
+            self._sim.schedule(CONTROL_LATENCY_S, handler, assignment)
 
     def _page_assignment(
         self, device_id: str, handler: AssignmentHandler, assignment: Assignment

@@ -270,7 +270,6 @@ class FailoverRecord:
 
     shard_id: str
     standby_id: str
-    detected_at: float
     completed_at: float
     detection_intervals: float
     old_epoch: int
@@ -390,9 +389,6 @@ class ShardedSenseAid:
         self._servers: Dict[str, SenseAidServer] = {}
         #: shard id -> host shard currently running its incumbent.
         self._hosted_by: Dict[str, str] = {}
-        #: Generation counter per shard, so successive failovers get
-        #: distinct WAL-sharing incarnations of the same directory.
-        self._incarnations: Dict[str, int] = {}
         for spec in specs:
             registry = TowerRegistry(spec.build_towers())
             self._registries[spec.shard_id] = registry
@@ -404,7 +400,6 @@ class ShardedSenseAid:
                 wal=self._make_wal(spec.shard_id),
             )
             self._hosted_by[spec.shard_id] = spec.shard_id
-            self._incarnations[spec.shard_id] = 1
 
         #: Shards whose *peer links* are cut: the incumbent may still
         #: serve its devices (split brain) but emits no heartbeats.
@@ -416,12 +411,11 @@ class ShardedSenseAid:
         }
         self._clients: Dict[str, object] = {}
         self._home: Dict[str, str] = {}
-        #: subtask id -> {"shard", "parent", "callback", "end_time"}
+        #: subtask id -> {"shard", "callback", "task", "start", "end"}:
+        #: the subtask as submitted, and the window its shard computed.
         self._task_meta: Dict[int, dict] = {}
 
-        self.failovers = 0
         self.handoffs = 0
-        self.heartbeats_seen = 0
         self._fenced_writes_retired = 0
         self.failover_log: List[FailoverRecord] = []
         #: Every epoch transition a shard's serving instance underwent
@@ -457,6 +451,11 @@ class ShardedSenseAid:
         )
 
     # -- topology queries ----------------------------------------------
+
+    @property
+    def failovers(self) -> int:
+        """Completed range handovers."""
+        return len(self.failover_log)
 
     @property
     def ring(self) -> ConsistentHashRing:
@@ -601,7 +600,6 @@ class ShardedSenseAid:
         for shard_id in self._specs:
             if self._emits_heartbeat(shard_id):
                 self._detectors[shard_id].heartbeat(now)
-                self.heartbeats_seen += 1
         if not self._auto_failover:
             return
         for shard_id in list(self._specs):
@@ -706,24 +704,22 @@ class ShardedSenseAid:
             replacement.take_over()
         else:
             # No durable log: epoch fencing still works (count past the
-            # deposed incumbent), but task state must be re-submitted.
+            # deposed incumbent), and the shard's subtasks resume on
+            # their own grid, as a restart resumes its tasks.
             replacement.epoch = old_epoch
             replacement.take_over()
             self._resubmit_tasks(shard_id, replacement)
 
         self._servers[shard_id] = replacement
         self._hosted_by[shard_id] = standby
-        self._incarnations[shard_id] += 1
         self._deposed[shard_id] = old
         self._partitioned.discard(shard_id)
         self._detectors[shard_id] = self._make_detector()
-        self.failovers += 1
         self.epoch_log.append((shard_id, old_epoch, replacement.epoch))
         self.failover_log.append(
             FailoverRecord(
                 shard_id=shard_id,
                 standby_id=standby,
-                detected_at=now,
                 completed_at=now,
                 detection_intervals=(now - last_beat) / self._heartbeat_period,
                 old_epoch=old_epoch,
@@ -749,29 +745,12 @@ class ShardedSenseAid:
 
     def _resubmit_tasks(self, shard_id: str, replacement: SenseAidServer) -> None:
         now = self._sim.now
-        for task_id, meta in list(self._task_meta.items()):
+        for meta in self._task_meta.values():
             if meta["shard"] != shard_id:
                 continue
-            old_task: TaskSpec = meta["task"]
-            if meta["end_time"] - now <= 0 or old_task.sampling_period_s is None:
-                continue
-            remainder = TaskSpec(
-                sensor_type=old_task.sensor_type,
-                center=old_task.center,
-                area_radius_m=old_task.area_radius_m,
-                spatial_density=old_task.spatial_density,
-                sampling_period_s=old_task.sampling_period_s,
-                start_time=now,
-                end_time=meta["end_time"],
-                device_type=old_task.device_type,
-                origin=old_task.origin,
-            )
-            replacement.submit_task(remainder, meta["callback"])
-            parent: Optional[CrossShardTask] = meta.get("parent")
-            if parent is not None:
-                parent.subtasks[shard_id] = remainder.task_id
-            del self._task_meta[task_id]
-            self._task_meta[remainder.task_id] = {**meta, "task": remainder}
+            remainder = meta["task"].resumed(meta["start"], meta["end"], now)
+            if remainder is not None:
+                replacement.submit_task(remainder, meta["callback"], resume=True)
 
     def _redirect_clients(self, shard_id: str, server: SenseAidServer) -> None:
         for device_id, home in self._home.items():
@@ -801,13 +780,6 @@ class ShardedSenseAid:
         handle = CrossShardTask(self, task, callback)
         allocation = self._split_density(task)
         handle.allocations = dict(allocation)
-        now = self._sim.now
-        duration = task.duration_s()
-        end_time = (
-            task.end_time
-            if task.end_time is not None
-            else (now + duration if duration is not None else now)
-        )
         for shard_id, density in allocation.items():
             if density <= 0:
                 continue
@@ -824,14 +796,16 @@ class ShardedSenseAid:
                 origin=f"{task.origin}@{shard_id}",
             )
             subtask_callback = handle.subtask_callback(shard_id)
-            self._servers[shard_id].submit_task(subtask, subtask_callback)
+            server = self._servers[shard_id]
+            server.submit_task(subtask, subtask_callback)
             handle.subtasks[shard_id] = subtask.task_id
+            start = server._task_starts[subtask.task_id]
             self._task_meta[subtask.task_id] = {
                 "shard": shard_id,
-                "parent": handle,
                 "callback": subtask_callback,
                 "task": subtask,
-                "end_time": end_time,
+                "start": start,
+                "end": server._task_end(subtask, start),
             }
         self.log.event(
             "cross_shard_task",
@@ -925,13 +899,8 @@ class ShardedSenseAid:
         lacks.  Empty dict == the fleet is convergent.
         """
         missing: Dict[str, Set[str]] = {}
-        for device_id, client in self._clients.items():
-            home = self._home.get(device_id)
-            if home is None:
-                continue
-            for upload_id in getattr(client, "acked_uploads", ()):
-                if not self._held(upload_id, home):
-                    missing.setdefault(home, set()).add(upload_id)
+        for device_id, keys in self.acked_upload_audit().items():
+            missing.setdefault(self._home[device_id], set()).update(keys)
         for shard_id, zombie in self._deposed.items():
             current = self._servers[shard_id]
             for upload_id in zombie._seen_upload_ids:

@@ -19,7 +19,8 @@ What it can inject:
 - **tower outages** — ``ENodeB.fail()/restore()`` with device
   re-association; messages through a dead tower are dropped;
 - **partitions** — the Sense-Aid edge becomes unreachable (traffic
-  fail-safes to path 1, clients enter degraded mode);
+  fail-safes to path 1; client uploads ride out the cut on their
+  retry schedule);
 - **device churn** — abrupt device death (client powers off) and
   server-side record loss.
 

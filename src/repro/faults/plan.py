@@ -350,8 +350,8 @@ class FaultPlan:
         """Cut the core path between the RAN and the Sense-Aid edge.
 
         Regular traffic fail-safes to path 1 (the paper's §3 design);
-        crowdsensing devices lose their control plane and — if so
-        configured — drop into degraded autonomous mode.
+        crowdsensing devices lose their control plane until the heal,
+        and their uploads ride out the cut on the retry schedule.
         """
         self.add(at, "partition")
         if heal_after is not None:

@@ -8,7 +8,7 @@ log watermarks — see :mod:`repro.storage.base`).
 
 Writes ride sqlite's own journal in WAL mode with batched commits: the
 hot path (one reading append, one doc upsert) costs one prepared
-INSERT, and an explicit commit lands every ``commit_interval`` writes
+INSERT, and an explicit commit lands every :data:`COMMIT_INTERVAL` writes
 and at every flush/checkpoint/scan boundary.  Between commits, crash
 durability is the job of :class:`repro.core.wal.DurableLog` — the same
 division of labour the in-memory backend lives by, which is what keeps
@@ -27,6 +27,9 @@ import tempfile
 from typing import Dict, Iterator, List, Optional
 
 from repro.storage.base import Doc, StorageBackend, snapshot_dict
+
+#: Writes batched into one sqlite commit.
+COMMIT_INTERVAL = 256
 
 _SCHEMA = """
 CREATE TABLE IF NOT EXISTS docs (
@@ -60,11 +63,7 @@ class SqliteBackend(StorageBackend):
 
     name = "sqlite"
 
-    def __init__(
-        self, path: Optional[str] = None, *, commit_interval: int = 256
-    ) -> None:
-        if commit_interval < 1:
-            raise ValueError("commit_interval must be at least 1")
+    def __init__(self, path: Optional[str] = None) -> None:
         if path is None:
             root = tempfile.mkdtemp(prefix="repro-sqlite-")
             path = os.path.join(root, "datastore.sqlite3")
@@ -77,7 +76,6 @@ class SqliteBackend(StorageBackend):
         self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.commit()
-        self._commit_interval = commit_interval
         self._dirty_writes = 0
         self._closed = False
 
@@ -85,7 +83,7 @@ class SqliteBackend(StorageBackend):
 
     def _wrote(self) -> None:
         self._dirty_writes += 1
-        if self._dirty_writes >= self._commit_interval:
+        if self._dirty_writes >= COMMIT_INTERVAL:
             self.flush()
 
     def flush(self) -> None:

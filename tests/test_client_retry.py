@@ -1,5 +1,5 @@
-"""Tests for client upload retries, acks, backoff, degraded mode, and
-the retry/idempotency policies in the config layer."""
+"""Tests for client upload retries, acks, backoff, and the
+retry/idempotency policies in the config layer."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.clientlib.client import SenseAidClient
 from repro.core.config import (
     BACKOFF_MAX_S,
     RETRY_AFTER_CAP_S,
-    DegradedModePolicy,
     RetryPolicy,
     SenseAidConfig,
     ServerMode,
@@ -39,7 +38,6 @@ def retry_setup(
     n_devices=2,
     *,
     retry=RETRY,
-    degraded=None,
     plan=None,
     loss_model=None,
     duplicate_probability=0.0,
@@ -67,14 +65,7 @@ def retry_setup(
     devices, clients = [], []
     for i in range(n_devices):
         device = make_device(sim, f"d{i}", position=CENTER)
-        client = SenseAidClient(
-            sim,
-            device,
-            server,
-            network,
-            retry_policy=retry,
-            degraded_policy=degraded,
-        )
+        client = SenseAidClient(sim, device, server, network, retry_policy=retry)
         client.register()
         if injector is not None:
             injector.adopt_client(client)
@@ -86,7 +77,6 @@ def retry_setup(
 class TestRetryPolicyConfig:
     def test_defaults_valid(self):
         RetryPolicy()
-        DegradedModePolicy()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -110,10 +100,6 @@ class TestRetryPolicyConfig:
         assert policy.backoff_s(6) == BACKOFF_MAX_S  # 320 s, capped
         with pytest.raises(ValueError):
             policy.backoff_s(0)
-
-    def test_degraded_period_validated(self):
-        with pytest.raises(ValueError):
-            DegradedModePolicy(period_s=0.0)
 
 
 class TestRetryHintClamps:
@@ -395,107 +381,3 @@ class TestAcksAndRetries:
         assert clients[0].stats.retries_in_tail >= 1
         assert clients[0].stats.uploads_acked == 1
         assert server.stats.data_points == 1
-
-
-class TestDegradedMode:
-    def degraded_run(self):
-        sim = Simulator(seed=3)
-        plan = FaultPlan().partition(700.0, heal_after=1900.0)
-        server, network, injector, devices, clients = retry_setup(
-            sim,
-            n_devices=1,
-            degraded=DegradedModePolicy(period_s=300.0),
-            plan=plan,
-            config=SenseAidConfig(mode=ServerMode.COMPLETE, deadline_grace_s=60.0),
-        )
-        return sim, server, network, injector, devices, clients
-
-    def test_partition_enters_and_exits_degraded(self):
-        sim, server, network, _, _, clients = self.degraded_run()
-        server.submit_task(
-            make_spec(
-                spatial_density=1, sampling_period_s=None, sampling_duration_s=None
-            ),
-            lambda p: None,
-        )
-        sim.run(until=800.0)
-        assert clients[0].degraded
-        sim.run(until=2700.0)
-        assert not clients[0].degraded
-        assert clients[0].stats.degraded_entries == 1
-
-    def test_degraded_uploads_ride_path1(self):
-        sim, server, network, _, _, clients = self.degraded_run()
-        server.submit_task(
-            make_spec(
-                spatial_density=1, sampling_period_s=None, sampling_duration_s=None
-            ),
-            lambda p: None,
-        )
-        path1_before = None
-
-        def snapshot():
-            nonlocal path1_before
-            path1_before = network.path1_messages
-
-        sim.schedule_at(750.0, snapshot)
-        sim.run(until=2600.0)
-        client = clients[0]
-        assert client.stats.degraded_uploads >= 4  # ~5 periods in 1900 s
-        assert network.path1_messages > path1_before
-
-    def test_recovery_resyncs_unacked_uploads(self):
-        """An upload stuck in-flight across the partition is replayed on
-        heal and lands exactly once."""
-        sim = Simulator(seed=3)
-        received = []
-        # Partition strikes *before* the one-shot request's upload can
-        # be acknowledged: total loss from t=0 (so the forced upload at
-        # ~60 s and its retries die), partition at 150, heal at 1000.
-        plan = (
-            FaultPlan()
-            .set_loss_model(
-                0.0, GilbertElliott(p_good_to_bad=1.0, p_bad_to_good=0.0, loss_bad=1.0)
-            )
-            .partition(150.0)
-            .clear_loss_model(900.0)
-            .heal(1000.0)
-        )
-        server, network, injector, devices, clients = retry_setup(
-            sim,
-            n_devices=1,
-            degraded=DegradedModePolicy(period_s=300.0),
-            plan=plan,
-            config=SenseAidConfig(mode=ServerMode.COMPLETE, deadline_grace_s=60.0),
-        )
-        server.submit_task(
-            make_spec(
-                spatial_density=1, sampling_period_s=None, sampling_duration_s=None
-            ),
-            received.append,
-        )
-        sim.run(until=2500.0)
-        client = clients[0]
-        assert client.stats.resync_uploads >= 1
-        assert client.stats.uploads_acked == 1
-        assert server.stats.data_points == 1
-        assert len(received) == 1
-        events = structured_log(sim)
-        assert len(events.records(kind="degraded_enter")) == 1
-        assert len(events.records(kind="degraded_exit")) == 1
-
-    def test_power_off_silences_degraded_client(self):
-        sim, server, network, injector, devices, clients = self.degraded_run()
-        server.submit_task(
-            make_spec(
-                spatial_density=1, sampling_period_s=None, sampling_duration_s=None
-            ),
-            lambda p: None,
-        )
-        sim.run(until=800.0)
-        assert clients[0].degraded
-        clients[0].power_off()
-        uploads_at_death = clients[0].stats.degraded_uploads
-        sim.run(until=2600.0)
-        assert clients[0].stats.degraded_uploads == uploads_at_death
-        assert not clients[0].degraded

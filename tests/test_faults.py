@@ -9,12 +9,7 @@ from repro.cellular.enodeb import ENodeB, TowerRegistry
 from repro.cellular.network import CellularNetwork
 from repro.cellular.packets import Message, MessageKind
 from repro.clientlib.client import SenseAidClient
-from repro.core.config import (
-    DegradedModePolicy,
-    RetryPolicy,
-    SenseAidConfig,
-    ServerMode,
-)
+from repro.core.config import SenseAidConfig, ServerMode
 from repro.core.server import SenseAidServer
 from repro.environment.geometry import Point
 from repro.faults import FaultInjector, FaultPlan, GilbertElliott
@@ -30,7 +25,6 @@ def chaos_setup(
     *,
     towers=None,
     retry=None,
-    degraded=None,
     config=None,
     **injector_kwargs,
 ):
@@ -50,14 +44,7 @@ def chaos_setup(
     devices, clients = [], []
     for i in range(n_devices):
         device = make_device(sim, f"d{i}", position=CENTER)
-        client = SenseAidClient(
-            sim,
-            device,
-            server,
-            network,
-            retry_policy=retry,
-            degraded_policy=degraded,
-        )
+        client = SenseAidClient(sim, device, server, network, retry_policy=retry)
         client.register()
         injector.adopt_client(client)
         devices.append(device)
@@ -411,14 +398,12 @@ class TestDeterminismIsolation:
         )
 
     def test_network_builtin_loss_uses_dedicated_streams(self):
-        """The i.i.d. loss/delay knobs draw from network:loss and
-        network:delay only — traffic draws stay identical."""
+        """The i.i.d. loss knob draws from network:loss only — traffic
+        draws stay identical."""
 
-        def traffic_sessions(loss, jitter):
+        def traffic_sessions(loss):
             sim = Simulator(seed=123)
-            network = CellularNetwork(
-                sim, loss_probability=loss, delay_jitter_s=jitter
-            )
+            network = CellularNetwork(sim, loss_probability=loss)
             device = make_device(sim, position=CENTER)
             device.traffic.start()
             for i in range(10):
@@ -431,7 +416,7 @@ class TestDeterminismIsolation:
             sim.run(until=2000.0)
             return device.traffic.sessions
 
-        assert traffic_sessions(0.0, 0.0) == traffic_sessions(0.5, 3.0)
+        assert traffic_sessions(0.0) == traffic_sessions(0.5)
 
     def test_same_seed_same_fault_decisions(self):
         def loss_count():

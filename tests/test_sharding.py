@@ -370,6 +370,34 @@ class TestFailover:
         assert len(data) > 0
         fleet.shutdown()
 
+    def test_failover_without_wal_resumes_on_the_campaign_grid(self):
+        """A WAL-less successor resumes the dead shard's subtask under
+        its own id, on the instants the other shards still sample at,
+        as a restart resumes its tasks."""
+        sim = Simulator()
+        network, fleet = make_fleet(sim, auto_failover=False)
+        add_fleet_clients(sim, network, fleet)
+        data = []
+        handle = fleet.submit_task(
+            make_task(sampling_period_s=600.0, end_time=3600.0), data.append
+        )
+        subtasks = dict(handle.subtasks)
+        assert set(subtasks) == {"s2", "s3"}
+        sim.schedule_at(700.0, fleet.crash_shard, "s2")
+        sim.schedule_at(1000.0, fleet.fail_over, "s2")
+        sim.run(until=3600.0)
+        assert fleet.failovers == 1
+        assert handle.subtasks == subtasks
+        successor = fleet.instance("s2").selection_log
+        assert {e.task_id for e in successor} == {subtasks["s2"]}
+        grid = {1200.0, 1800.0, 2400.0, 3000.0}
+        assert {e.time for e in successor} == grid
+        assert {
+            e.time for e in fleet.instance("s3").selection_log if e.time > 1000.0
+        } == grid
+        assert len(data) == 16
+        fleet.shutdown()
+
     def test_deregistered_client_not_resurrected_by_failover(self):
         sim = Simulator()
         network, fleet = make_fleet(sim)

@@ -311,6 +311,12 @@ class TestRestartRecovery:
         for client, upload_id in zip(clients, crashed):
             assert list(client._inflight) == [upload_id.split(":", 1)[1]]
         server.restart()
+        # The restored path makes each client resync and replay its
+        # in-flight upload at once, well before any ack timeout.
+        sim.run(until=556.0)
+        for client, upload_id in zip(clients, crashed):
+            assert client.stats.resync_uploads == 1
+            assert upload_id in client.acked_uploads
         sim.run(until=1500.0)
         for client, upload_id in zip(clients, crashed):
             accepted = [uid for uid, reason in verdicts if reason == "accepted"]
