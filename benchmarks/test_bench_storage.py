@@ -7,7 +7,7 @@ Three tiers, three gates:
    (the on-disk backend is allowed to cost something, not to change
    the system's complexity class).
 2. **Identity** — the two campaigns must produce bit-identical worlds
-   (selection logs, stored readings, device docs, stats).  The
+   (selection log, stored readings, device records, stats).  The
    hypothesis suite proves this over random campaigns; the scorecard
    pins one deterministic witness.
 3. **Bounded-memory streaming** — writing and then folding 10× the
@@ -23,6 +23,7 @@ is always a reviewed, deliberate act.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 import tracemalloc
 
@@ -33,6 +34,7 @@ from repro.cellular.network import CellularNetwork
 from repro.cellular.packets import reset_message_ids
 from repro.clientlib import SenseAidClient
 from repro.core.config import SenseAidConfig, ServerMode
+from repro.core.datastores import record_to_dict
 from repro.core.server import SenseAidServer
 from repro.core.tasks import reset_task_ids
 from repro.devices.sensors import SensorType
@@ -98,12 +100,9 @@ def run_campaign(backend):
     server.shutdown()
     wall_s = time.perf_counter() - started
     fingerprint = {
-        "selection_log": list(backend.scan_log(server.SELECTION_LOG_NS)),
+        "selection_log": [dataclasses.asdict(e) for e in server.selection_log],
         "readings": list(backend.scan_log(cas.readings_ns)),
-        "device_docs": {
-            key: backend.get_doc("devices", key)
-            for key in backend.doc_keys("devices")
-        },
+        "devices": [record_to_dict(r) for r in server.devices.records()],
         "stats": vars(server.stats).copy(),
     }
     summary = {

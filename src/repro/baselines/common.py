@@ -30,9 +30,6 @@ class FrameworkStats:
         counts = self.participants_per_request.values()
         return sum(counts) / len(counts)
 
-    def distinct_participation_counts(self) -> List[int]:
-        return sorted(self.participants_per_request.values())
-
 
 class BaselineCollector:
     """The baselines' stand-in application server: receives uploads."""

@@ -97,9 +97,6 @@ class CellularNetwork:
             raise RuntimeError("a fault hook is already installed")
         self._fault_hook = hook
 
-    def clear_fault_hook(self) -> None:
-        self._fault_hook = None
-
     # ------------------------------------------------------------------
     # Sense-Aid path availability (crash / partition fail-safe)
     # ------------------------------------------------------------------

@@ -138,9 +138,6 @@ class UniformGridIndex:
     def bucket_count(self) -> int:
         return len(self._buckets)
 
-    def max_bucket_occupancy(self) -> int:
-        return max((len(b) for b in self._buckets.values()), default=0)
-
     def occupancy_stats(self) -> Dict[str, float]:
         """Bucket statistics for scorecards and gates."""
         occupancies = [len(b) for b in self._buckets.values()]

@@ -10,28 +10,20 @@ accounting epoch as in the paper's user study.
 The **task datastore** holds every task received from crowdsensing
 application servers.
 
-Both datastores sit on a pluggable :class:`~repro.storage.StorageBackend`
-(``REPRO_DATASTORE=memory|sqlite``): the live working set stays in
-process (selection is a hot path), every registration/removal writes
-through immediately, and :meth:`flush` re-serializes the working set to
-the backend at durability points (WAL checkpoints, shutdown).  A
-datastore handed a backend that already holds its namespace hydrates
-from it, so a fresh process can reattach to an on-disk store.  The
-record/task codecs here are the single serialization story — the WAL,
-checkpoints, and both backends all speak these dicts.
+Both live in process: selection ranks them on every request.  They
+survive a crash through the write-ahead log alone
+(:mod:`repro.core.wal`), whose entries and checkpoints speak the
+record/task codecs defined here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, TYPE_CHECKING
+from typing import Dict, List, Optional
 
 from repro.core.tasks import TaskSpec
 from repro.devices.sensors import SensorType
 from repro.environment.geometry import Point
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.storage import StorageBackend
 
 
 @dataclass
@@ -71,7 +63,7 @@ class DeviceRecord:
 
 
 # ----------------------------------------------------------------------
-# Codecs — the one serialization story (backends, WAL, checkpoints)
+# Codecs — the one serialization story (WAL entries and checkpoints)
 # ----------------------------------------------------------------------
 
 
@@ -146,37 +138,10 @@ def task_from_dict(data: dict) -> TaskSpec:
 
 
 class DeviceDatastore:
-    """Registration, state updates, and lookups for devices.
+    """Registration, state updates, and lookups for devices."""
 
-    ``backend=None`` keeps everything in the live dict (the seed's
-    behaviour).  With a backend, registrations and removals write
-    through immediately and :meth:`flush` persists the full working
-    set; ``fresh=True`` clears the namespace instead of hydrating from
-    it (a cold restart about to be rebuilt by WAL replay).
-    """
-
-    NAMESPACE = "devices"
-
-    def __init__(
-        self,
-        backend: Optional["StorageBackend"] = None,
-        *,
-        fresh: bool = False,
-    ) -> None:
+    def __init__(self) -> None:
         self._records: Dict[str, DeviceRecord] = {}
-        self._backend = backend
-        if backend is not None:
-            if fresh:
-                backend.clear_docs(self.NAMESPACE)
-            else:
-                for key in backend.doc_keys(self.NAMESPACE):
-                    doc = backend.get_doc(self.NAMESPACE, key)
-                    if doc is not None:
-                        self._records[key] = record_from_dict(doc)
-
-    @property
-    def backend(self) -> Optional["StorageBackend"]:
-        return self._backend
 
     def __len__(self) -> int:
         return len(self._records)
@@ -188,29 +153,11 @@ class DeviceDatastore:
         if record.device_id in self._records:
             raise ValueError(f"device {record.device_id!r} already registered")
         self._records[record.device_id] = record
-        if self._backend is not None:
-            self._backend.put_doc(
-                self.NAMESPACE, record.device_id, record_to_dict(record)
-            )
 
     def deregister(self, device_id: str) -> None:
         if device_id not in self._records:
             raise KeyError(f"device {device_id!r} is not registered")
         del self._records[device_id]
-        if self._backend is not None:
-            self._backend.delete_doc(self.NAMESPACE, device_id)
-
-    def flush(self) -> None:
-        """Re-serialize the full working set to the backend.
-
-        Called at durability points; covers mutations that went
-        through record attributes rather than datastore methods.
-        """
-        if self._backend is None:
-            return
-        for device_id, record in self._records.items():
-            self._backend.put_doc(self.NAMESPACE, device_id, record_to_dict(record))
-        self._backend.flush()
 
     def record(self, device_id: str) -> DeviceRecord:
         try:
@@ -263,36 +210,10 @@ class DeviceDatastore:
 
 
 class TaskDatastore:
-    """All tasks submitted by crowdsensing application servers.
+    """All tasks submitted by crowdsensing application servers."""
 
-    Task specs are immutable, so write-through on add/replace/remove
-    keeps the backend exactly current — no flush pass needed (it
-    exists for symmetry and to push batched backend writes down).
-    """
-
-    NAMESPACE = "tasks"
-
-    def __init__(
-        self,
-        backend: Optional["StorageBackend"] = None,
-        *,
-        fresh: bool = False,
-    ) -> None:
+    def __init__(self) -> None:
         self._tasks: Dict[int, TaskSpec] = {}
-        self._backend = backend
-        if backend is not None:
-            if fresh:
-                backend.clear_docs(self.NAMESPACE)
-            else:
-                for key in backend.doc_keys(self.NAMESPACE):
-                    doc = backend.get_doc(self.NAMESPACE, key)
-                    if doc is not None:
-                        task = task_from_dict(doc)
-                        self._tasks[task.task_id] = task
-
-    @property
-    def backend(self) -> Optional["StorageBackend"]:
-        return self._backend
 
     def __len__(self) -> int:
         return len(self._tasks)
@@ -300,40 +221,20 @@ class TaskDatastore:
     def __contains__(self, task_id: int) -> bool:
         return task_id in self._tasks
 
-    @staticmethod
-    def _key(task_id: int) -> str:
-        # Zero-padded so backend key order matches numeric task order.
-        return f"{task_id:012d}"
-
-    def _store(self, task: TaskSpec) -> None:
-        if self._backend is not None:
-            self._backend.put_doc(
-                self.NAMESPACE, self._key(task.task_id), task_to_dict(task)
-            )
-
     def add(self, task: TaskSpec) -> None:
         if task.task_id in self._tasks:
             raise ValueError(f"task {task.task_id} already exists")
         self._tasks[task.task_id] = task
-        self._store(task)
 
     def replace(self, task: TaskSpec) -> None:
         if task.task_id not in self._tasks:
             raise KeyError(f"task {task.task_id} does not exist")
         self._tasks[task.task_id] = task
-        self._store(task)
 
     def remove(self, task_id: int) -> TaskSpec:
         if task_id not in self._tasks:
             raise KeyError(f"task {task_id} does not exist")
-        task = self._tasks.pop(task_id)
-        if self._backend is not None:
-            self._backend.delete_doc(self.NAMESPACE, self._key(task_id))
-        return task
-
-    def flush(self) -> None:
-        if self._backend is not None:
-            self._backend.flush()
+        return self._tasks.pop(task_id)
 
     def get(self, task_id: int) -> TaskSpec:
         try:

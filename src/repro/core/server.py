@@ -98,16 +98,6 @@ class SelectionEvent:
     selected: Tuple[str, ...]
 
 
-def selection_event_to_dict(event: SelectionEvent) -> dict:
-    return {
-        "time": event.time,
-        "request_id": event.request_id,
-        "task_id": event.task_id,
-        "qualified": list(event.qualified),
-        "selected": list(event.selected),
-    }
-
-
 @dataclass(frozen=True)
 class SensedDataPoint:
     """What a crowdsensing application server receives.
@@ -180,9 +170,6 @@ AssignmentHandler = Callable[[Assignment], None]
 class SenseAidServer:
     """The edge middleware orchestrating crowdsensing devices."""
 
-    #: Backend log namespace mirroring :attr:`selection_log`.
-    SELECTION_LOG_NS = "selection_log"
-
     def __init__(
         self,
         sim: Simulator,
@@ -202,13 +189,15 @@ class SenseAidServer:
         self._registry.bind(sim)
         self._perf = sim.perf
         self.config = config if config is not None else SenseAidConfig()
-        #: Pluggable storage backend (``REPRO_DATASTORE``); every server
-        #: gets its own backend unless one is handed in explicitly.
+        #: Pluggable storage backend (``REPRO_DATASTORE``) that app
+        #: servers attach to and keep their readings on; every server
+        #: gets its own unless one is handed in explicitly.  The
+        #: server's own state is durable through the WAL alone.
         self.storage: StorageBackend = (
             storage if storage is not None else resolve_backend()
         )
-        self.devices = DeviceDatastore(backend=self.storage)
-        self.tasks = TaskDatastore(backend=self.storage)
+        self.devices = DeviceDatastore()
+        self.tasks = TaskDatastore()
         self.run_queue = RequestQueue("run")
         self.wait_queue = RequestQueue("wait")
         self.selector = DeviceSelector(self.config.weights)
@@ -275,16 +264,6 @@ class SenseAidServer:
         (experiments, benchmarks) can still read results afterwards.
         """
         self._wait_checker.stop()
-        self.flush_storage()
-
-    def flush_storage(self) -> None:
-        """Push the full working set down to the storage backend.
-
-        Called at durability points (WAL checkpoints, shutdown); covers
-        record mutations that bypassed the datastore write-through.
-        """
-        self.devices.flush()
-        self.tasks.flush()
         self.storage.flush()
 
     # ------------------------------------------------------------------
@@ -310,20 +289,21 @@ class SenseAidServer:
         self._network.set_sense_aid_path_available(False)
         self._wait_checker.stop()
 
-    def take_over(self) -> None:
+    def take_over(self, data_callbacks: Dict[str, DataCallback]) -> None:
         """First start of a successor built to take a failed server's
         place: a :meth:`restart` (WAL replay, epoch bump) without the
-        crash, since the successor never ran.  It logs no crash warning
-        and leaves the shared Sense-Aid path flag alone; the wait
-        checker its constructor started is replaced at this instant,
-        exactly as a restart replaces it."""
+        crash, since the successor never ran.  ``data_callbacks`` maps
+        each task id the successor inherits to its delivery callback,
+        so replay resumes those tasks under their original ids.  It
+        logs no crash warning and leaves the shared Sense-Aid path flag
+        alone; the wait checker its constructor started is replaced at
+        this instant, exactly as a restart replaces it."""
+        self._data_callbacks.update(data_callbacks)
         self._crashed = True
         self._wait_checker.stop()
         self.restart()
 
-    def restart(
-        self, *, data_callbacks: Optional[Dict[str, DataCallback]] = None
-    ) -> None:
+    def restart(self) -> None:
         """Cold restart: the process is replaced, volatile state is gone.
 
         A restart clears in-memory tracking and assignment handlers,
@@ -336,10 +316,8 @@ class SenseAidServer:
         one-shot tasks stay down, and instants that came due during
         the outage stay lost.  Clients notice the epoch bump and
         resync; stale-epoch uploads are rejected until they do.
-
-        ``data_callbacks`` maps task origins to delivery callbacks for
-        tasks resumed from the WAL (defaults to the callbacks already
-        registered under each task id).
+        A task resumed from the WAL keeps the delivery callback
+        registered under its id; one without a callback stays down.
         """
         if not self._crashed:
             self.crash()
@@ -354,13 +332,13 @@ class SenseAidServer:
         self._edge_view_key = None
         self._membership_version += 1
         if self._wal is not None:
-            self.devices = DeviceDatastore(backend=self.storage, fresh=True)
-            self.tasks = TaskDatastore(backend=self.storage, fresh=True)
+            self.devices = DeviceDatastore()
+            self.tasks = TaskDatastore()
             self.stats = ServerStats()
             self._seen_upload_ids = set()
             self._task_starts = {}
             self._crashed = False  # recovery replays submit_task et al.
-            self._wal.recover_into(self, data_callbacks=data_callbacks)
+            self._wal.recover_into(self)
         else:
             # Datastores stand in for persistent storage: the
             # incarnation number moves forward and every surviving task
@@ -721,11 +699,6 @@ class SenseAidServer:
             selected=tuple(selected),
         )
         self.selection_log.append(event)
-        self.storage.append_log(
-            self.SELECTION_LOG_NS,
-            selection_event_to_dict(event),
-            tag=str(request.task.task_id),
-        )
         tracking = _RequestTracking(request=request)
         self._tracking[request.request_id] = tracking
         if self.privacy is not None:

@@ -696,18 +696,21 @@ class ShardedSenseAid:
             wal=self._make_wal(shard_id),
         )
         if replacement._wal is not None:
-            # Preseed the delivery callbacks so WAL replay can resume
-            # this shard's subtasks under their original task ids.
-            for task_id, meta in self._task_meta.items():
-                if meta["shard"] == shard_id:
-                    replacement._data_callbacks[str(task_id)] = meta["callback"]
-            replacement.take_over()
+            # WAL replay resumes this shard's subtasks under their
+            # original task ids, each with its delivery callback.
+            replacement.take_over(
+                {
+                    str(task_id): meta["callback"]
+                    for task_id, meta in self._task_meta.items()
+                    if meta["shard"] == shard_id
+                }
+            )
         else:
             # No durable log: epoch fencing still works (count past the
             # deposed incumbent), and the shard's subtasks resume on
             # their own grid, as a restart resumes its tasks.
             replacement.epoch = old_epoch
-            replacement.take_over()
+            replacement.take_over({})
             self._resubmit_tasks(shard_id, replacement)
 
         self._servers[shard_id] = replacement

@@ -36,7 +36,7 @@ import dataclasses
 import json
 import os
 import zlib
-from typing import Callable, Dict, List, Optional, TextIO, Tuple
+from typing import Dict, List, Optional, TextIO, Tuple
 
 from repro.core.datastores import (
     record_from_dict,
@@ -45,15 +45,13 @@ from repro.core.datastores import (
     task_to_dict,
 )
 from repro.core.server import (
+    DataCallback,
     SenseAidServer,
-    SensedDataPoint,
     ServerStats,
     _RequestTracking,
 )
 from repro.core.tasks import SensingRequest, TaskSpec
 from repro.storage import atomic_write
-
-DataCallback = Callable[[SensedDataPoint], None]
 
 #: Version of the :func:`checkpoint_server` format.  Version 1
 #: snapshots (devices + task remainders only) still load, with the
@@ -511,28 +509,24 @@ class DurableLog:
         if self.fenced:
             self.writes_fenced += 1
             return
-        # A WAL checkpoint is a durability point for the storage
-        # backend too: push the live working set down before compacting.
-        server.flush_storage()
+        # A WAL checkpoint is a durability point for the app readings
+        # on the storage backend too.
+        server.storage.flush()
         self.wal.compact(checkpoint_server(server))
 
-    def recover_into(
-        self,
-        server: SenseAidServer,
-        data_callbacks: Optional[Dict[str, DataCallback]] = None,
-    ) -> None:
+    def recover_into(self, server: SenseAidServer) -> None:
         """Rebuild a (cleared) server from checkpoint + WAL replay.
 
         Called by ``SenseAidServer.restart()`` with the datastores,
-        tracking, and stats already reset.  Resolves the delivery
-        callback for each resumed task from ``data_callbacks`` (keyed
-        by task origin) or, failing that, from whatever callback the
-        application re-registered under the task id.  Ends by bumping
-        the incarnation epoch past every recorded one and compacting,
-        so the new epoch is itself durable.
+        tracking, and stats already reset.  Each resumed task gets the
+        delivery callback registered under its id before replay began
+        (:meth:`~repro.core.server.SenseAidServer.take_over` hands a
+        successor its callbacks).  Ends by bumping the incarnation
+        epoch past every recorded one and compacting, so the new epoch
+        is itself durable.
         """
-        overrides = dict(data_callbacks or {})
-        fallback = dict(server._data_callbacks)
+        # Replay's own deletes drop callbacks, so read from a copy.
+        callbacks = dict(server._data_callbacks)
         snapshot, entries, degraded = self.wal.recovery_base()
         if degraded:
             server.log.event(
@@ -552,34 +546,19 @@ class DurableLog:
         server._wal = None  # replay must not re-log itself
         try:
             if snapshot is not None:
-                self._apply_checkpoint(server, snapshot, overrides, fallback)
+                self._apply_checkpoint(server, snapshot, callbacks)
             for entry in entries:
-                self._replay_entry(server, entry, overrides, fallback)
+                self._replay_entry(server, entry, callbacks)
         finally:
             server._wal = wal_ref
         self.record_restart(server.epoch)
         self.checkpoint(server)
 
-    def _resolve_callback(
-        self,
-        server: SenseAidServer,
-        task_id: int,
-        origin: str,
-        overrides: Dict[str, DataCallback],
-        fallback: Dict[str, DataCallback],
-    ) -> Optional[DataCallback]:
-        return (
-            overrides.get(origin)
-            or fallback.get(str(task_id))
-            or server._data_callbacks.get(str(task_id))
-        )
-
     def _apply_checkpoint(
         self,
         server: SenseAidServer,
         snapshot: dict,
-        overrides: Dict[str, DataCallback],
-        fallback: Dict[str, DataCallback],
+        callbacks: Dict[str, DataCallback],
     ) -> None:
         for data in snapshot["devices"]:
             _register_missing(server, data)
@@ -587,10 +566,7 @@ class DurableLog:
             server.stats = stats_from_dict(snapshot["stats"])
         server._seen_upload_ids.update(snapshot.get("seen_upload_ids", ()))
         for entry in snapshot["tasks"]:
-            callback = self._resolve_callback(
-                server, entry["task_id"], entry["origin"], overrides, fallback
-            )
-            _resume_remainder(server, entry, callback)
+            _resume_remainder(server, entry, callbacks.get(str(entry["task_id"])))
         for entry in snapshot.get("pending", ()):
             tracking = _live_tracking(server, entry)
             if tracking is not None:
@@ -602,8 +578,7 @@ class DurableLog:
         self,
         server: SenseAidServer,
         entry: dict,
-        overrides: Dict[str, DataCallback],
-        fallback: Dict[str, DataCallback],
+        callbacks: Dict[str, DataCallback],
     ) -> None:
         kind = entry["kind"]
         if kind == "register":
@@ -614,10 +589,6 @@ class DurableLog:
         elif kind in ("task_submitted", "task_updated"):
             task_dict = entry["task"]
             task_id = task_dict["task_id"]
-            # Resolved before the delete, which drops the task's callback.
-            callback = self._resolve_callback(
-                server, task_id, task_dict["origin"], overrides, fallback
-            )
             if task_id in server.tasks:
                 server.delete_task(task_id)
             _resume_remainder(
@@ -627,7 +598,7 @@ class DurableLog:
                     "effective_start": entry["effective_start"],
                     "absolute_end": entry["absolute_end"],
                 },
-                callback,
+                callbacks.get(str(task_id)),
             )
         elif kind == "task_deleted":
             if entry["task_id"] in server.tasks:

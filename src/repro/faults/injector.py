@@ -141,11 +141,6 @@ class FaultInjector:
         """Track a client so churn actions can reach it by device id."""
         self._clients[client.device.device_id] = client
 
-    def detach(self) -> None:
-        """Unhook from the network (the plan's remaining events become
-        no-ops on the message path)."""
-        self._network.clear_fault_hook()
-
     @property
     def loss_model(self) -> Optional[GilbertElliott]:
         return self._loss_model

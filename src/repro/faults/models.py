@@ -47,13 +47,6 @@ class GilbertElliott:
     def state(self) -> str:
         return "bad" if self.bad else "good"
 
-    @property
-    def mean_burst_length(self) -> float:
-        """Expected number of messages spent in the BAD state."""
-        if self.p_bad_to_good == 0.0:
-            return float("inf")
-        return 1.0 / self.p_bad_to_good
-
     def steady_state_loss(self) -> float:
         """Long-run loss fraction implied by the chain parameters."""
         p, q = self.p_good_to_bad, self.p_bad_to_good

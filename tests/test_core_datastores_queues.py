@@ -66,10 +66,14 @@ class TestDeviceDatastore:
             store.deregister("d1")
 
     def test_records_sorted(self):
+        """The selector ranks ``records()``: insertion order never leaks
+        into it, and ids sort as strings ("d12" before "d3")."""
         store = DeviceDatastore()
-        store.register(make_record("z"))
-        store.register(make_record("a"))
-        assert [r.device_id for r in store.records()] == ["a", "z"]
+        for device_id in ["z", "d7", "a", "d0", "d12", "d3"]:
+            store.register(make_record(device_id))
+        expected = ["a", "d0", "d12", "d3", "d7", "z"]
+        assert [r.device_id for r in store.records()] == expected
+        assert store.device_ids() == expected
 
     def test_update_state(self):
         store = DeviceDatastore()
@@ -145,6 +149,12 @@ class TestTaskDatastore:
     def test_replace_missing_rejected(self):
         with pytest.raises(KeyError):
             TaskDatastore().replace(make_task())
+
+    def test_all_tasks_in_numeric_order(self):
+        store = TaskDatastore()
+        for task_id in [10, 2, 9, 1]:
+            store.add(make_task(task_id=task_id))
+        assert [t.task_id for t in store.all_tasks()] == [1, 2, 9, 10]
 
     def test_tasks_from_origin(self):
         store = TaskDatastore()

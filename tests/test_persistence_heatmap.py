@@ -73,7 +73,7 @@ class TestCheckpoint:
     def test_restore_into_fresh_server(self, tmp_path):
         # Original server: 2 devices, a 1-hour campaign; checkpoint at
         # t=700, then a brand-new server over the same WAL takes over,
-        # its delivery callback mapped from the task's origin.
+        # handed the task's delivery callback by task id.
         sim = Simulator()
         server, network, _, _ = wal_setup(sim, tmp_path / "wal")
         data = []
@@ -95,7 +95,7 @@ class TestCheckpoint:
             network,
             wal=DurableLog(str(tmp_path / "wal")),
         )
-        fresh.restart(data_callbacks={"cas": data.append})
+        fresh.take_over({str(task_id): data.append})
         assert task_id in fresh.tasks
         for device_id in ("d0", "d1"):
             restored = fresh.devices.record(device_id)

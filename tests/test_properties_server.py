@@ -7,14 +7,15 @@ that must hold for *any* workload.
 
 from __future__ import annotations
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cellular.enodeb import ENodeB, TowerRegistry
 from repro.cellular.network import CellularNetwork
 from repro.cellular.packets import TrafficCategory
 from repro.clientlib.client import SenseAidClient
-from repro.core.config import SenseAidConfig, ServerMode
+from repro.core.config import SelectorWeights, SenseAidConfig, ServerMode
 from repro.core.server import SenseAidServer
 from repro.core.tasks import TaskSpec
 from repro.devices.sensors import SensorType
@@ -23,6 +24,9 @@ from repro.sim.engine import Simulator
 from tests.conftest import make_device
 
 CENTER = Point(500.0, 500.0)
+#: Selection by fairness alone: no α·E term, so the two modes' energy
+#: cannot steer which devices are picked.
+ENERGY_BLIND = SelectorWeights(alpha=0.0, beta=1.0, gamma=0.0, phi=0.0)
 
 scenario_strategy = st.fixed_dictionaries(
     {
@@ -38,12 +42,15 @@ scenario_strategy = st.fixed_dictionaries(
 )
 
 
-def run_scenario(params):
+def run_scenario(params, weights=SelectorWeights()):
     sim = Simulator(seed=params["seed"])
     registry = TowerRegistry([ENodeB("t0", CENTER, coverage_radius_m=10_000.0)])
     network = CellularNetwork(sim)
     server = SenseAidServer(
-        sim, registry, network, SenseAidConfig(mode=params["mode"])
+        sim,
+        registry,
+        network,
+        SenseAidConfig(mode=params["mode"], weights=weights),
     )
     rng = sim.rng.stream("scenario")
     devices, clients = [], []
@@ -132,16 +139,11 @@ def test_scenario_determinism(params):
     ]
 
 
-@settings(max_examples=20, deadline=None)
-@given(
-    st.integers(min_value=0, max_value=1000),
-    st.integers(min_value=2, max_value=6),
-)
-def test_complete_never_costs_more_than_basic(seed, n_devices):
-    """For any world, Complete's only difference is not resetting the
-    tail — it can never use more crowdsensing energy than Basic."""
-
-    def total(mode):
+def _mode_comparison(seed, n_devices, weights):
+    """Run one world under Basic and under Complete; per mode, return
+    the crowdsensing energy per device and the selections made."""
+    runs = {}
+    for mode in (ServerMode.BASIC, ServerMode.COMPLETE):
         params = {
             "seed": seed,
             "n_devices": n_devices,
@@ -152,7 +154,43 @@ def test_complete_never_costs_more_than_basic(seed, n_devices):
             "spread_m": 200.0,
             "with_traffic": True,
         }
-        _, devices, _, _ = run_scenario(params)
-        return sum(d.crowdsensing_energy_j() for d in devices)
+        server, devices, _, _ = run_scenario(params, weights)
+        runs[mode] = (
+            {d.device_id: d.crowdsensing_energy_j() for d in devices},
+            [(e.time, e.selected) for e in server.selection_log],
+        )
+    return runs[ServerMode.BASIC], runs[ServerMode.COMPLETE]
 
-    assert total(ServerMode.COMPLETE) <= total(ServerMode.BASIC) + 1e-6
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=1000),
+    st.integers(min_value=2, max_value=6),
+)
+@example(seed=137, n_devices=4)
+def test_complete_never_costs_more_than_basic(seed, n_devices):
+    """When energy cannot steer selection, both modes pick the same
+    devices, and Complete's only difference is not resetting the tail:
+    it never uses more crowdsensing energy than Basic."""
+    (basic, basic_log), (complete, complete_log) = _mode_comparison(
+        seed, n_devices, ENERGY_BLIND
+    )
+    assert complete_log == basic_log
+    assert sum(complete.values()) <= sum(basic.values()) + 1e-6
+
+
+def test_energy_aware_selection_can_make_complete_cost_more():
+    """Under the default weights the claim above does not hold.  In
+    this world Basic charges d3's tail-resetting upload at t = 300 s
+    about 3.97 J and Complete about 0.03 J, so at t = 600 s the α·E
+    term picks d1 under Basic and d3 under Complete.  d3 opens no tail
+    before its deadline and force-uploads cold (about 12.45 J)."""
+    (basic, basic_log), (complete, complete_log) = _mode_comparison(
+        137, 4, SelectorWeights()
+    )
+    assert basic_log[:2] == complete_log[:2]
+    assert basic_log[2] == (600.0, ("d2", "d1"))
+    assert complete_log[2] == (600.0, ("d2", "d3"))
+    assert sum(basic.values()) == pytest.approx(16.881, abs=1e-3)
+    assert sum(complete.values()) == pytest.approx(25.155, abs=1e-3)
+    assert complete["d3"] - basic["d3"] == pytest.approx(8.535, abs=1e-3)

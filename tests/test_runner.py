@@ -18,10 +18,6 @@ from repro.runner import (
     canonicalize,
     config_hash,
 )
-from repro.runner.cache import SPILL_THRESHOLD
-
-#: A payload whose pickle reaches the spill threshold.
-BIG = bytes(SPILL_THRESHOLD)
 
 
 # -- module-level point functions (worker processes pickle these) ------
@@ -95,13 +91,17 @@ class TestResultCache:
 
     def test_cross_schema_entry_invalidated(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        with open(cache.path_for("old"), "wb") as f:
-            pickle.dump(
-                {"schema": CACHE_SCHEMA_VERSION + 1, "key": "old", "payload": 1}, f
-            )
-        hit, _ = cache.get("old")
-        assert not hit
-        assert not os.path.exists(cache.path_for("old"))  # dropped, not shadowing
+        stale = [
+            {"schema": CACHE_SCHEMA_VERSION + 1, "key": "old", "payload": 1},
+            # A v2 entry could hold only a reference to a spilled object.
+            {"schema": 2, "key": "old", "payload_ref": {"digest": "0" * 64}},
+        ]
+        for entry in stale:
+            with open(cache.path_for("old"), "wb") as f:
+                pickle.dump(entry, f)
+            hit, _ = cache.get("old")
+            assert not hit
+            assert not os.path.exists(cache.path_for("old"))  # dropped, not shadowing
 
     def test_entry_in_wrong_slot_rejected(self, tmp_path):
         cache = ResultCache(str(tmp_path))
@@ -117,65 +117,6 @@ class TestResultCache:
         assert len(cache) == 2
         assert cache.clear() == 2
         assert len(cache) == 0
-
-
-class TestResultCacheSpill:
-    def test_large_payload_spills_to_object_store(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        big = {"blob": BIG}
-        cache.put("big", big)
-        assert cache.spills == 1
-        assert os.path.isdir(cache.objects_dir)
-        assert len(os.listdir(cache.objects_dir)) == 1
-        # The entry file itself stays tiny — only the digest ref.
-        assert os.path.getsize(cache.path_for("big")) < 1024
-        hit, value = cache.get("big")
-        assert hit and value == big
-
-    def test_small_payload_stays_inline(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        cache.put("small", {"x": 1})
-        assert cache.spills == 0
-        assert not os.path.isdir(cache.objects_dir)
-
-    def test_identical_artifacts_are_shared(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        cache.put("a", BIG)
-        cache.put("b", BIG)
-        assert len(os.listdir(cache.objects_dir)) == 1  # content-addressed
-        assert cache.get("a") == (True, BIG)
-        assert cache.get("b") == (True, BIG)
-
-    def test_truncated_artifact_is_a_miss_not_a_hit(self, tmp_path):
-        """A crash mid-artifact-write (or later corruption) must never
-        come back as a cache hit — the digest check catches it."""
-        cache = ResultCache(str(tmp_path))
-        cache.put("victim", BIG)
-        (name,) = os.listdir(cache.objects_dir)
-        path = os.path.join(cache.objects_dir, name)
-        with open(path, "rb") as f:
-            blob = f.read()
-        with open(path, "wb") as f:
-            f.write(blob[: len(blob) // 2])  # torn write
-        hit, value = cache.get("victim")
-        assert not hit and value is None
-        # Both the bad artifact and the now-dangling entry are dropped.
-        assert not os.path.exists(path)
-        assert not os.path.exists(cache.path_for("victim"))
-
-    def test_missing_artifact_is_a_miss(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        cache.put("victim", BIG)
-        (name,) = os.listdir(cache.objects_dir)
-        os.unlink(os.path.join(cache.objects_dir, name))
-        hit, _ = cache.get("victim")
-        assert not hit
-
-    def test_clear_removes_spilled_objects(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        cache.put("a", BIG)
-        assert cache.clear() == 1
-        assert os.listdir(cache.objects_dir) == []
 
 
 class TestEngineSerial:

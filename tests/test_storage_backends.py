@@ -1,7 +1,8 @@
 """Tests for the pluggable storage layer: backend conformance, the
-``REPRO_DATASTORE`` factory, datastore write-through/hydration, and
-the ISSUE's edge cases (delete-then-reinsert, duplicate-upload
-idempotency across checkpoint/restore, selector iteration order)."""
+``REPRO_DATASTORE`` factory, datastore order across a WAL restore on
+every backend, what a server leaves on its backend (app readings
+only), and duplicate-upload idempotency across a WAL checkpoint and
+restore on every backend."""
 
 from __future__ import annotations
 
@@ -12,16 +13,11 @@ from repro.cellular.network import CellularNetwork, DeliveryReceipt
 from repro.cellular.packets import Message, MessageKind
 from repro.clientlib.client import SenseAidClient
 from repro.core.config import SenseAidConfig, ServerMode
-from repro.core.datastores import (
-    DeviceDatastore,
-    DeviceRecord,
-    TaskDatastore,
-    record_from_dict,
-    record_to_dict,
-)
+from repro.core.datastores import DeviceRecord, record_from_dict, record_to_dict
 from repro.core.server import SenseAidServer
 from repro.core.wal import DurableLog
 from repro.devices.sensors import SensorType
+from repro.serverlib.appserver import CrowdsensingAppServer
 from repro.sim.engine import Simulator
 from repro.storage import (
     DATASTORE_DIR_ENV,
@@ -33,7 +29,7 @@ from repro.storage import (
     resolve_backend,
 )
 from tests.conftest import make_device
-from tests.test_core_server import CENTER, make_setup, make_spec
+from tests.test_core_server import CENTER, make_spec
 
 
 def _memory_factory():
@@ -102,6 +98,22 @@ class TestFactory:
             resolve_backend("sqlite:")
 
 
+def _wal_server(storage, wal_dir):
+    """A Complete-mode server over ``storage`` with a WAL in ``wal_dir``."""
+    sim = Simulator()
+    registry = TowerRegistry([ENodeB("t0", CENTER, coverage_radius_m=5000.0)])
+    network = CellularNetwork(sim)
+    server = SenseAidServer(
+        sim,
+        registry,
+        network,
+        SenseAidConfig(mode=ServerMode.COMPLETE),
+        wal=DurableLog(str(wal_dir)),
+        storage=storage,
+    )
+    return sim, network, server
+
+
 def _record(device_id: str, **overrides) -> DeviceRecord:
     defaults = dict(
         device_id=device_id,
@@ -116,60 +128,21 @@ def _record(device_id: str, **overrides) -> DeviceRecord:
 
 
 class TestDeviceDatastoreOnBackend:
-    def test_write_through_and_hydration(self, backend):
-        store = DeviceDatastore(backend=backend)
-        store.register(_record("d0", battery_pct=73.0))
-        store.register(_record("d1"))
-        # A second datastore on the same backend sees the same world.
-        rehydrated = DeviceDatastore(backend=backend)
-        assert rehydrated.device_ids() == ["d0", "d1"]
-        assert rehydrated.record("d0").battery_pct == 73.0
-
-    def test_flush_captures_attribute_mutations(self, backend):
-        store = DeviceDatastore(backend=backend)
-        store.register(_record("d0"))
-        store.record("d0").times_selected = 7
-        # Mutation bypassed the datastore API: visible only after flush.
-        assert backend.get_doc("devices", "d0")["times_selected"] == 0
-        store.flush()
-        assert backend.get_doc("devices", "d0")["times_selected"] == 7
-        assert DeviceDatastore(backend=backend).record("d0").times_selected == 7
-
-    def test_delete_then_reinsert_same_id(self, backend):
-        """A device id freed by deregister is fully reusable, and the
-        reinserted record does not inherit any old state."""
-        store = DeviceDatastore(backend=backend)
-        store.register(_record("d0", battery_pct=10.0))
-        store.record("d0").times_selected = 9
-        store.flush()
-        store.deregister("d0")
-        assert not backend.has_doc("devices", "d0")
-        store.register(_record("d0", battery_pct=95.0))
-        assert store.record("d0").times_selected == 0
-        assert backend.get_doc("devices", "d0")["battery_pct"] == 95.0
-        rehydrated = DeviceDatastore(backend=backend)
-        assert rehydrated.record("d0").battery_pct == 95.0
-        assert rehydrated.record("d0").times_selected == 0
-
-    def test_fresh_clears_namespace(self, backend):
-        store = DeviceDatastore(backend=backend)
-        store.register(_record("d0"))
-        fresh = DeviceDatastore(backend=backend, fresh=True)
-        assert len(fresh) == 0
-        assert backend.doc_count("devices") == 0
-
-    def test_iteration_order_is_sorted_and_stable(self, backend):
+    def test_iteration_order_is_sorted_and_stable(self, backend, tmp_path):
         """The selector ranks ``records()``; insertion order must never
-        leak into it — both the live store and a rehydrated one
-        iterate in sorted device-id order."""
-        store = DeviceDatastore(backend=backend)
+        leak into it — both the live store and the one a restart
+        rebuilds from the WAL iterate in sorted device-id order."""
+        sim, network, server = _wal_server(backend, tmp_path / "wal")
         for device_id in ["d7", "d0", "d12", "d3"]:
-            store.register(_record(device_id))
+            device = make_device(sim, device_id, position=CENTER)
+            SenseAidClient(sim, device, server, network).register()
         expected = sorted(["d7", "d0", "d12", "d3"])
-        assert [r.device_id for r in store.records()] == expected
-        assert store.device_ids() == expected
-        rehydrated = DeviceDatastore(backend=backend)
-        assert [r.device_id for r in rehydrated.records()] == expected
+        assert [r.device_id for r in server.devices.records()] == expected
+        assert server.devices.device_ids() == expected
+        server._wal.checkpoint(server)
+        server.restart()
+        assert [r.device_id for r in server.devices.records()] == expected
+        assert server.devices.device_ids() == expected
 
     def test_record_codec_round_trips(self):
         record = _record("d0", battery_pct=42.5)
@@ -178,52 +151,50 @@ class TestDeviceDatastoreOnBackend:
 
 
 class TestTaskDatastoreOnBackend:
-    def test_write_through_and_hydration(self, backend):
-        store = TaskDatastore(backend=backend)
-        spec = make_spec(task_id=3)
-        store.add(spec)
-        rehydrated = TaskDatastore(backend=backend)
-        assert rehydrated.get(3) == spec
-
-    def test_numeric_order_survives_key_encoding(self, backend):
-        """Task ids are zero-padded into backend keys so key order is
-        numeric order — id 10 must sort after id 9, not before id 2."""
-        store = TaskDatastore(backend=backend)
+    def test_numeric_order_survives_key_encoding(self, backend, tmp_path):
+        """The WAL keys callbacks by ``str(task_id)`` and writes ids
+        through JSON; the restored store must still list tasks in
+        numeric order — id 10 after id 9, not before id 2."""
+        sim, _, server = _wal_server(backend, tmp_path / "wal")
         for task_id in [10, 2, 9, 1]:
-            store.add(make_spec(task_id=task_id))
-        assert [t.task_id for t in store.all_tasks()] == [1, 2, 9, 10]
-        rehydrated = TaskDatastore(backend=backend)
-        assert [t.task_id for t in rehydrated.all_tasks()] == [1, 2, 9, 10]
-
-    def test_remove_deletes_from_backend(self, backend):
-        store = TaskDatastore(backend=backend)
-        store.add(make_spec(task_id=5))
-        store.remove(5)
-        assert backend.doc_count("tasks") == 0
-        assert len(TaskDatastore(backend=backend)) == 0
+            server.submit_task(make_spec(task_id=task_id), lambda p: None)
+        assert [t.task_id for t in server.tasks.all_tasks()] == [1, 2, 9, 10]
+        sim.run(until=100.0)
+        server._wal.checkpoint(server)
+        server.restart()
+        assert [t.task_id for t in server.tasks.all_tasks()] == [1, 2, 9, 10]
 
 
-def _run_campaign(sim, server, until=700.0):
-    server.submit_task(make_spec(sampling_duration_s=600.0), lambda p: None)
-    sim.run(until=until)
+def _app_campaign(storage, wal_dir):
+    """Two clients and an app server over ``storage``, a WAL in
+    ``wal_dir``, and a 600 s campaign run to t = 700 s."""
+    sim, network, server = _wal_server(storage, wal_dir)
+    for i in range(2):
+        device = make_device(sim, f"d{i}", position=CENTER)
+        SenseAidClient(sim, device, server, network).register()
+    cas = CrowdsensingAppServer(server, "cas")
+    cas.task(
+        SensorType.BAROMETER,
+        CENTER,
+        1000.0,
+        2,
+        sampling_period_s=300.0,
+        sampling_duration_s=600.0,
+    )
+    sim.run(until=700.0)
+    return server, cas
 
 
 class TestServerOnBackends:
-    @pytest.mark.parametrize("spec", ["memory", "sqlite"])
-    def test_selection_log_mirrored_to_backend(
-        self, spec, monkeypatch, tmp_path
-    ):
-        monkeypatch.setenv(DATASTORE_ENV, spec)
-        monkeypatch.setenv(DATASTORE_DIR_ENV, str(tmp_path))
-        sim = Simulator()
-        server, _, _, _ = make_setup(sim, n_devices=4)
-        _run_campaign(sim, server)
-        assert server.storage.name == spec
-        stored = list(server.storage.scan_log(server.SELECTION_LOG_NS))
-        assert len(stored) == len(server.selection_log) > 0
-        for doc, event in zip(stored, server.selection_log):
-            assert doc["request_id"] == event.request_id
-            assert tuple(doc["selected"]) == event.selected
+    def test_backend_holds_only_app_readings(self, backend, tmp_path):
+        """The WAL is the server's durable copy: after a campaign, a
+        checkpoint and a cold restart, the backend holds the app's
+        readings log and nothing of the server's own state."""
+        server, cas = _app_campaign(backend, tmp_path / "wal")
+        assert cas.reading_count() > 0
+        server._wal.checkpoint(server)
+        server.restart()
+        assert backend.namespaces() == {"docs": [], "logs": [cas.readings_ns]}
 
     @pytest.mark.parametrize("spec", ["memory", "sqlite"])
     def test_shutdown_flushes_but_keeps_backend_readable(
@@ -231,13 +202,11 @@ class TestServerOnBackends:
     ):
         monkeypatch.setenv(DATASTORE_ENV, spec)
         monkeypatch.setenv(DATASTORE_DIR_ENV, str(tmp_path))
-        sim = Simulator()
-        server, _, _, _ = make_setup(sim, n_devices=4)
-        _run_campaign(sim, server)
+        server, cas = _app_campaign(None, tmp_path / "wal")
+        assert server.storage.name == spec
         server.shutdown()
-        # Post-shutdown the backend serves the flushed working set.
-        doc = server.storage.get_doc("devices", "d0")
-        assert doc["times_selected"] == server.devices.record("d0").times_selected
+        # Post-shutdown the backend still serves every flushed reading.
+        assert server.storage.log_count(cas.readings_ns) == cas.reading_count() > 0
 
     @pytest.mark.parametrize("spec_name", ["memory", "sqlite"])
     def test_duplicate_upload_idempotent_across_checkpoint_restore(

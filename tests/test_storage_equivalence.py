@@ -3,9 +3,9 @@
 Each example draws a random campaign (devices, tasks, densities,
 periods, an optional mid-run kill-and-recover point) and runs it twice
 — once on the in-memory backend, once on sqlite — then asserts the two
-worlds are **bit-identical**: selection logs (live and as stored),
-every stored reading, the device datastore contents, server stats, and
-the derived analysis outputs.  Floats are compared exactly, not
+worlds are **bit-identical**: the selection log, every stored reading,
+the device and task datastores (through their codecs), server stats,
+and the derived analysis outputs.  Floats are compared exactly, not
 approximately: both backends must perform the same arithmetic in the
 same order, or they are not the same system.
 
@@ -17,6 +17,7 @@ say nothing about Sense-Aid.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import tempfile
 
@@ -28,7 +29,8 @@ from repro.cellular.network import CellularNetwork
 from repro.cellular.packets import reset_message_ids
 from repro.clientlib.client import SenseAidClient
 from repro.core.config import SenseAidConfig, ServerMode
-from repro.core.server import SenseAidServer, selection_event_to_dict
+from repro.core.datastores import record_to_dict, task_to_dict
+from repro.core.server import SenseAidServer
 from repro.core.tasks import reset_task_ids
 from repro.core.wal import DurableLog
 from repro.environment.geometry import Point
@@ -114,9 +116,7 @@ def run_campaign(params, backend_kind: str) -> dict:
         # WAL replay — at the same instant on both backends.
         def kill_and_recover():
             wal.checkpoint(server)
-            server.restart(
-                data_callbacks={cas.name: cas.receive_sensed_data}
-            )
+            server.restart()
 
         sim.schedule_at(duration * params["restart_tick"], kill_and_recover)
     sim.run(until=duration + 120.0)
@@ -128,25 +128,11 @@ def fingerprint(
     server: SenseAidServer, cas: CrowdsensingAppServer, clients: list
 ) -> dict:
     """Everything two equivalent worlds must agree on, bit for bit."""
-    storage = server.storage
-    device_docs = {
-        key: storage.get_doc("devices", key)
-        for key in storage.doc_keys("devices")
-    }
-    task_docs = {
-        key: storage.get_doc("tasks", key)
-        for key in storage.doc_keys("tasks")
-    }
     return {
-        "selection_log_live": [
-            selection_event_to_dict(e) for e in server.selection_log
-        ],
-        "selection_log_stored": list(
-            storage.scan_log(server.SELECTION_LOG_NS)
-        ),
-        "readings_stored": list(storage.scan_log(cas.readings_ns)),
-        "device_docs": device_docs,
-        "task_docs": task_docs,
+        "selection_log": [dataclasses.asdict(e) for e in server.selection_log],
+        "readings_stored": list(server.storage.scan_log(cas.readings_ns)),
+        "devices": [record_to_dict(r) for r in server.devices.records()],
+        "tasks": [task_to_dict(t) for t in server.tasks.all_tasks()],
         "stats": vars(server.stats).copy(),
         "epoch": server.epoch,
         "selections_per_device": server.selections_per_device(),
