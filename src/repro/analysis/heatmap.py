@@ -26,23 +26,16 @@ class SpatialSample:
     value: float
 
 
-def idw_interpolate(
-    samples: Sequence[SpatialSample],
-    at: Point,
-    *,
-    power: float = 2.0,
-    epsilon_m: float = 1.0,
-) -> float:
-    """Inverse-distance-weighted estimate of the field at ``at``."""
+def idw_interpolate(samples: Sequence[SpatialSample], at: Point) -> float:
+    """Inverse-distance-weighted estimate of the field at ``at``: weights
+    fall with the square of the distance, floored at 1 m."""
     if not samples:
         raise ValueError("need at least one sample")
-    if power <= 0:
-        raise ValueError("power must be positive")
     numerator = 0.0
     denominator = 0.0
     for sample in samples:
-        distance = max(epsilon_m, sample.position.distance_to(at))
-        weight = 1.0 / distance**power
+        distance = max(1.0, sample.position.distance_to(at))
+        weight = 1.0 / distance**2.0
         numerator += weight * sample.value
         denominator += weight
     return numerator / denominator

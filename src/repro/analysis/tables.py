@@ -50,7 +50,6 @@ def format_bar_chart(
     *,
     width: int = 50,
     title: str = "",
-    value_format: str = "{:.1f}",
 ) -> str:
     """Horizontal ASCII bars for ``(label, value)`` rows.
 
@@ -72,7 +71,7 @@ def format_bar_chart(
             bar = "#" * max(1 if value > 0 else 0, round(value / peak * width))
         lines.append(
             f"{str(label).rjust(label_width)} | "
-            f"{bar.ljust(width)} {value_format.format(value)}"
+            f"{bar.ljust(width)} {value:.1f}"
         )
     return "\n".join(lines)
 

@@ -38,12 +38,12 @@ class TruthDiscoveryResult:
         return {s: w / total for s, w in self.weights.items()}
 
 
-def discover_truth(
-    claims: Claims,
-    *,
-    max_iterations: int = 50,
-    tolerance: float = 1e-6,
-) -> TruthDiscoveryResult:
+#: CRH stops when no truth moves by this much, or after MAX_ITERATIONS.
+TOLERANCE = 1e-6
+MAX_ITERATIONS = 50
+
+
+def discover_truth(claims: Claims) -> TruthDiscoveryResult:
     """Run CRH truth discovery on continuous claims.
 
     Each source claims values for some items.  Returns per-item truth
@@ -63,14 +63,14 @@ def discover_truth(
     weights = {s: 1.0 for s in sources}
     truths = _weighted_truths(claims, weights, items)
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, MAX_ITERATIONS + 1):
         weights = _crh_weights(claims, truths)
         new_truths = _weighted_truths(claims, weights, items)
         delta = max(
             abs(new_truths[item] - truths[item]) for item in items
         )
         truths = new_truths
-        if delta < tolerance:
+        if delta < TOLERANCE:
             break
     return TruthDiscoveryResult(truths=truths, weights=weights, iterations=iterations)
 

@@ -38,9 +38,9 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-#: Version of the on-disk scorecard envelope.  v1 scorecards were the
-#: bare metric payloads of PRs 2-4; v2 stamps name, git SHA, and this
-#: schema version so the regression gate can refuse stale comparisons.
+#: Version of the on-disk scorecard envelope, which stamps name, git
+#: SHA and this schema version so the regression gate can refuse stale
+#: comparisons.  Bare, unstamped payloads (the old v1) are refused.
 ARTIFACT_SCHEMA_VERSION = 2
 
 DEFAULT_REL_TOL = 0.05
@@ -215,22 +215,24 @@ def _fmt(value: Any) -> str:
 
 
 def load_artifact(path: str) -> Artifact:
-    """Load one scorecard, accepting stamped (v2+) and legacy payloads."""
+    """Load one stamped scorecard; raises ValueError on a bare payload."""
     with open(path, "r", encoding="utf-8") as f:
         payload = json.load(f)
-    name = os.path.splitext(os.path.basename(path))[0]
-    if (
+    if not (
         isinstance(payload, dict)
         and "schema_version" in payload
         and "metrics" in payload
     ):
-        return Artifact(
-            name=payload.get("name", name),
-            schema_version=int(payload["schema_version"]),
-            git_sha=str(payload.get("git_sha", "unknown")),
-            metrics=payload["metrics"],
+        raise ValueError(
+            f"{path}: not a stamped scorecard (no schema_version/metrics); "
+            "regenerate it"
         )
-    return Artifact(name=name, schema_version=1, git_sha="unknown", metrics=payload)
+    return Artifact(
+        name=payload.get("name", os.path.splitext(os.path.basename(path))[0]),
+        schema_version=int(payload["schema_version"]),
+        git_sha=str(payload.get("git_sha", "unknown")),
+        metrics=payload["metrics"],
+    )
 
 
 def load_artifacts(directory: str) -> Dict[str, Artifact]:

@@ -424,13 +424,10 @@ class TowerRegistry:
 
 
 def grid_towers(
-    width_m: float,
-    height_m: float,
-    rows: int = 2,
-    cols: int = 2,
-    coverage_radius_m: float = 1500.0,
+    width_m: float, height_m: float, rows: int = 2, cols: int = 2
 ) -> List[ENodeB]:
-    """Lay out a rows×cols grid of towers covering a rectangle."""
+    """Lay out a rows×cols grid of towers (1,500 m coverage radius each)
+    covering a rectangle."""
     if rows <= 0 or cols <= 0:
         raise ValueError("rows and cols must be positive")
     towers = []
@@ -442,7 +439,7 @@ def grid_towers(
                 ENodeB(
                     tower_id=f"enb-{r}{c}",
                     position=Point(x, y),
-                    coverage_radius_m=coverage_radius_m,
+                    coverage_radius_m=1500.0,
                 )
             )
     return towers

@@ -43,24 +43,15 @@ class CellularNetwork:
 
     PATH_DIRECT = "path1"
     PATH_SENSE_AID = "path2"
+    #: Core-network transit time of every delivery, in seconds.
+    core_latency_s = 0.05
 
-    def __init__(
-        self,
-        sim: Simulator,
-        core_latency_s: float = 0.05,
-        *,
-        loss_probability: float = 0.0,
-    ) -> None:
-        if core_latency_s < 0:
-            raise ValueError(
-                f"core latency must be non-negative, got {core_latency_s!r}"
-            )
+    def __init__(self, sim: Simulator, *, loss_probability: float = 0.0) -> None:
         if not 0.0 <= loss_probability < 1.0:
             raise ValueError(
                 f"loss_probability must be in [0, 1), got {loss_probability!r}"
             )
         self._sim = sim
-        self._latency = core_latency_s
         #: Probability an uplink message is lost in the core after the
         #: radio transmitted it (energy spent, delivery never happens) —
         #: exercises the data-collection failure handling of §8.
@@ -74,10 +65,6 @@ class CellularNetwork:
         self.messages_lost = 0
         self.messages_dropped_by_faults = 0
         self.messages_duplicated = 0
-
-    @property
-    def core_latency_s(self) -> float:
-        return self._latency
 
     # ------------------------------------------------------------------
     # Fault layer attachment
@@ -195,8 +182,6 @@ class CellularNetwork:
         device: object,
         message: Message,
         on_delivered: Optional[Callable[[Message, DeliveryReceipt], None]] = None,
-        *,
-        resets_tail: Optional[bool] = None,
     ) -> None:
         """Push ``message`` from the server side down to ``device``."""
         self._count_path(message)
@@ -216,10 +201,7 @@ class CellularNetwork:
 
         def start_radio() -> None:
             device.modem.receive(
-                message.size_bytes,
-                message.category,
-                resets_tail=resets_tail,
-                on_complete=delivered_to_radio,
+                message.size_bytes, message.category, on_complete=delivered_to_radio
             )
 
         decision = (
@@ -238,7 +220,7 @@ class CellularNetwork:
 
         One entry per copy: the original plus any injected duplicates.
         """
-        base = self._latency
+        base = self.core_latency_s
         if decision is None:
             return [base]
         delays = [base + decision.extra_delay_s]

@@ -49,15 +49,15 @@ class MessageKind(Enum):
 _message_ids = itertools.count(1)
 
 
-def reset_message_ids(start: int = 1) -> None:
-    """Rewind the global message-id counter.
+def reset_message_ids() -> None:
+    """Rewind the global message-id counter to 1.
 
     Message ids come from a process-global counter; replay harnesses
     comparing runs bit-for-bit should reset it before each run (see
     also :func:`repro.core.tasks.reset_task_ids`).
     """
     global _message_ids
-    _message_ids = itertools.count(start)
+    _message_ids = itertools.count(1)
 
 
 @dataclass

@@ -235,16 +235,14 @@ class RadioModem:
         size_bytes: int,
         category: TrafficCategory,
         *,
-        resets_tail: Optional[bool] = None,
         on_complete: Optional[Callable[[], None]] = None,
     ) -> float:
-        """Downlink transfer; a page from IDLE still pays the promotion."""
+        """Downlink transfer; a page from IDLE still pays the promotion.
+
+        Whether it resets the tail follows the modem's :class:`TailPolicy`.
+        """
         return self.transmit(
-            size_bytes,
-            category,
-            uplink=False,
-            resets_tail=resets_tail,
-            on_complete=on_complete,
+            size_bytes, category, uplink=False, on_complete=on_complete
         )
 
     # ------------------------------------------------------------------

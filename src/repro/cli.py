@@ -348,18 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=7, help="backend world seed (default 7)"
     )
     serve_parser.add_argument(
-        "--consumers",
-        type=int,
-        default=4,
-        help="cap on requests running at once; the service runs "
-        "min(--consumers, --slots) (default 4)",
-    )
-    serve_parser.add_argument(
         "--slots",
         type=int,
-        default=8,
-        help="cap on requests running at once; the service runs "
-        "min(--consumers, --slots) (default 8)",
+        default=4,
+        help="run slots: requests running at once (default 4)",
     )
     serve_parser.add_argument(
         "--queue-capacity",
@@ -399,18 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--concurrency", type=int, default=4, help="closed-loop worker count"
     )
     loadgen_parser.add_argument(
-        "--consumers",
-        type=int,
-        default=4,
-        help="cap on requests the service runs at once; it runs "
-        "min(--consumers, --slots) (default 4)",
-    )
-    loadgen_parser.add_argument(
         "--slots",
         type=int,
-        default=8,
-        help="cap on requests the service runs at once; it runs "
-        "min(--consumers, --slots) (default 8)",
+        default=4,
+        help="run slots: requests the service runs at once (default 4)",
     )
     loadgen_parser.add_argument(
         "--service-time",
@@ -612,11 +596,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     line is the matching :class:`~repro.service.api.ServiceResponse`
     as JSON, printed as soon as it resolves.  Lines are read off the
     event loop, so a request is answered while stdin stays open.  EOF
-    drains the service and prints the scorecard to stderr — a real
+    drains the service, closes the store (committing what was
+    acknowledged) and prints the scorecard to stderr — a real
     request/response loop without needing a socket stack.
     """
     import asyncio
     import json
+    from contextlib import closing
 
     from repro.core.config import OverloadPolicy
     from repro.service import (
@@ -630,11 +616,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     kinds = {kind.value: kind for kind in RequestKind}
 
     async def serve() -> dict:
-        sim, _, cas = build_world(seed=args.seed)
+        sim, server, cas = build_world(seed=args.seed)
         backend = AppServerBackend(sim, cas)
         config = ServiceConfig(
             queue_capacity=args.queue_capacity,
-            consumers=args.consumers,
+            consumers=args.slots,
             concurrency_slots=args.slots,
             service_time_s=args.service_time,
             overload=OverloadPolicy(),
@@ -643,31 +629,32 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         loop = asyncio.get_running_loop()
         readline = sys.stdin.readline
         pending = []
-        async with service:
-            while True:
-                line = await loop.run_in_executor(None, readline)
-                if not line:
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    raw = json.loads(line)
-                    kind = kinds[str(raw["kind"])]
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    print(
-                        json.dumps({"status": "rejected", "error": str(exc)}),
-                        flush=True,
-                    )
-                    continue
+        with closing(server.storage):
+            async with service:
+                while True:
+                    line = await loop.run_in_executor(None, readline)
+                    if not line:
+                        break
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        raw = json.loads(line)
+                        kind = kinds[str(raw["kind"])]
+                    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                        print(
+                            json.dumps({"status": "rejected", "error": str(exc)}),
+                            flush=True,
+                        )
+                        continue
 
-                async def roundtrip(kind=kind, payload=raw.get("payload")):
-                    response = await service.submit(kind, payload)
-                    print(json.dumps(response.as_dict()), flush=True)
+                    async def roundtrip(kind=kind, payload=raw.get("payload")):
+                        response = await service.submit(kind, payload)
+                        print(json.dumps(response.as_dict()), flush=True)
 
-                pending.append(loop.create_task(roundtrip()))
-            if pending:
-                await asyncio.gather(*pending)
+                    pending.append(loop.create_task(roundtrip()))
+                if pending:
+                    await asyncio.gather(*pending)
         service.ledger.assert_accounted()
         return service.scorecard()
 
@@ -679,6 +666,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_loadgen(args: argparse.Namespace) -> int:
     import asyncio
     import json
+    from contextlib import closing
 
     from repro.core.config import OverloadPolicy, RetryPolicy
     from repro.service import (
@@ -703,7 +691,7 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         time_scale=args.time_scale,
     )
     config = ServiceConfig(
-        consumers=args.consumers,
+        consumers=args.slots,
         concurrency_slots=args.slots,
         service_time_s=args.service_time,
         overload=OverloadPolicy(
@@ -713,11 +701,13 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     )
 
     async def drive():
-        sim, _, cas = build_world(seed=args.seed)
+        sim, server, cas = build_world(seed=args.seed)
         backend = AppServerBackend(sim, cas)
         service = SenseAidService(backend.handle, config)
-        async with service:
-            report = await generator.run(service)
+        # Closing the store commits what the service acknowledged.
+        with closing(server.storage):
+            async with service:
+                report = await generator.run(service)
         service.ledger.assert_accounted()
         return report, service.scorecard()
 

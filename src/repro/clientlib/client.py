@@ -37,7 +37,7 @@ Hardening against the chaos layer (see :mod:`repro.faults`):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Set
+from typing import Dict, Optional, Set
 
 from repro.cellular.network import CellularNetwork
 from repro.cellular.packets import sensor_data_message
@@ -134,10 +134,6 @@ class SenseAidClient:
         #: server double-counted the reading — see
         #: :meth:`double_accepted_uploads`.
         self._accepted_acks: Dict[str, int] = {}
-        #: Installed by a sharded fleet: returns the current incumbent
-        #: serving this device's ring range, so retries can follow a
-        #: failover instead of hammering a deposed instance.
-        self._home_resolver: Optional[Callable[[], Optional[SenseAidServer]]] = None
         self.log = SimLogger(sim, "repro.clientlib")
         # The retry jitter stream is created only when retries are on,
         # so legacy (no-retry) runs make exactly the draws they used to.
@@ -262,16 +258,6 @@ class SenseAidClient:
             self.deregister()
         self._server = server
         self.register()
-
-    def set_home_resolver(
-        self, resolver: Optional[Callable[[], Optional[SenseAidServer]]]
-    ) -> None:
-        """Install the fleet's view of who currently serves this device.
-
-        Consulted on ack timeouts so a retry storm against a deposed
-        shard incumbent turns into one redirect to its successor.
-        """
-        self._home_resolver = resolver
 
     def redirect(self, server: SenseAidServer) -> None:
         """Follow this device's home shard to a new incumbent.
@@ -422,8 +408,8 @@ class SenseAidClient:
                 # A dead instance reached over a live radio path (multi-
                 # shard topologies): no real ack will ever come.  Leave
                 # the upload in flight — the ack timeout drives the
-                # retry, by which point the home resolver may already
-                # point at the successor.
+                # retry, and the fleet's redirect to the successor
+                # replays it.
                 pass
             else:
                 accepted = ack is None or ack.accepted
@@ -469,25 +455,9 @@ class SenseAidClient:
             attempts=state.attempts,
         )
 
-    def _maybe_follow_home(self) -> bool:
-        """Redirect to the fleet's current incumbent if ours was deposed.
-
-        Returns True when a redirect happened (it replays all in-flight
-        uploads itself, so the caller should stop its own retry path).
-        """
-        if self._home_resolver is None:
-            return False
-        target = self._home_resolver()
-        if target is None or target is self._server:
-            return False
-        self.redirect(target)
-        return True
-
     def _on_ack_timeout(self, request_id: str) -> None:
         state = self._inflight.get(request_id)
         if state is None or not self._powered:
-            return
-        if self._maybe_follow_home():
             return
         if self._give_up(request_id, state):
             return
@@ -548,8 +518,6 @@ class SenseAidClient:
     def _on_retry_due(self, request_id: str) -> None:
         state = self._inflight.get(request_id)
         if state is None or not self._powered:
-            return
-        if self._maybe_follow_home():
             return
         if self._device.modem.is_connected or self._device.modem.in_tail:
             self.stats.retries_in_tail += 1

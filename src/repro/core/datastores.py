@@ -101,7 +101,7 @@ def record_from_dict(data: dict) -> DeviceRecord:
         responsive=data["responsive"],
         invalid_data_count=data["invalid_data_count"],
         sensors=frozenset(SensorType[name] for name in data["sensors"]),
-        missed_deliveries=data.get("missed_deliveries", 0),
+        missed_deliveries=data["missed_deliveries"],
     )
 
 

@@ -120,13 +120,7 @@ class AdmissionController:
     hint.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        policy: OverloadPolicy,
-        *,
-        log: Optional[SimLogger] = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, policy: OverloadPolicy) -> None:
         self._sim = sim
         self.policy = policy
         self.stats = OverloadStats()
@@ -134,7 +128,7 @@ class AdmissionController:
         self._last_drain = sim.now
         self._consecutive_sheds = 0
         self._breaker_open_until: Optional[float] = None
-        self._log = log if log is not None else SimLogger(sim, "repro.core.overload")
+        self._log = SimLogger(sim, "repro.core.overload")
 
     # ------------------------------------------------------------------
     # State

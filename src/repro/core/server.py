@@ -189,13 +189,9 @@ class SenseAidServer:
         self._registry.bind(sim)
         self._perf = sim.perf
         self.config = config if config is not None else SenseAidConfig()
-        #: Pluggable storage backend (``REPRO_DATASTORE``) that app
-        #: servers attach to and keep their readings on; every server
-        #: gets its own unless one is handed in explicitly.  The
-        #: server's own state is durable through the WAL alone.
-        self.storage: StorageBackend = (
-            storage if storage is not None else resolve_backend()
-        )
+        #: The store handed in, or the one :attr:`storage` opens on
+        #: first read.
+        self._storage: Optional[StorageBackend] = storage
         self.devices = DeviceDatastore()
         self.tasks = TaskDatastore()
         self.run_queue = RequestQueue("run")
@@ -257,14 +253,29 @@ class SenseAidServer:
         """Basic resets the tail on upload; Complete does not."""
         return self.mode is ServerMode.BASIC
 
+    @property
+    def storage(self) -> StorageBackend:
+        """The storage backend app servers keep their readings on.
+
+        Handed in, or opened from ``REPRO_DATASTORE`` on first read (an
+        app server's constructor is that read), so a server no app
+        attaches to opens no store.  The server's own state is durable
+        through the WAL alone.
+        """
+        if self._storage is None:
+            self._storage = resolve_backend()
+        return self._storage
+
     def shutdown(self) -> None:
         """Stop the wait-queue checker.
 
-        Flushes — but does not close — the storage backend, so callers
-        (experiments, benchmarks) can still read results afterwards.
+        Flushes — but does not close — an open storage backend, so
+        callers (experiments, benchmarks) can still read results
+        afterwards.
         """
         self._wait_checker.stop()
-        self.storage.flush()
+        if self._storage is not None:
+            self._storage.flush()
 
     # ------------------------------------------------------------------
     # Failure handling (the paper's fail-safe: path 1 survives a

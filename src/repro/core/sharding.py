@@ -82,24 +82,25 @@ def _ring_hash(key: str) -> int:
 class ConsistentHashRing:
     """Consistent hashing with virtual nodes.
 
-    ``vnodes`` virtual points per shard smooth the range sizes; adding
-    or removing one shard moves only the keys in its ranges, which is
-    what makes failover a *range handover* instead of a reshuffle.
+    :attr:`VNODES` virtual points per shard smooth the range sizes;
+    adding or removing one shard moves only the keys in its ranges,
+    which is what makes failover a *range handover* instead of a
+    reshuffle.
     """
 
-    def __init__(self, shard_ids: Sequence[str], *, vnodes: int = 64) -> None:
+    VNODES = 64
+
+    def __init__(self, shard_ids: Sequence[str]) -> None:
         ids = list(shard_ids)
         if not ids:
             raise ValueError("at least one shard is required")
         if len(set(ids)) != len(ids):
             raise ValueError(f"duplicate shard ids: {sorted(ids)}")
-        if vnodes < 1:
-            raise ValueError("vnodes must be positive")
         self._shard_ids = ids
         self._points: List[tuple] = sorted(
             (_ring_hash(f"{shard_id}#{v}"), shard_id)
             for shard_id in ids
-            for v in range(vnodes)
+            for v in range(self.VNODES)
         )
 
     @property
@@ -124,13 +125,13 @@ class ConsistentHashRing:
         """The shard owning a key (first point at or after its hash)."""
         return next(iter(self._walk(key)))
 
-    def preference(self, key: str, n: Optional[int] = None) -> List[str]:
-        """The first ``n`` *distinct* shards in ring order from the key.
+    def preference(self, key: str) -> List[str]:
+        """Every shard, once each, in ring order from the key.
 
         ``preference(key)[0]`` is the owner; the rest are the standby
         order a failover consults.
         """
-        want = len(self._shard_ids) if n is None else n
+        want = len(self._shard_ids)
         out: List[str] = []
         for shard_id in self._walk(key):
             if shard_id not in out:
@@ -149,7 +150,7 @@ class PhiAccrualFailureDetector:
     """Suspicion level over heartbeat inter-arrival times.
 
     phi(t) = -log10(P(a heartbeat arrives later than t)), with the
-    arrival model a normal fit over a sliding window of observed
+    arrival model a normal fit over the last :attr:`WINDOW` observed
     intervals.  ``min_std_s`` floors the fitted deviation so that the
     metronomic heartbeats of a simulator (zero variance) still yield a
     finite, tunable detection point instead of an instant trip.
@@ -161,21 +162,18 @@ class PhiAccrualFailureDetector:
     """
 
     PHI_CAP = 300.0
+    WINDOW = 64
 
     def __init__(
         self,
         expected_interval_s: float,
         *,
-        window: int = 64,
         min_std_s: Optional[float] = None,
         started_at: Optional[float] = None,
     ) -> None:
         if expected_interval_s <= 0:
             raise ValueError("expected_interval_s must be positive")
-        if window < 1:
-            raise ValueError("window must be positive")
         self._expected = expected_interval_s
-        self._window = window
         self._min_std = (
             min_std_s if min_std_s is not None else expected_interval_s / 10.0
         )
@@ -189,7 +187,7 @@ class PhiAccrualFailureDetector:
     def heartbeat(self, now: float) -> None:
         if self.last_heartbeat is not None:
             self._intervals.append(now - self.last_heartbeat)
-            if len(self._intervals) > self._window:
+            if len(self._intervals) > self.WINDOW:
                 self._intervals.pop(0)
         self.last_heartbeat = now
         self.heartbeats += 1
@@ -357,7 +355,6 @@ class ShardedSenseAid:
         heartbeat_period_s: float = 5.0,
         phi_threshold: float = 8.0,
         min_std_s: Optional[float] = None,
-        auto_failover: bool = True,
         redirect_latency_s: float = 0.05,
         placement: Optional[NearestSite] = None,
     ) -> None:
@@ -379,7 +376,6 @@ class ShardedSenseAid:
         self._heartbeat_period = heartbeat_period_s
         self._phi_threshold = phi_threshold
         self._min_std = min_std_s
-        self._auto_failover = auto_failover
         self._redirect_latency = redirect_latency_s
         self._placement = placement
         self._ring = ConsistentHashRing(ids)
@@ -521,15 +517,14 @@ class ShardedSenseAid:
         :class:`NearestSite` the shard nearest the device.  If that
         incumbent is down, the next live shard in the same order takes
         it (and stays its home — a later failover of the original
-        owner does not steal devices back).  Installs a home resolver
-        so the client's retry path follows future range handovers on
-        its own.
+        owner does not steal devices back).  A later failover or
+        recovery of the home shard redirects the client
+        (:meth:`_redirect_clients`).
         """
         device_id = client.device.device_id
         shard_id = self._place(device_id, client.device.position())
         client.bind_server(self._servers[shard_id])
         client.register()
-        client.set_home_resolver(lambda did=device_id: self._resolve_home(did))
         self._clients[device_id] = client
         self._home[device_id] = shard_id
         return shard_id
@@ -551,17 +546,11 @@ class ShardedSenseAid:
                 return shard_id
         return order[0]
 
-    def _resolve_home(self, device_id: str) -> Optional[SenseAidServer]:
-        home = self._home.get(device_id)
-        return self._servers.get(home) if home is not None else None
-
     def deregister(self, device_id: str) -> None:
         client = self._clients.pop(device_id, None)
         self._home.pop(device_id, None)
         if client is not None and client.registered:
             client.deregister()
-        if client is not None:
-            client.set_home_resolver(None)
 
     def rebalance(self) -> int:
         """Under :class:`NearestSite`, hand devices over to the live
@@ -600,8 +589,6 @@ class ShardedSenseAid:
         for shard_id in self._specs:
             if self._emits_heartbeat(shard_id):
                 self._detectors[shard_id].heartbeat(now)
-        if not self._auto_failover:
-            return
         for shard_id in list(self._specs):
             detector = self._detectors[shard_id]
             if detector.phi(now) > self._phi_threshold:
@@ -635,8 +622,8 @@ class ShardedSenseAid:
 
     def recover_shard(self, shard_id: str) -> None:
         """Operator-driven recovery of a crashed incumbent *in place*
-        (no failover happened — e.g. detection is off or no standby
-        was available): cold restart and client redirects."""
+        (no failover happened — e.g. no standby was available): cold
+        restart and client redirects."""
         server = self.instance(shard_id)
         if not server.crashed:
             return

@@ -26,8 +26,8 @@ _task_ids = itertools.count(1)
 ONE_SHOT_DEADLINE_S = 120.0
 
 
-def reset_task_ids(start: int = 1) -> None:
-    """Rewind the global task-id counter.
+def reset_task_ids() -> None:
+    """Rewind the global task-id counter to 1.
 
     Task ids are allocated from a process-global counter, so two
     otherwise-identical simulations run back to back in one process get
@@ -36,7 +36,7 @@ def reset_task_ids(start: int = 1) -> None:
     this before each run.
     """
     global _task_ids
-    _task_ids = itertools.count(start)
+    _task_ids = itertools.count(1)
 
 
 @dataclass(frozen=True)

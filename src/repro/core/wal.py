@@ -53,11 +53,8 @@ from repro.core.server import (
 from repro.core.tasks import SensingRequest, TaskSpec
 from repro.storage import atomic_write
 
-#: Version of the :func:`checkpoint_server` format.  Version 1
-#: snapshots (devices + task remainders only) still load, with the
-#: newer fields defaulting to empty.
+#: Version of the :func:`checkpoint_server` format, the only one read.
 FORMAT_VERSION = 2
-SUPPORTED_VERSIONS = (1, 2)
 
 CRC_FIELD = "crc32"
 #: Checkpoint field holding the highest log ``seq`` the snapshot covers.
@@ -67,11 +64,6 @@ SEQ_FIELD = "last_seq"
 # ----------------------------------------------------------------------
 # The checkpoint format
 # ----------------------------------------------------------------------
-
-
-def stats_from_dict(data: dict) -> ServerStats:
-    known = {f.name for f in dataclasses.fields(ServerStats)}
-    return ServerStats(**{k: v for k, v in data.items() if k in known})
 
 
 def pending_to_dict(tracking: _RequestTracking) -> dict:
@@ -100,15 +92,8 @@ def checkpoint_server(server: SenseAidServer) -> dict:
     tasks = []
     for task in server.tasks.all_tasks():
         entry = task_to_dict(task)
-        duration = task.duration_s()
-        start = server._task_starts.get(
-            task.task_id, task.start_time if task.start_time is not None else now
-        )
-        entry["absolute_end"] = (
-            task.end_time
-            if task.end_time is not None
-            else (start + duration if duration is not None else now)
-        )
+        start = server._task_starts[task.task_id]
+        entry["absolute_end"] = server._task_end(task, start)
         entry["effective_start"] = start
         tasks.append(entry)
     pending = [
@@ -154,9 +139,10 @@ class WriteAheadLog:
     the log.  Recovery replays only entries above the stamp, so a crash
     between installing the checkpoint and truncating the log replays
     nothing twice — ``assign`` and ``upload_accept`` are not
-    idempotent.  A checkpoint without a stamp replays the whole log.
+    idempotent.
 
-    Checkpoints carry a CRC32 footer over their canonical JSON body.
+    Checkpoints carry a CRC32 footer over their canonical JSON body; a
+    checkpoint without the footer or the stamp is corrupt.
     :meth:`compact` keeps the superseded checkpoint and the log entries
     it subsumed (``checkpoint.prev.json`` / ``wal.prev.jsonl``) so that
     a torn or bit-rotted current checkpoint degrades recovery to
@@ -197,7 +183,7 @@ class WriteAheadLog:
                 for path in (self.prev_checkpoint_path, self.checkpoint_path)
             ]
             + [
-                entry.get("seq", 0)
+                entry["seq"]
                 for path in (self.prev_log_path, self.log_path)
                 for entry in self._entries_at(path)
             ]
@@ -262,12 +248,17 @@ class WriteAheadLog:
             raise CheckpointCorruptError(f"unparseable checkpoint {path}: {exc}")
         if not isinstance(snapshot, dict):
             raise CheckpointCorruptError(f"checkpoint {path} is not an object")
-        if CRC_FIELD in snapshot and snapshot[CRC_FIELD] != checkpoint_crc(snapshot):
+        if CRC_FIELD not in snapshot or SEQ_FIELD not in snapshot:
+            raise CheckpointCorruptError(
+                f"checkpoint {path} lacks its {CRC_FIELD} footer or "
+                f"{SEQ_FIELD} stamp"
+            )
+        if snapshot[CRC_FIELD] != checkpoint_crc(snapshot):
             raise CheckpointCorruptError(
                 f"checkpoint {path} CRC mismatch: stored={snapshot[CRC_FIELD]} "
                 f"computed={checkpoint_crc(snapshot)}"
             )
-        if snapshot.get("version") not in SUPPORTED_VERSIONS:
+        if snapshot.get("version") != FORMAT_VERSION:
             raise ValueError(
                 f"unsupported checkpoint version {snapshot.get('version')!r}"
             )
@@ -276,12 +267,12 @@ class WriteAheadLog:
     @classmethod
     def _stamp_at(cls, path: str) -> int:
         """The ``seq`` stamp of the checkpoint at ``path``; 0 if it is
-        missing, unstamped or unreadable (the other files bound it)."""
+        missing or unreadable (the other files bound it)."""
         try:
             snapshot = cls._load_checkpoint_at(path)
         except ValueError:
             return 0
-        return snapshot.get(SEQ_FIELD, 0) if snapshot else 0
+        return snapshot[SEQ_FIELD] if snapshot else 0
 
     def recovery_base(self) -> Tuple[Optional[dict], List[dict], bool]:
         """The (checkpoint, entries, degraded) triple recovery starts from.
@@ -307,7 +298,7 @@ class WriteAheadLog:
                 snapshot = None
             entries = self._entries_at(self.prev_log_path) + self.entries()
             degraded = True
-        covered = snapshot.get(SEQ_FIELD, 0) if snapshot else 0
+        covered = snapshot[SEQ_FIELD] if snapshot else 0
         return snapshot, [e for e in entries if e["seq"] > covered], degraded
 
     def compact(self, snapshot: dict) -> None:
@@ -367,9 +358,7 @@ def _resume_remainder(
     already-resumed and callback-less tasks stay down."""
     now = server._sim.now
     remainder = task_from_dict(entry).resumed(
-        entry.get("effective_start", entry.get("start_time")),
-        entry.get("absolute_end", now),
-        now,
+        entry["effective_start"], entry["absolute_end"], now
     )
     if remainder is None or remainder.task_id in server.tasks or callback is None:
         return
@@ -510,8 +499,9 @@ class DurableLog:
             self.writes_fenced += 1
             return
         # A WAL checkpoint is a durability point for the app readings
-        # on the storage backend too.
-        server.storage.flush()
+        # on an open storage backend too.
+        if server._storage is not None:
+            server._storage.flush()
         self.wal.compact(checkpoint_server(server))
 
     def recover_into(self, server: SenseAidServer) -> None:
@@ -534,7 +524,7 @@ class DurableLog:
                 directory=self.wal.directory,
                 fallbacks=self.wal.fallbacks,
             )
-        recovered_epoch = snapshot.get("epoch", 1) if snapshot else 1
+        recovered_epoch = snapshot["epoch"] if snapshot else 1
         for entry in entries:
             if entry["kind"] == "restart":
                 recovered_epoch = max(recovered_epoch, entry["epoch"])
@@ -562,12 +552,11 @@ class DurableLog:
     ) -> None:
         for data in snapshot["devices"]:
             _register_missing(server, data)
-        if "stats" in snapshot:
-            server.stats = stats_from_dict(snapshot["stats"])
-        server._seen_upload_ids.update(snapshot.get("seen_upload_ids", ()))
+        server.stats = ServerStats(**snapshot["stats"])
+        server._seen_upload_ids.update(snapshot["seen_upload_ids"])
         for entry in snapshot["tasks"]:
             _resume_remainder(server, entry, callbacks.get(str(entry["task_id"])))
-        for entry in snapshot.get("pending", ()):
+        for entry in snapshot["pending"]:
             tracking = _live_tracking(server, entry)
             if tracking is not None:
                 tracking.assigned.update(entry["assigned"])
@@ -647,10 +636,7 @@ def _live_task_ids(server: SenseAidServer) -> List[int]:
             # single request is not re-issued by recovery, so they are
             # not part of the durable contract.
             continue
-        start = server._task_starts.get(
-            task.task_id, task.start_time if task.start_time is not None else 0.0
-        )
-        if server._task_end(task, start) > now:
+        if server._task_end(task, server._task_starts[task.task_id]) > now:
             live.append(task.task_id)
     return sorted(live)
 
@@ -849,11 +835,6 @@ def check_recovery_invariants(pre: dict, post: dict) -> List[RecoveryViolation]:
     return violations
 
 
-def diverged(pre: dict, post: dict) -> bool:
-    """Convenience predicate over :func:`check_recovery_invariants`."""
-    return bool(check_recovery_invariants(pre, post))
-
-
 __all__ = [
     "CheckpointCorruptError",
     "WriteAheadLog",
@@ -863,5 +844,4 @@ __all__ = [
     "durable_state",
     "RecoveryViolation",
     "check_recovery_invariants",
-    "diverged",
 ]

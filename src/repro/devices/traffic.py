@@ -50,33 +50,20 @@ HEAVY_USER = TrafficPattern(mean_gap_s=240.0, session_bytes_mu=12.0)
 LIGHT_USER = TrafficPattern(mean_gap_s=1200.0, session_bytes_mu=10.0)
 
 
-def diurnal_modulator(
-    *,
-    night_factor: float = 5.0,
-    evening_factor: float = 0.6,
-    day_start_h: float = 7.0,
-    evening_start_h: float = 19.0,
-    night_start_h: float = 23.5,
-) -> Callable[[float], float]:
+def diurnal_modulator(time_s: float) -> float:
     """A gap multiplier following a student's day.
 
-    Returns a function of simulation time (seconds; t=0 is midnight)
-    mapping to a multiplier on the mean inter-session gap: phones are
-    nearly silent overnight (``night_factor`` > 1), busiest in the
-    evening (``evening_factor`` < 1), normal during the day.
+    Maps simulation time (seconds; t=0 is midnight) to a multiplier on
+    the mean inter-session gap: phones are nearly silent overnight
+    (×5 from 23:30 to 07:00), busiest in the evening (×0.6 from 19:00),
+    normal during the day.
     """
-    if night_factor <= 0 or evening_factor <= 0:
-        raise ValueError("factors must be positive")
-
-    def modulator(time_s: float) -> float:
-        hour = (time_s / 3600.0) % 24.0
-        if hour < day_start_h or hour >= night_start_h:
-            return night_factor
-        if hour >= evening_start_h:
-            return evening_factor
-        return 1.0
-
-    return modulator
+    hour = (time_s / 3600.0) % 24.0
+    if hour < 7.0 or hour >= 23.5:
+        return 5.0
+    if hour >= 19.0:
+        return 0.6
+    return 1.0
 
 
 class BackgroundTraffic:
@@ -87,19 +74,13 @@ class BackgroundTraffic:
     """
 
     def __init__(
-        self,
-        sim: Simulator,
-        device: object,
-        pattern: TrafficPattern,
-        rng,
-        *,
-        gap_modulator: Optional[Callable[[float], float]] = None,
+        self, sim: Simulator, device: object, pattern: TrafficPattern, rng
     ) -> None:
         self._sim = sim
         self._device = device
         self._pattern = pattern
         self._rng = rng
-        self._gap_modulator = gap_modulator
+        self._gap_modulator: Optional[Callable[[float], float]] = None
         self._running = False
         self._sessions = 0
         self._session_listeners: List[Callable[[float], None]] = []
@@ -129,21 +110,16 @@ class BackgroundTraffic:
         """Called with the session start time at each session."""
         self._session_listeners.append(listener)
 
-    def start(self, initial_delay: Optional[float] = None) -> None:
+    def start(self) -> None:
         """Begin generating sessions.
 
-        The first session arrives after ``initial_delay`` (default: one
-        exponential gap), so a population of devices desynchronises
-        naturally.
+        The first session arrives after one exponential gap, so a
+        population of devices desynchronises naturally.
         """
         if self._running:
             raise RuntimeError("traffic generator already running")
         self._running = True
-        delay = (
-            self._rng.expovariate(1.0 / self._current_mean_gap())
-            if initial_delay is None
-            else initial_delay
-        )
+        delay = self._rng.expovariate(1.0 / self._current_mean_gap())
         self._pending = self._sim.schedule(delay, self._session)
 
     def stop(self) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.environment.geometry import Point
 
@@ -82,7 +82,6 @@ class RandomWaypointMobility(MobilityModel):
         waypoints: Sequence[Point],
         rng: random.Random,
         *,
-        speed_mps: Optional[float] = None,
         mean_pause_s: float = 420.0,
         home_bias: float = 0.35,
     ) -> None:
@@ -95,9 +94,7 @@ class RandomWaypointMobility(MobilityModel):
         self._home = home
         self._waypoints = list(waypoints)
         self._rng = rng
-        self._speed = speed_mps if speed_mps is not None else rng.uniform(1.0, 1.6)
-        if self._speed <= 0:
-            raise ValueError(f"speed must be positive, got {self._speed!r}")
+        self._speed = rng.uniform(1.0, 1.6)
         self._mean_pause = mean_pause_s
         self._home_bias = home_bias
         first_pause = rng.expovariate(1.0 / mean_pause_s)

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from repro.cellular.power import LTE_POWER_PROFILE, RadioPowerProfile
-from repro.cellular.rrc import TailPolicy
 from repro.devices.device import SimDevice, UserPreferences
 from repro.devices.profiles import population_mix
 from repro.devices.traffic import TrafficPattern
@@ -88,8 +86,6 @@ def build_population(
     campus: Campus,
     config: Optional[PopulationConfig] = None,
     *,
-    tail_policy: TailPolicy = TailPolicy.RESET,
-    radio_profile: RadioPowerProfile = LTE_POWER_PROFILE,
     start_traffic: bool = True,
 ) -> List[SimDevice]:
     """Create the participants and (optionally) start their app traffic."""
@@ -117,8 +113,6 @@ def build_population(
             sim,
             device_id=f"u{i:02d}",
             profile=profiles[i],
-            radio_profile=radio_profile,
-            tail_policy=tail_policy,
             mobility=mobility,
             initial_battery_pct=battery_pct,
             traffic_pattern=config.pattern_for(i),

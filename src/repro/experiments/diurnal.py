@@ -70,9 +70,8 @@ def _run_framework(seed: int, use_sense_aid: bool) -> List[float]:  # noqa: C901
     devices = build_population(
         sim, campus, PopulationConfig(size=20), start_traffic=False
     )
-    modulator = diurnal_modulator()
     for device in devices:
-        device.traffic.set_gap_modulator(modulator)
+        device.traffic.set_gap_modulator(diurnal_modulator)
         device.traffic.start()
     server: Optional[SenseAidServer] = None
     if use_sense_aid:

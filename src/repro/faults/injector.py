@@ -95,16 +95,11 @@ class FaultInjector:
         fleet=None,
         plan: Optional[FaultPlan] = None,
         loss_model: Optional[GilbertElliott] = None,
-        delay_probability: float = 0.0,
-        delay_range_s: Tuple[float, float] = (0.5, 5.0),
         duplicate_probability: float = 0.0,
         duplicate_lag_s: Tuple[float, float] = (0.0, 2.0),
     ) -> None:
-        if not 0.0 <= delay_probability <= 1.0:
-            raise ValueError("delay_probability must be in [0, 1]")
         if not 0.0 <= duplicate_probability <= 1.0:
             raise ValueError("duplicate_probability must be in [0, 1]")
-        _check_range("delay_range_s", delay_range_s)
         _check_range("duplicate_lag_s", duplicate_lag_s)
         self._sim = sim
         self._network = network
@@ -112,8 +107,9 @@ class FaultInjector:
         self._server = server
         self._fleet = fleet
         self._loss_model = loss_model
-        self._delay_probability = delay_probability
-        self._delay_range_s = delay_range_s
+        # No extra delay until a plan's ``set_delay`` sets both.
+        self._delay_probability = 0.0
+        self._delay_range_s = (0.0, 0.0)
         self._duplicate_probability = duplicate_probability
         self._duplicate_lag_s = duplicate_lag_s
         self._loss_rng = sim.rng.stream("faults:loss")

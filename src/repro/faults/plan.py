@@ -6,13 +6,13 @@ simulation.  Building the plan is side-effect-free, so the same plan
 object can drive many runs (the chaos benchmark's determinism check
 re-runs one plan and demands bit-identical logs).
 
-Plans are also *data*: :meth:`FaultPlan.to_json` serializes a plan to
-a schema-tagged JSON document and :meth:`FaultPlan.from_json` rebuilds
-it (validating as it goes), which is what the soak harness's shrunken
-reproducers are made of.  ``add()`` validates every injection eagerly
-— unknown actions, unknown or missing kwargs, and out-of-range values
-fail at build time with a clear message instead of blowing up later
-inside ``FaultInjector._execute`` — and :meth:`FaultPlan.validate`
+Plans are also *data*: :meth:`FaultPlan.to_json_obj` serializes a plan
+to a schema-tagged JSON document and :meth:`FaultPlan.from_json_obj`
+rebuilds it (validating as it goes), which is what the soak harness's
+shrunken reproducers are made of.  ``add()`` validates every injection
+eagerly — unknown actions, unknown or missing kwargs, and out-of-range
+values fail at build time with a clear message instead of blowing up
+later inside ``FaultInjector._execute`` — and :meth:`FaultPlan.validate`
 checks *temporal* sanity: a ``heal``/``tower_up``/``shard_heal`` with
 no matching earlier outage is a silent no-op at run time, so a strict
 plan (the default) refuses it and a ``strict=False`` plan warns.
@@ -20,7 +20,6 @@ plan (the default) refuses it and a ``strict=False`` plan warns.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
@@ -50,7 +49,7 @@ class FaultEvent:
 
 #: Per-action kwargs schema: name -> (kind, required).  Kinds drive
 #: both eager validation in :meth:`FaultPlan.add` and the JSON
-#: encode/decode in :meth:`FaultPlan.to_json` / ``from_json``.
+#: encode/decode in :meth:`FaultPlan.to_json_obj` / ``from_json_obj``.
 ACTION_SCHEMAS: Dict[str, Dict[str, Tuple[str, bool]]] = {
     "tower_down": {"tower_id": ("str", True)},
     "tower_up": {"tower_id": ("str", True)},
@@ -254,9 +253,6 @@ class FaultPlan:
             events.append({"at": event.at, "action": event.action, "kwargs": kwargs})
         return {"schema": PLAN_SCHEMA, "strict": self.strict, "events": events}
 
-    def to_json(self, *, indent: Optional[int] = None) -> str:
-        return json.dumps(self.to_json_obj(), indent=indent, sort_keys=True)
-
     @classmethod
     def from_json_obj(
         cls, obj: dict, *, strict: Optional[bool] = None
@@ -313,14 +309,6 @@ class FaultPlan:
                     decoded[name] = value
             plan.add(float(at), action, **decoded)
         return plan
-
-    @classmethod
-    def from_json(cls, text: str, *, strict: Optional[bool] = None) -> "FaultPlan":
-        try:
-            obj = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FaultPlanError(f"unparseable fault plan JSON: {exc}") from None
-        return cls.from_json_obj(obj, strict=strict)
 
     # ------------------------------------------------------------------
     # Convenience builders (all chainable)
@@ -394,21 +382,10 @@ class FaultPlan:
         """Duplicate messages in the core with the given probability."""
         return self.add(at, "set_duplication", probability=probability)
 
-    def server_crash(
-        self, at: float, *, restart_after: Optional[float] = None
-    ) -> "FaultPlan":
-        """Kill the Sense-Aid server process.
-
-        Volatile state is lost; with ``restart_after`` a cold restart
-        (new incarnation epoch, WAL recovery when one is attached) is
-        scheduled too.
-        """
-        self.add(at, "server_crash")
-        if restart_after is not None:
-            if restart_after <= 0:
-                raise ValueError("restart_after must be positive")
-            self.add(at + restart_after, "server_restart")
-        return self
+    def server_crash(self, at: float) -> "FaultPlan":
+        """Kill the Sense-Aid server process; volatile state is lost
+        until a :meth:`server_restart`."""
+        return self.add(at, "server_crash")
 
     def server_restart(self, at: float) -> "FaultPlan":
         """Cold-restart the server (crashing it first if still up)."""

@@ -5,15 +5,16 @@ this library to describe *what* data it needs; Sense-Aid handles all
 the bookkeeping the paper calls out — tracking devices, locations and
 schedules — which in Pressurenet amounted to 37% of the app's code.
 
-Stored readings live on the pluggable storage backend (by default the
-one the Sense-Aid server runs on) as an append-only log tagged by task
-id, so with ``REPRO_DATASTORE=sqlite`` an application's data store is
-on disk and a campaign's readings never have to fit in process memory.
-Queries (``mean_value``, ``reading_count``, ``distinct_devices``) answer
-from running aggregates, one per task and one overall, folded in
-arrival order as each reading is appended; so a query costs O(1), not a
-pass over the log, and stays bit-identical to that pass on every
-backend (see ``mean_value``).  ``iter_readings`` still streams the log.
+Stored readings live on the Sense-Aid server's pluggable storage
+backend as an append-only log tagged by task id, so with
+``REPRO_DATASTORE=sqlite`` an application's data store is on disk and a
+campaign's readings never have to fit in process memory.  Queries
+(``mean_value``, ``reading_count``, ``distinct_devices``) answer from
+running aggregates (a mean per task and overall, and the overall set of
+devices), folded in arrival order as each reading is appended; so a
+query costs O(1), not a pass over the log, and stays bit-identical to
+that pass on every backend (see ``mean_value``).  ``iter_readings``
+still streams the log.
 """
 
 from __future__ import annotations
@@ -52,18 +53,8 @@ def point_from_dict(data: dict) -> SensedDataPoint:
     )
 
 
-class _RunningAggregate:
-    """Reading count, left-to-right value total and distinct devices."""
-
-    __slots__ = ("values", "devices")
-
-    def __init__(self) -> None:
-        self.values = StreamingMean()
-        self.devices: Set[str] = set()
-
-
 #: What a task with no stored readings answers; never folded into.
-_EMPTY = _RunningAggregate()
+_EMPTY = StreamingMean()
 
 
 class CrowdsensingAppServer:
@@ -80,13 +71,11 @@ class CrowdsensingAppServer:
         senseaid: SenseAidServer,
         name: str,
         on_data: Optional[Callable[[SensedDataPoint], None]] = None,
-        *,
-        storage: Optional[StorageBackend] = None,
     ) -> None:
         self._senseaid = senseaid
         self.name = name
         self._on_data = on_data
-        self._storage = storage if storage is not None else senseaid.storage
+        self._storage = senseaid.storage
         #: Backend log namespace holding this application's readings,
         #: one row per delivery, tagged with the task id.
         self.readings_ns = f"readings:{name}"
@@ -98,10 +87,12 @@ class CrowdsensingAppServer:
         #: still recorded — an application bug must not corrupt the
         #: middleware's data store or the delivery path.
         self.callback_errors = 0
-        #: Running answers to queries (see ``mean_value``): one over all
-        #: readings, and one per task keyed by its log tag.
-        self._overall = _RunningAggregate()
-        self._by_task: Dict[str, _RunningAggregate] = {}
+        #: Running answers to queries (see ``mean_value``): the mean over
+        #: all readings and per task (keyed by its log tag), and the
+        #: devices that contributed.
+        self._overall = StreamingMean()
+        self._by_task: Dict[str, StreamingMean] = {}
+        self._devices: Set[str] = set()
         self._rebuild_aggregates()
 
     # ------------------------------------------------------------------
@@ -216,11 +207,11 @@ class CrowdsensingAppServer:
         return list(self.iter_readings(task_id))
 
     def reading_count(self, task_id: Optional[int] = None) -> int:
-        return self._aggregate(task_id).values.count
+        return self._aggregate(task_id).count
 
-    def distinct_devices(self, task_id: Optional[int] = None) -> int:
-        """How many distinct (hashed) devices contributed data, overall or per task."""
-        return len(self._aggregate(task_id).devices)
+    def distinct_devices(self) -> int:
+        """How many distinct (hashed) devices contributed data."""
+        return len(self._devices)
 
     def mean_value(self, task_id: Optional[int] = None) -> Optional[float]:
         """Mean sensed value, overall or for one task.
@@ -229,7 +220,7 @@ class CrowdsensingAppServer:
         scanning the log: start at ``0.0``, add each stored reading's
         value in arrival order, divide by the count.  Why:
 
-        1. *The mean.*  Each aggregate's ``StreamingMean`` starts at
+        1. *The mean.*  Each aggregate (a ``StreamingMean``) starts at
            ``0.0`` and adds every accepted reading's value in arrival
            order — the same additions in the same order as the scan,
            on every backend.
@@ -249,13 +240,13 @@ class CrowdsensingAppServer:
         4. *Counts.*  ``reading_count`` is each aggregate's count, the
            number of rows the scan (or ``log_count``) would see.
         """
-        return self._aggregate(task_id).values.mean
+        return self._aggregate(task_id).mean
 
     # ------------------------------------------------------------------
     # Running aggregates
     # ------------------------------------------------------------------
 
-    def _aggregate(self, task_id: Optional[int]) -> _RunningAggregate:
+    def _aggregate(self, task_id: Optional[int]) -> StreamingMean:
         if task_id is None:
             return self._overall
         return self._by_task.get(str(task_id), _EMPTY)
@@ -263,15 +254,16 @@ class CrowdsensingAppServer:
     def _fold(self, tag: str, value: float, device_hash: str) -> None:
         task = self._by_task.get(tag)
         if task is None:
-            task = self._by_task[tag] = _RunningAggregate()
-        for aggregate in (self._overall, task):
-            aggregate.values.add(value)
-            aggregate.devices.add(device_hash)
+            task = self._by_task[tag] = StreamingMean()
+        self._overall.add(value)
+        task.add(value)
+        self._devices.add(device_hash)
 
     def _rebuild_aggregates(self) -> None:
         """Refold every stored reading, in arrival order, with one scan."""
-        self._overall = _RunningAggregate()
+        self._overall = StreamingMean()
         self._by_task = {}
+        self._devices = set()
         for doc in self._storage.scan_log(self.readings_ns):
             self._fold(str(doc["task_id"]), doc["value"], doc["device_hash"])
 

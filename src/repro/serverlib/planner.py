@@ -31,6 +31,9 @@ from repro.core.tasks import TaskSpec
 from repro.devices.sensors import SENSOR_SPECS, SensorType
 from repro.devices.traffic import TrafficPattern
 
+#: Size of one sensed-data upload the estimate prices.
+UPLOAD_BYTES = 600
+
 
 @dataclass(frozen=True)
 class CampaignEstimate:
@@ -61,17 +64,11 @@ def tail_hit_probability(window_s: float, pattern: TrafficPattern) -> float:
     return 1.0 - math.exp(-window_s / pattern.mean_gap_s)
 
 
-def upload_cost_j(
-    profile: RadioPowerProfile,
-    mode: ServerMode,
-    *,
-    upload_bytes: int = 600,
-    hit: bool,
-) -> float:
+def upload_cost_j(profile: RadioPowerProfile, mode: ServerMode, *, hit: bool) -> float:
     """Marginal radio energy of one upload, by opportunity outcome."""
-    transfer = profile.transfer_time(upload_bytes)
+    transfer = profile.transfer_time(UPLOAD_BYTES)
     if not hit:
-        return profile.cold_upload_energy_j(upload_bytes)
+        return profile.cold_upload_energy_j(UPLOAD_BYTES)
     if mode is ServerMode.COMPLETE:
         # Expected no-reset cost at a uniformly random tail offset:
         # active over the (average) displaced tail power.
@@ -93,8 +90,6 @@ def estimate_campaign(
     profile: RadioPowerProfile,
     pattern: TrafficPattern,
     mode: ServerMode = ServerMode.COMPLETE,
-    *,
-    upload_bytes: int = 600,
 ) -> CampaignEstimate:
     """Analytic cost estimate for one task."""
     requests = task.request_count()
@@ -102,8 +97,8 @@ def estimate_campaign(
         task.sampling_period_s if task.sampling_period_s is not None else 120.0
     )
     p_hit = tail_hit_probability(window, pattern)
-    hit_cost = upload_cost_j(profile, mode, upload_bytes=upload_bytes, hit=True)
-    miss_cost = upload_cost_j(profile, mode, upload_bytes=upload_bytes, hit=False)
+    hit_cost = upload_cost_j(profile, mode, hit=True)
+    miss_cost = upload_cost_j(profile, mode, hit=False)
     sensor = SENSOR_SPECS.get(task.sensor_type)
     sensor_j = sensor.sample_energy_j() if sensor is not None else 0.0
     per_upload = p_hit * hit_cost + (1.0 - p_hit) * miss_cost + sensor_j

@@ -125,6 +125,7 @@ class ServiceResponse:
             "request_id": self.request_id,
             "kind": self.kind.value,
             "status": self.status.value,
+            "result": self.result,
             "error": self.error,
             "retry_after_s": self.retry_after_s,
             "latency_s": self.latency_s,
@@ -137,16 +138,9 @@ class ServiceClosedError(RuntimeError):
 
 
 def make_request(
-    index: int,
-    kind: RequestKind,
-    payload: Optional[Dict[str, Any]] = None,
-    *,
-    app: str = "default",
+    index: int, kind: RequestKind, payload: Optional[Dict[str, Any]] = None
 ) -> ServiceRequest:
     """Build a request with the service's canonical id scheme."""
     return ServiceRequest(
-        request_id=f"r{index:08d}",
-        kind=kind,
-        app=app,
-        payload=dict(payload or {}),
+        request_id=f"r{index:08d}", kind=kind, payload=dict(payload or {})
     )

@@ -18,7 +18,7 @@ benchmark; tests that already have a world just wrap their own CAS.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.cellular.enodeb import ENodeB, TowerRegistry
 from repro.cellular.network import CellularNetwork
@@ -30,58 +30,41 @@ from repro.serverlib.appserver import CrowdsensingAppServer
 from repro.service.api import RequestKind, ServiceRequest
 from repro.sim.engine import Simulator
 
-#: Centre of the default backend world (the paper's campus CS corner).
+#: Centre of the backend world and of every task it creates (the
+#: paper's campus CS corner).
 DEFAULT_CENTER = Point(1275.0, 1350.0)
 
 
 def build_world(
-    *, seed: int = 7, app_name: str = "service", storage=None
+    *, seed: int = 7
 ) -> Tuple[Simulator, SenseAidServer, CrowdsensingAppServer]:
-    """A minimal Sense-Aid world for the service front to execute against.
-
-    ``storage`` is an optional pre-built
-    :class:`~repro.storage.StorageBackend`; when omitted the server
-    resolves one from ``REPRO_DATASTORE`` as usual.
-    """
+    """A minimal Sense-Aid world for the service front to execute
+    against; the server resolves its store from ``REPRO_DATASTORE``."""
     sim = Simulator(seed=seed)
     registry = TowerRegistry(
         [ENodeB("t0", DEFAULT_CENTER, coverage_radius_m=5000.0)]
     )
     network = CellularNetwork(sim)
     server = SenseAidServer(
-        sim,
-        registry,
-        network,
-        SenseAidConfig(mode=ServerMode.COMPLETE),
-        storage=storage,
+        sim, registry, network, SenseAidConfig(mode=ServerMode.COMPLETE)
     )
-    cas = CrowdsensingAppServer(server, app_name)
+    cas = CrowdsensingAppServer(server, "service")
     return sim, server, cas
 
 
 class AppServerBackend:
     """Executes service requests against one ``CrowdsensingAppServer``.
 
-    ``slots`` is the task-slot namespace the load generator draws
-    from; each slot holds at most one live task id.
+    Tasks are addressed by slot, ``payload["slot"]`` modulo
+    :attr:`SLOTS`; each slot holds at most one live task id.  Every
+    task senses the barometer around :data:`DEFAULT_CENTER`.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        cas: CrowdsensingAppServer,
-        *,
-        slots: int = 16,
-        center: Optional[Point] = None,
-        sensor_type: SensorType = SensorType.BAROMETER,
-    ) -> None:
-        if slots < 1:
-            raise ValueError("slots must be at least 1")
+    SLOTS = 16
+
+    def __init__(self, sim: Simulator, cas: CrowdsensingAppServer) -> None:
         self._sim = sim
         self._cas = cas
-        self.slots = slots
-        self._center = center if center is not None else DEFAULT_CENTER
-        self._sensor_type = sensor_type
         self._slot_tasks: Dict[int, int] = {}
         self._delivery_seq = 0
 
@@ -110,7 +93,7 @@ class AppServerBackend:
     # ------------------------------------------------------------------
 
     def _slot(self, payload: Dict[str, Any]) -> int:
-        return int(payload.get("slot", 0)) % self.slots
+        return int(payload.get("slot", 0)) % self.SLOTS
 
     def _create(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         slot = self._slot(payload)
@@ -118,8 +101,8 @@ class AppServerBackend:
         if existing is not None:
             return {"slot": slot, "task_id": existing, "noop": True}
         task_id = self._cas.task(
-            self._sensor_type,
-            self._center,
+            SensorType.BAROMETER,
+            DEFAULT_CENTER,
             float(payload.get("radius_m", 1000.0)),
             int(payload.get("density", 2)),
             sampling_period_s=float(payload.get("period_s", 600.0)),
@@ -161,7 +144,7 @@ class AppServerBackend:
         point = SensedDataPoint(
             request_id=f"svc-{self._delivery_seq}",
             task_id=task_id,
-            sensor_type=self._sensor_type,
+            sensor_type=SensorType.BAROMETER,
             value=float(payload.get("value", 1013.25)),
             sensed_at=now,
             delivered_at=now,
@@ -172,8 +155,8 @@ class AppServerBackend:
 
     def _query(self, payload: Dict[str, Any]) -> Dict[str, Any]:
         slot = payload.get("slot")
-        if slot is not None and int(slot) % self.slots in self._slot_tasks:
-            task_id = self._slot_tasks[int(slot) % self.slots]
+        if slot is not None and int(slot) % self.SLOTS in self._slot_tasks:
+            task_id = self._slot_tasks[int(slot) % self.SLOTS]
             return {
                 "task_id": task_id,
                 "readings": self._cas.reading_count(task_id),

@@ -5,7 +5,7 @@ machine::
 
     QUEUED ──► ADMITTED ──► RUNNING ──► DONE
       │            │            └─────► FAILED
-      └──► SHED    └──────────────────► FAILED   (shutdown / cancellation)
+      └──► SHED    └──────────────────► FAILED   (cancellation)
 
 - ``QUEUED``: the request arrived at the front door and is being
   admission-checked;

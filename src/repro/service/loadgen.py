@@ -247,15 +247,12 @@ class LoadGenerator:
         spec: LoadSpec,
         *,
         retry_policy: Optional[RetryPolicy] = None,
-        max_attempts: Optional[int] = None,
         time_scale: float = 1.0,
     ) -> None:
         self.spec = spec
         self.retry_policy = retry_policy
         self._max_attempts = (
-            max_attempts
-            if max_attempts is not None
-            else (retry_policy.max_attempts if retry_policy is not None else 1)
+            retry_policy.max_attempts if retry_policy is not None else 1
         )
         if time_scale <= 0:
             raise ValueError("time_scale must be positive")
@@ -327,15 +324,8 @@ class LoadGenerator:
                 payload=dict(planned.payload),
             )
             response = await service.submit(planned.kind, request=request)
+            # Without a retry policy the cap is one attempt.
             if not response.shed or attempts >= self._max_attempts:
-                return RequestOutcome(
-                    index=planned.index,
-                    kind=planned.kind,
-                    attempts=attempts,
-                    response=response,
-                    retry_waits=retry_waits,
-                )
-            if self.retry_policy is None:
                 return RequestOutcome(
                     index=planned.index,
                     kind=planned.kind,

@@ -61,20 +61,19 @@ class ServiceClock:
     the service runs under asyncio instead of the discrete-event sim.
     """
 
-    def __init__(self, time_fn: Optional[Callable[[], float]] = None) -> None:
-        self._time_fn = time_fn if time_fn is not None else time.monotonic
-        self._origin = self._time_fn()
+    def __init__(self) -> None:
+        self._origin = time.monotonic()
 
     @property
     def now(self) -> float:
-        return self._time_fn() - self._origin
+        return time.monotonic() - self._origin
 
 
 class ManualClock:
-    """A hand-cranked clock for deterministic tests."""
+    """A hand-cranked clock for deterministic tests, starting at 0."""
 
-    def __init__(self, start: float = 0.0) -> None:
-        self.now = start
+    def __init__(self) -> None:
+        self.now = 0.0
 
     def advance(self, dt: float) -> None:
         if dt < 0:
@@ -131,12 +130,6 @@ class ServiceStats:
         self.by_kind[kind.value] = self.by_kind.get(kind.value, 0) + 1
 
 
-def _wake(future: "asyncio.Future[Any]", value: Any) -> None:
-    """Resolve ``future`` unless its caller was cancelled first."""
-    if not future.done():
-        future.set_result(value)
-
-
 class SenseAidService:
     """Asyncio request front over a synchronous Sense-Aid backend.
 
@@ -164,15 +157,10 @@ class SenseAidService:
         self._run_slots = min(self.config.consumers, self.config.concurrency_slots)
         self._free_slots = self._run_slots
         #: Callers waiting for a run slot, oldest first.  Each sleeps on
-        #: its future: True hands it a slot, False fails it at shutdown.
-        self._waiters: Deque["asyncio.Future[bool]"] = deque()
-        #: Futures of the requests inside their service-time wait, in
-        #: the order they began it (a dict, so shutdown order is fixed).
-        self._sleepers: Dict["asyncio.Future[None]", None] = {}
+        #: its future until a finishing request hands it a slot.
+        self._waiters: Deque["asyncio.Future[None]"] = deque()
         #: Resolved when the last slot comes back while :meth:`stop` waits.
         self._idle: Optional["asyncio.Future[None]"] = None
-        #: Set by ``stop(drain=False)``: no service-time wait may go on.
-        self._aborting = False
         self._next_id = 0
         self._running = False
 
@@ -187,29 +175,14 @@ class SenseAidService:
     async def start(self) -> None:
         if self._running:
             raise RuntimeError("service already running")
-        self._aborting = False
         self._running = True
 
-    async def stop(self, *, drain: bool = True) -> None:
-        """Stop the service loop.
-
-        New submissions are refused at once.  ``drain=True`` waits until
-        no request runs or waits.  ``drain=False`` fails every waiting
-        request with a ``shutdown`` error and cuts every service-time
-        wait short, failing that request ``cancelled``; it returns once
-        those requests are recorded, so nothing hangs and the ledger
-        stays total.  No caller's task is cancelled.
-        """
+    async def stop(self) -> None:
+        """Stop the service loop: refuse new submissions at once, then
+        wait until no request runs or waits."""
         if not self._running:
             return
         self._running = False  # refuse new submissions immediately
-        if not drain:
-            self._aborting = True
-            for wake in self._waiters:
-                _wake(wake, False)
-            self._waiters.clear()
-            for wake in self._sleepers:
-                _wake(wake, None)
         if self._free_slots < self._run_slots:
             self._idle = asyncio.get_running_loop().create_future()
             try:
@@ -233,7 +206,6 @@ class SenseAidService:
         kind: RequestKind,
         payload: Optional[Dict[str, Any]] = None,
         *,
-        app: str = "default",
         request: Optional[ServiceRequest] = None,
     ) -> ServiceResponse:
         """Submit one request and await its response.
@@ -251,7 +223,7 @@ class SenseAidService:
         if not self._running:
             raise ServiceClosedError("service is not running")
         if request is None:
-            request = make_request(self._next_id, kind, payload, app=app)
+            request = make_request(self._next_id, kind, payload)
         self._next_id += 1
         clock, ledger, stats = self.clock, self.ledger, self.stats
         request_id = request.request_id
@@ -284,19 +256,17 @@ class SenseAidService:
             admitted_at = clock.now
             ledger.advance(request_id, RequestState.ADMITTED, admitted_at)
             try:
-                granted = await self._wait_for_slot()
+                await self._wait_for_slot()
             except asyncio.CancelledError:
                 self._fail(request, created_at, "cancelled")
                 raise
-            if not granted:
-                return self._fail(request, created_at, "shutdown")
             started = clock.now
 
         ledger.advance(request_id, RequestState.RUNNING, started)
         queue_delay = started - admitted_at
         try:
-            if self.config.service_time_s > 0 and not await self._service_wait():
-                return self._fail(request, created_at, "cancelled", queue_delay)
+            if self.config.service_time_s > 0:
+                await asyncio.sleep(self.config.service_time_s)
             result = self._handler(request)
         except asyncio.CancelledError:
             self._fail(request, created_at, "cancelled", queue_delay)
@@ -355,44 +325,25 @@ class SenseAidService:
     # Run slots
     # ------------------------------------------------------------------
 
-    async def _wait_for_slot(self) -> bool:
-        """Wait in the FIFO; True once handed a slot, False at shutdown.
+    async def _wait_for_slot(self) -> None:
+        """Wait in the FIFO until handed a slot.
 
         A cancelled caller leaves the FIFO, or passes on the slot it was
         handed just before the cancellation landed.
         """
-        wake: "asyncio.Future[bool]" = asyncio.get_running_loop().create_future()
+        wake: "asyncio.Future[None]" = asyncio.get_running_loop().create_future()
         self._waiters.append(wake)
         try:
-            return await wake
+            await wake
         except asyncio.CancelledError:
             if wake.cancelled():
                 try:
                     self._waiters.remove(wake)
                 except ValueError:  # already skipped by a release
                     pass
-            elif wake.result():
+            else:
                 self._release()
             raise
-
-    async def _service_wait(self) -> bool:
-        """Hold the slot for ``service_time_s``; False when shutdown cut it.
-
-        The service owns this wait, so ``stop(drain=False)`` ends it
-        without cancelling the caller's task.
-        """
-        if self._aborting:
-            return False
-        loop = asyncio.get_running_loop()
-        wake: "asyncio.Future[None]" = loop.create_future()
-        timer = loop.call_later(self.config.service_time_s, _wake, wake, None)
-        self._sleepers[wake] = None
-        try:
-            await wake
-        finally:
-            timer.cancel()
-            del self._sleepers[wake]
-        return not self._aborting
 
     def _release(self) -> None:
         """Hand the caller's slot to the oldest waiter, or free it."""
@@ -400,7 +351,7 @@ class SenseAidService:
         while waiters:
             wake = waiters.popleft()
             if not wake.done():  # a cancelled waiter's future is done
-                wake.set_result(True)
+                wake.set_result(None)
                 return
         self._free_slots += 1
         idle = self._idle

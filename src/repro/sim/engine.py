@@ -157,9 +157,3 @@ class Simulator:
             self._event_count += processed
             self._running = False
         return processed
-
-    def run_for(self, duration: float, max_events: Optional[int] = None) -> int:
-        """Process events for ``duration`` seconds of simulated time."""
-        if not duration >= 0:
-            raise ValueError(f"duration must be non-negative, got {duration!r}")
-        return self.run(until=self.now + duration, max_events=max_events)

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 #: Schema tag for reproducer documents.
 REPRODUCER_SCHEMA = "soak-reproducer/v1"
@@ -143,18 +143,15 @@ def shrink_episode(
     result,
     *,
     max_runs: int = 48,
-    target_codes: Optional[List[str]] = None,
 ) -> ShrinkResult:
     """Minimize a failing :class:`~repro.soak.harness.EpisodeResult`.
 
-    Targets the episode's non-replay violation codes by default (a
-    candidate *fails* when it reproduces at least one of them); when
-    the episode only diverged on replay, each probe runs twice and
-    compares signatures instead.
+    Targets the episode's non-replay violation codes (a candidate
+    *fails* when it reproduces at least one of them); when the episode
+    only diverged on replay, each probe runs twice and compares
+    signatures instead.
     """
-    codes = set(target_codes or [])
-    if not codes:
-        codes = {v.code for v in result.violations if v.code != "REPLAY_DIVERGED"}
+    codes = {v.code for v in result.violations if v.code != "REPLAY_DIVERGED"}
     replay_only = not codes
     if replay_only:
         codes = {"REPLAY_DIVERGED"}

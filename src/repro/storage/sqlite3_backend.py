@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 import os
 import sqlite3
-import tempfile
 from typing import Dict, Iterator, List, Optional
 
 from repro.storage.base import Doc, StorageBackend, snapshot_dict
@@ -63,13 +62,8 @@ class SqliteBackend(StorageBackend):
 
     name = "sqlite"
 
-    def __init__(self, path: Optional[str] = None) -> None:
-        if path is None:
-            root = tempfile.mkdtemp(prefix="repro-sqlite-")
-            path = os.path.join(root, "datastore.sqlite3")
-        else:
-            parent = os.path.dirname(os.path.abspath(path))
-            os.makedirs(parent, exist_ok=True)
+    def __init__(self, path: str) -> None:
+        os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         self.path = path
         self._conn = sqlite3.connect(path)
         self._conn.executescript(_SCHEMA)

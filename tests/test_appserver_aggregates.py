@@ -19,10 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.server import SensedDataPoint
+from repro.cellular.enodeb import ENodeB, TowerRegistry
+from repro.cellular.network import CellularNetwork
+from repro.core.server import SenseAidServer, SensedDataPoint
 from repro.devices.sensors import SensorType
 from repro.serverlib.appserver import CrowdsensingAppServer
-from repro.service.backend import DEFAULT_CENTER, build_world
+from repro.service.backend import DEFAULT_CENTER
+from repro.sim.engine import Simulator
 from repro.storage import MemoryBackend, SqliteBackend
 
 APP = "aggregates"
@@ -33,6 +36,13 @@ def _make_backend(kind: str):
     if kind == "memory":
         return MemoryBackend()
     return SqliteBackend(":memory:")
+
+
+def _server(backend) -> SenseAidServer:
+    """A Sense-Aid server keeping app readings on ``backend``."""
+    sim = Simulator(seed=7)
+    registry = TowerRegistry([ENodeB("t0", DEFAULT_CENTER, coverage_radius_m=5000.0)])
+    return SenseAidServer(sim, registry, CellularNetwork(sim), storage=backend)
 
 
 def _scan_mean(app: CrowdsensingAppServer, task_id: Optional[int] = None):
@@ -53,11 +63,7 @@ def scan_answers(app: CrowdsensingAppServer, task_ids: List[int]) -> dict:
         "count": sum(1 for _ in app.iter_readings()),
         "devices": len({p.device_hash for p in app.iter_readings()}),
         "tasks": {
-            t: (
-                _scan_mean(app, t),
-                sum(1 for _ in app.iter_readings(t)),
-                len({p.device_hash for p in app.iter_readings(t)}),
-            )
+            t: (_scan_mean(app, t), sum(1 for _ in app.iter_readings(t)))
             for t in task_ids
         },
     }
@@ -70,7 +76,7 @@ def aggregate_answers(app: CrowdsensingAppServer, task_ids: List[int]) -> dict:
         "count": app.reading_count(),
         "devices": app.distinct_devices(),
         "tasks": {
-            t: (app.mean_value(t), app.reading_count(t), app.distinct_devices(t))
+            t: (app.mean_value(t), app.reading_count(t))
             for t in task_ids
         },
     }
@@ -92,9 +98,8 @@ def run_steps(kind: str, steps) -> Dict[str, int]:
 
     Returns a census of what the run exercised.
     """
-    backend = _make_backend(kind)
-    _, server, _ = build_world(storage=backend)
-    app = CrowdsensingAppServer(server, APP, storage=backend)
+    server = _server(_make_backend(kind))
+    app = CrowdsensingAppServer(server, APP)
     created: List[int] = []
     census = {
         "tasks": 0,
@@ -134,7 +139,7 @@ def run_steps(kind: str, steps) -> Dict[str, int]:
             app.delete_task(task_id)
         elif action == "reattach":
             late_before += app.late_deliveries_dropped
-            app = CrowdsensingAppServer(server, APP, storage=backend)
+            app = CrowdsensingAppServer(server, APP)
             census["reattaches"] += 1
         # Every task ever created, owned or not: a deleted task must
         # answer like an empty one, a foreign task like its readings.
@@ -210,7 +215,7 @@ def test_pinned_sequence_is_not_vacuous(kind):
 @pytest.mark.parametrize("kind", BACKENDS)
 def test_queries_make_no_scan(kind):
     backend = _make_backend(kind)
-    _, server, _ = build_world(storage=backend)
+    server = _server(backend)
     scans = []
     scan_log = backend.scan_log
 
@@ -219,7 +224,7 @@ def test_queries_make_no_scan(kind):
         return scan_log(ns, tag=tag)
 
     backend.scan_log = counting_scan
-    app = CrowdsensingAppServer(server, APP, storage=backend)
+    app = CrowdsensingAppServer(server, APP)
     assert len(scans) == 1, "construction folds the log with one scan"
 
     a, b = _task(app), _task(app)
@@ -238,7 +243,7 @@ def test_queries_make_no_scan(kind):
     for task_id in (None, a, b):
         app.mean_value(task_id)
         app.reading_count(task_id)
-        app.distinct_devices(task_id)
+    app.distinct_devices()
     assert len(scans) == 1, "appends and queries make no scan"
 
     app.delete_task(a)

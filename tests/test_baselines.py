@@ -116,7 +116,7 @@ class TestPCS:
         network = CellularNetwork(sim)
         devices = make_devices(sim, 2)
         for device in devices:
-            device.traffic.start(initial_delay=60.0)
+            device.traffic.start()
         framework = PCSFramework(sim, network, devices, accuracy=1.0)
         framework.add_task(make_spec(sampling_duration_s=600.0))
         sim.run(until=650.0)

@@ -57,14 +57,15 @@ class TestLoading:
         assert artifact.git_sha == "deadbeef"
         assert artifact.metrics == {"a": 1.0}
 
-    def test_legacy_bare_payload_is_schema_v1(self, dirs):
+    def test_unstamped_payload_is_rejected(self, dirs):
+        """Every committed baseline and every scorecard the book writes
+        is stamped; a bare payload is refused, not read as schema v1."""
         baseline, _ = dirs
         path = os.path.join(baseline, "BENCH_old.json")
         with open(path, "w", encoding="utf-8") as f:
             json.dump({"throughput": 123.0}, f)
-        artifact = load_artifact(path)
-        assert artifact.schema_version == 1
-        assert artifact.metrics == {"throughput": 123.0}
+        with pytest.raises(ValueError, match="not a stamped scorecard"):
+            load_artifact(path)
 
     def test_flatten_nested_paths(self):
         flat = flatten_metrics({"a": {"b": [1, {"c": 2}]}, "d": "x"})

@@ -75,7 +75,7 @@ class TestRouting:
 class TestUplink:
     def test_delivery_after_radio_and_latency(self):
         sim = Simulator()
-        network = CellularNetwork(sim, core_latency_s=0.05)
+        network = CellularNetwork(sim)
         device = make_device(sim, position=Point(0.0, 0.0))
         receipts = []
         network.uplink(
@@ -106,10 +106,6 @@ class TestUplink:
         device = make_device(sim, position=Point(0.0, 0.0))
         network.uplink(device, sensor_data_message(device.device_id, {}))
         sim.run(until=30.0)  # must not raise
-
-    def test_negative_latency_rejected(self):
-        with pytest.raises(ValueError):
-            CellularNetwork(Simulator(), core_latency_s=-0.1)
 
 
 class TestDownlink:

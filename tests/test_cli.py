@@ -190,6 +190,35 @@ class TestServiceCommands:
         assert scorecard["lifecycle"]["done"] == 3
 
 
+    def test_serve_commits_what_it_acknowledges(self, capsys, monkeypatch, tmp_path):
+        """On sqlite, a query line carries its answer, and once ``main``
+        returns the file holds every reading the service acknowledged."""
+        import io
+        import json
+        import sqlite3
+        import sys as _sys
+        from contextlib import closing
+
+        path = tmp_path / "serve.sqlite3"
+        monkeypatch.setenv("REPRO_DATASTORE", f"sqlite:{path}")
+        lines = [json.dumps({"kind": "create_task", "payload": {"slot": 0}})]
+        lines += [
+            json.dumps(
+                {"kind": "deliver_data", "payload": {"slot": 0, "value": 1000.0 + i}}
+            )
+            for i in range(10)
+        ]
+        lines.append(json.dumps({"kind": "query_data", "payload": {"slot": 0}}))
+        monkeypatch.setattr(_sys, "stdin", io.StringIO("\n".join(lines) + "\n"))
+        assert main(["serve"]) == 0
+        responses = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        assert [r["status"] for r in responses] == ["ok"] * 12
+        query = next(r for r in responses if r["kind"] == "query_data")
+        assert query["result"]["readings"] == 10
+        assert query["result"]["mean"] == 1004.5
+        with closing(sqlite3.connect(path)) as conn:
+            assert conn.execute("SELECT COUNT(*) FROM logs").fetchone()[0] == 10
+
     def test_serve_answers_each_line_while_stdin_is_open(self):
         """A request is answered as its line arrives, not at EOF."""
         import json

@@ -32,12 +32,20 @@ class TestTrafficPattern:
         assert LIGHT_USER.mean_gap_s > TrafficPattern().mean_gap_s
 
 
+def run_to_first_session(sim: Simulator, device) -> float:
+    """Start ``device``'s traffic and run until its first session, the
+    only event pending; returns the session's start time."""
+    device.traffic.start()
+    sim.run(max_events=1)
+    return sim.now
+
+
 class TestBackgroundTraffic:
     def test_sessions_drive_radio(self):
         sim = Simulator(seed=5)
         device = make_device(sim)
-        device.traffic.start(initial_delay=10.0)
-        sim.run(until=11.0)
+        first = run_to_first_session(sim, device)
+        sim.run(until=first + 1.0)
         assert device.traffic.sessions == 1
         assert device.modem.state is not RRCState.IDLE
 
@@ -60,15 +68,14 @@ class TestBackgroundTraffic:
         device = make_device(sim)
         starts = []
         device.traffic.add_session_listener(starts.append)
-        device.traffic.start(initial_delay=3.0)
-        sim.run(until=4.0)
-        assert starts == [3.0]
+        first = run_to_first_session(sim, device)
+        assert first > 0.0
+        assert starts == [first]
 
     def test_stop_halts_sessions(self):
         sim = Simulator(seed=5)
         device = make_device(sim)
-        device.traffic.start(initial_delay=1.0)
-        sim.run(until=2.0)
+        run_to_first_session(sim, device)
         device.traffic.stop()
         count = device.traffic.sessions
         sim.run(until=3 * 3600.0)
@@ -84,7 +91,7 @@ class TestBackgroundTraffic:
     def test_traffic_charges_background_category(self):
         sim = Simulator(seed=5)
         device = make_device(sim)
-        device.traffic.start(initial_delay=1.0)
+        device.traffic.start()
         sim.run(until=3600.0)
         assert device.ledger.total(TrafficCategory.BACKGROUND) > 0
         assert device.crowdsensing_energy_j() == 0.0

@@ -12,19 +12,13 @@ from tests.conftest import make_device
 
 class TestDiurnalModulator:
     def test_phases(self):
-        modulator = diurnal_modulator()
-        assert modulator(3 * 3600.0) == 5.0     # night
-        assert modulator(12 * 3600.0) == 1.0    # day
-        assert modulator(20 * 3600.0) == 0.6    # evening
-        assert modulator(23.75 * 3600.0) == 5.0 # late night
+        assert diurnal_modulator(3 * 3600.0) == 5.0     # night
+        assert diurnal_modulator(12 * 3600.0) == 1.0    # day
+        assert diurnal_modulator(20 * 3600.0) == 0.6    # evening
+        assert diurnal_modulator(23.75 * 3600.0) == 5.0 # late night
 
     def test_wraps_past_midnight(self):
-        modulator = diurnal_modulator()
-        assert modulator(27 * 3600.0) == modulator(3 * 3600.0)
-
-    def test_invalid_factors(self):
-        with pytest.raises(ValueError):
-            diurnal_modulator(night_factor=0.0)
+        assert diurnal_modulator(27 * 3600.0) == diurnal_modulator(3 * 3600.0)
 
     def test_traffic_rate_follows_modulation(self):
         def sessions_between(start_h, end_h):
@@ -34,7 +28,7 @@ class TestDiurnalModulator:
                 device = make_device(
                     sim, "d", traffic_pattern=TrafficPattern(mean_gap_s=300.0)
                 )
-                device.traffic.set_gap_modulator(diurnal_modulator())
+                device.traffic.set_gap_modulator(diurnal_modulator)
                 device.traffic.start()
                 sim.run(until=start_h * 3600.0)
                 before = device.traffic.sessions
@@ -49,7 +43,7 @@ class TestDiurnalModulator:
     def test_set_modulator_none_restores_flat_rate(self):
         sim = Simulator(seed=1)
         device = make_device(sim, "d")
-        device.traffic.set_gap_modulator(diurnal_modulator())
+        device.traffic.set_gap_modulator(diurnal_modulator)
         device.traffic.set_gap_modulator(None)
         assert device.traffic._current_mean_gap() == pytest.approx(
             device.traffic._pattern.mean_gap_s

@@ -55,8 +55,9 @@ class TestLossVersusDuplication:
         _, network, _, injector, devices, _ = chaos_setup(
             sim,
             n_devices=1,
-            delay_probability=1.0,
-            delay_range_s=(10.0, 10.0),
+            plan=FaultPlan().set_delay(
+                0.0, probability=1.0, delay_range_s=(10.0, 10.0)
+            ),
             duplicate_probability=1.0,
             duplicate_lag_s=(5.0, 5.0),
         )
@@ -79,14 +80,12 @@ class TestDeathMidFlight:
         device is killed before the delivery instant — and the dead
         device's *next* message is dropped at the hook."""
         sim = Simulator(seed=5)
-        plan = FaultPlan().kill_device(10.0, "d0")
-        _, network, _, injector, devices, _ = chaos_setup(
-            sim,
-            n_devices=1,
-            plan=plan,
-            delay_probability=1.0,
-            delay_range_s=(30.0, 30.0),
+        plan = (
+            FaultPlan()
+            .set_delay(0.0, probability=1.0, delay_range_s=(30.0, 30.0))
+            .kill_device(10.0, "d0")
         )
+        _, network, _, injector, devices, _ = chaos_setup(sim, n_devices=1, plan=plan)
         arrivals = []
 
         def send():
@@ -114,7 +113,8 @@ class TestBurstRacingCrash:
         plan = (
             FaultPlan()
             .overload_burst(10.0, rate_per_s=50.0, duration_s=4.0)
-            .server_crash(12.0, restart_after=2.0)
+            .server_crash(12.0)
+            .server_restart(14.0)
         )
         server, _, _, injector, _, _ = chaos_setup(
             sim,

@@ -37,7 +37,8 @@ def full_vocabulary_plan() -> FaultPlan:
         .clear_loss_model(120.0)
         .set_delay(130.0, probability=0.25, delay_range_s=(0.5, 3.0))
         .set_duplication(140.0, probability=0.15)
-        .server_crash(150.0, restart_after=20.0)
+        .server_crash(150.0)
+        .server_restart(170.0)
         .overload_burst(180.0, rate_per_s=100.0, duration_s=5.0)
         .shard_crash(200.0, "s1")
         .shard_partition(210.0, "s2", heal_after=50.0)
@@ -157,11 +158,16 @@ class TestTemporalSanity:
             FaultInjector(sim, network, plan=bad)
 
 
+def round_trip(plan: FaultPlan) -> FaultPlan:
+    """A plan rebuilt from its document as written to and read from disk."""
+    return FaultPlan.from_json_obj(json.loads(json.dumps(plan.to_json_obj())))
+
+
 class TestJsonRoundTrip:
     def test_round_trip_preserves_events(self):
         plan = full_vocabulary_plan()
-        rebuilt = FaultPlan.from_json(plan.to_json())
-        assert rebuilt.to_json() == plan.to_json()
+        rebuilt = round_trip(plan)
+        assert rebuilt.to_json_obj() == plan.to_json_obj()
         assert len(rebuilt) == len(plan)
         assert [e.action for e in rebuilt.events] == [
             e.action for e in plan.events
@@ -169,7 +175,7 @@ class TestJsonRoundTrip:
 
     def test_round_trip_restores_types(self):
         plan = full_vocabulary_plan()
-        rebuilt = FaultPlan.from_json(plan.to_json())
+        rebuilt = round_trip(plan)
         by_action = {e.action: e for e in rebuilt.events}
         model = by_action["set_loss_model"].kwargs["model"]
         assert isinstance(model, GilbertElliott)
@@ -179,20 +185,20 @@ class TestJsonRoundTrip:
         assert isinstance(delay_range, tuple)
 
     def test_schema_tag_present(self):
-        doc = json.loads(full_vocabulary_plan().to_json())
+        doc = full_vocabulary_plan().to_json_obj()
         assert doc["schema"] == PLAN_SCHEMA
 
     def test_strict_flag_round_trips(self):
         lax = FaultPlan(strict=False).partition(10.0, heal_after=5.0)
-        assert FaultPlan.from_json(lax.to_json()).strict is False
+        assert round_trip(lax).strict is False
 
     def test_wrong_schema_rejected(self):
         with pytest.raises(FaultPlanError, match="schema"):
-            FaultPlan.from_json('{"schema": "fault-plan/v9", "events": []}')
+            FaultPlan.from_json_obj({"schema": "fault-plan/v9", "events": []})
 
     def test_garbage_json_rejected(self):
-        with pytest.raises(FaultPlanError, match="unparseable"):
-            FaultPlan.from_json("{nope")
+        with pytest.raises(FaultPlanError, match="must be an object"):
+            FaultPlan.from_json_obj("{nope")
 
     def test_events_must_be_list(self):
         with pytest.raises(FaultPlanError, match="list"):
@@ -212,7 +218,7 @@ class TestJsonRoundTrip:
         """Python's json parses the bare token NaN."""
         text = '{"schema": "%s", "events": [{"at": NaN, "action": "partition"}]}'
         with pytest.raises(ValueError, match="non-negative"):
-            FaultPlan.from_json(text % PLAN_SCHEMA)
+            FaultPlan.from_json_obj(json.loads(text % PLAN_SCHEMA))
 
     def test_event_bad_kwargs_rejected_through_add(self):
         doc = {

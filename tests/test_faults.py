@@ -174,12 +174,10 @@ class TestDelayAndDuplication:
     def test_injected_delay_slows_delivery(self):
         def delivery_time(delay_probability):
             sim = Simulator(seed=4)
-            _, network, _, _, devices, _ = chaos_setup(
-                sim,
-                n_devices=1,
-                delay_probability=delay_probability,
-                delay_range_s=(30.0, 30.0),
+            plan = FaultPlan().set_delay(
+                0.0, probability=delay_probability, delay_range_s=(30.0, 30.0)
             )
+            _, network, _, _, devices, _ = chaos_setup(sim, n_devices=1, plan=plan)
             arrivals = []
             network.uplink(
                 devices[0],
@@ -232,9 +230,9 @@ class TestDelayAndDuplication:
 
     def test_nan_delay_range_rejected(self):
         sim = Simulator()
-        network = CellularNetwork(sim)
+        injector = FaultInjector(sim, CellularNetwork(sim))
         with pytest.raises(ValueError, match="lo <= hi"):
-            FaultInjector(sim, network, delay_range_s=(float("nan"), 1.0))
+            injector._do_set_delay(1.0, (float("nan"), 1.0))
 
 
 class TestTowerOutage:
@@ -357,11 +355,12 @@ class TestDeterminismIsolation:
                 network,
                 registry,
                 server=server,
+                plan=FaultPlan().set_delay(
+                    0.0, probability=0.5, delay_range_s=(1.0, 10.0)
+                ),
                 loss_model=GilbertElliott(
                     p_good_to_bad=0.5, p_bad_to_good=0.2, loss_bad=1.0
                 ),
-                delay_probability=0.5,
-                delay_range_s=(1.0, 10.0),
                 duplicate_probability=0.3,
             )
         devices = []

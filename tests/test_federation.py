@@ -8,7 +8,12 @@ import pytest
 from repro.cellular.network import CellularNetwork
 from repro.clientlib import SenseAidClient
 from repro.core.config import SenseAidConfig, ServerMode
-from repro.core.sharding import NearestSite, ShardedSenseAid, ShardSpec
+from repro.core.sharding import (
+    NearestSite,
+    PhiAccrualFailureDetector,
+    ShardedSenseAid,
+    ShardSpec,
+)
 from repro.core.tasks import TaskSpec
 from repro.devices.sensors import SensorType
 from repro.environment.geometry import Point
@@ -32,14 +37,15 @@ class _Teleporter(MobilityModel):
         return self._before if time < self._switch_at else self._after
 
 
-def make_fleet(sim, *, rebalance_period_s=60.0, auto_failover=True):
+def make_fleet(sim, *, rebalance_period_s=60.0, detect=True):
     network = CellularNetwork(sim)
     fleet = ShardedSenseAid(
         sim,
         network,
         [ShardSpec("west", WEST), ShardSpec("east", EAST)],
         SenseAidConfig(mode=ServerMode.COMPLETE),
-        auto_failover=auto_failover,
+        # phi never exceeds its cap: a test drives fail_over by hand.
+        phi_threshold=8.0 if detect else PhiAccrualFailureDetector.PHI_CAP,
         placement=NearestSite(rebalance_period_s),
     )
     return network, fleet

@@ -32,7 +32,7 @@ class TestBackupSelection:
 
     def test_no_backup_when_all_down(self):
         sim = Simulator()
-        _, fleet = make_fleet(sim, auto_failover=False)
+        _, fleet = make_fleet(sim, detect=False)
         fleet.crash_shard("east")
         assert fleet.fail_over("west") is False
         assert fleet.hosted_by("west") == "west"
@@ -109,7 +109,7 @@ class TestFailover:
         assert len(times) >= 5
 
     def test_recover_then_rebalance_returns_devices_home(self):
-        sim, network, fleet = self._failing_setup(auto_failover=False)
+        sim, network, fleet = self._failing_setup(detect=False)
         fleet.crash_shard("west")
         assert fleet.rebalance() == 2  # w1 and w2 leave the dead shard
         assert fleet.home_shard("w1") == "east"
@@ -157,7 +157,7 @@ class TestFailover:
         assert "w1" in fleet.instance("west").devices
 
     def test_failover_without_monitor_never_triggers(self):
-        sim, network, fleet = self._failing_setup(auto_failover=False)
+        sim, network, fleet = self._failing_setup(detect=False)
         fleet.crash_shard("west")
         sim.run(until=500.0)
         assert fleet.failovers == 0
@@ -167,7 +167,7 @@ class TestFailover:
         instance even if it is the nearest site to its position."""
         sim = Simulator()
         network, fleet = make_fleet(
-            sim, rebalance_period_s=20.0, auto_failover=False
+            sim, rebalance_period_s=20.0, detect=False
         )
         fleet.crash_shard("west")
         make_client(sim, network, fleet, "w1", WEST)  # stays in west
@@ -235,7 +235,7 @@ class TestChurnDuringHandoff:
         assert clients["w1"].registered
 
     def test_rebalance_skips_churned_clients_after_recovery(self):
-        sim, network, fleet, clients = self._churn_setup(auto_failover=False)
+        sim, network, fleet, clients = self._churn_setup(detect=False)
         fleet.crash_shard("west")
         # Churn while their shard is down; the nearest live shard is
         # east, so only the guard keeps them from being handed over.

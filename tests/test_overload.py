@@ -308,8 +308,6 @@ class TestOverloadBurstIntegration:
             FaultPlan().overload_burst(0.0, rate_per_s=0.0, duration_s=1.0)
         with pytest.raises(ValueError):
             FaultPlan().overload_burst(0.0, rate_per_s=1.0, duration_s=0.0)
-        with pytest.raises(ValueError):
-            FaultPlan().server_crash(0.0, restart_after=0.0)
 
     def test_burst_requires_overload_policy(self):
         sim = Simulator(seed=79)

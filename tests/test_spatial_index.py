@@ -371,7 +371,7 @@ def _outage_and_crash_plan(towers) -> FaultPlan:
         plan.tower_down(450.0, tower_id)
     for tower_id in towers:
         plan.tower_up(1050.0, tower_id)
-    return plan.server_crash(1230.0, restart_after=45.0)
+    return plan.server_crash(1230.0).server_restart(1275.0)
 
 
 def _pulled_and_reference(seed, mode, density, reassign_margin_s, outage):

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro.analysis.truth import (
+    MAX_ITERATIONS,
     TruthDiscoveryResult,
     discover_truth,
     reliability_scores,
@@ -77,8 +78,8 @@ class TestDiscovery:
 
     def test_converges(self):
         _, claims = honest_and_liar_claims()
-        result = discover_truth(claims, max_iterations=100)
-        assert result.iterations < 100
+        result = discover_truth(claims)
+        assert result.iterations < MAX_ITERATIONS
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):

@@ -13,7 +13,7 @@ from repro.cellular.network import CellularNetwork, DeliveryReceipt
 from repro.cellular.packets import Message, MessageKind
 from repro.clientlib.client import SenseAidClient
 from repro.core.config import RetryPolicy, SenseAidConfig, ServerMode
-from repro.core.server import SenseAidServer
+from repro.core.server import SenseAidServer, ServerStats
 from repro.core.wal import (
     CheckpointCorruptError,
     DurableLog,
@@ -23,7 +23,6 @@ from repro.core.wal import (
     checkpoint_crc,
     checkpoint_server,
     durable_state,
-    stats_from_dict,
 )
 from repro.faults import FaultInjector, FaultPlan
 from repro.sim.engine import Simulator
@@ -128,7 +127,7 @@ class TestWriteAheadLog:
 
     def test_unsupported_checkpoint_version_rejected(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path))
-        write_json(wal.checkpoint_path, {"version": 99})
+        wal.compact({"version": 99})
         with pytest.raises(ValueError, match="version"):
             wal.load_checkpoint()
 
@@ -182,7 +181,7 @@ class TestCheckpointV2:
         snapshot = checkpoint_server(server)
         assert snapshot["version"] == 2
         assert snapshot["epoch"] == server.epoch
-        assert stats_from_dict(snapshot["stats"]) == server.stats
+        assert ServerStats(**snapshot["stats"]) == server.stats
         assert snapshot["seen_upload_ids"] == sorted(server._seen_upload_ids)
         by_id = {p["request_id"]: p for p in snapshot["pending"]}
         assert set(by_id) == set(server._tracking)
@@ -390,7 +389,7 @@ class TestRestartRecovery:
 
     def test_fault_plan_drives_crash_and_restart(self, tmp_path):
         sim = Simulator(seed=59)
-        plan = FaultPlan().server_crash(650.0, restart_after=50.0)
+        plan = FaultPlan().server_crash(650.0).server_restart(700.0)
         server, _, injector, clients = wal_setup(
             sim, tmp_path / "wal", plan=plan
         )
@@ -526,10 +525,24 @@ class TestCheckpointCorruption:
         with pytest.raises(CheckpointCorruptError):
             wal.load_checkpoint()
 
-    def test_legacy_checkpoint_without_crc_accepted(self, tmp_path):
-        wal = WriteAheadLog(str(tmp_path))
-        write_json(wal.checkpoint_path, {"version": 2, "marker": 5})
-        assert wal.load_checkpoint()["marker"] == 5
+    def test_checkpoint_without_crc_or_stamp_is_corrupt(self, tmp_path):
+        """Every checkpoint ``compact`` writes carries both the CRC
+        footer and the seq stamp; one missing either is corrupt, so
+        recovery falls back to the previous generation."""
+        for dropped in ("crc32", "last_seq"):
+            wal = self._two_generations(tmp_path / dropped)
+            with open(wal.checkpoint_path, encoding="utf-8") as f:
+                raw = json.load(f)
+            del raw[dropped]
+            if dropped == "last_seq":
+                raw["crc32"] = checkpoint_crc(raw)
+            write_json(wal.checkpoint_path, raw)
+            with pytest.raises(CheckpointCorruptError, match="lacks"):
+                wal.load_checkpoint()
+            snapshot, entries, degraded = wal.recovery_base()
+            assert snapshot["marker"] == 1
+            assert [e["device_id"] for e in entries] == ["d1", "d2"]
+            assert degraded
 
     def test_recovery_base_clean_path(self, tmp_path):
         wal = self._two_generations(tmp_path)
