@@ -9,7 +9,7 @@ selection counts.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Tuple
 
 
 def jain_index(counts: Iterable[float]) -> float:

@@ -10,7 +10,7 @@ gets to Pressurenet's pressure overlay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence
 
 from repro.environment.geometry import Point
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Mapping, Tuple
+from typing import Dict, Hashable, List, Mapping
 
 #: Claims shape: source -> {item -> claimed value}.
 Claims = Mapping[Hashable, Mapping[Hashable, float]]

@@ -78,8 +78,9 @@ class TowerRegistry:
     ``use_spatial_index`` selects the grid-backed ``devices_within``
     (the default); the brute-force scan remains available both as the
     fallback and as the reference implementation the property tests
-    compare against.  ``version`` counts membership/topology changes
-    and keys the server's qualification caches.
+    compare against.  ``version`` counts membership and topology
+    changes and every refresh that re-read a position, and keys the
+    server's qualification caches.
     """
 
     def __init__(
@@ -105,7 +106,8 @@ class TowerRegistry:
         self._attach_dirty: Set[str] = set()
         self._clock: Optional[object] = None  # set by ``bind``
         self._perf = PerfRegistry()
-        #: Membership/topology change counter (cache key for callers).
+        #: Membership/topology/position change counter (cache key for
+        #: callers).
         self._version = 0
         #: Bumped by tower fail/restore — forces a full re-attachment.
         self._topology_version = 0
@@ -137,7 +139,12 @@ class TowerRegistry:
 
     @property
     def version(self) -> int:
-        """Monotone counter of membership and topology changes."""
+        """Monotone counter of membership and topology changes and of
+        refreshes that re-read an observed position.
+
+        Equal versions (read after a refresh) mean the observed
+        positions are the same, so a query over them can be reused.
+        """
         return self._version
 
     def grid_stats(self) -> Dict[str, float]:
@@ -301,7 +308,9 @@ class TowerRegistry:
         Memoised per simulation instant (positions are pure functions
         of time), and incremental within an instant change: devices
         whose mobility model guarantees they have not moved since the
-        last observation are skipped without a position read.
+        last observation are skipped without a position read.  A
+        refresh that re-reads any device bumps :attr:`version`, whether
+        or not the position changed; one that re-reads none leaves it.
         """
         now = self._now()
         if now is not None and self._positions_time == now:
@@ -316,6 +325,8 @@ class TowerRegistry:
             reread += 1
             self._observe_position(device_id, device, now)
             self._attach_dirty.add(device_id)
+        if reread:
+            self._version += 1
         self._perf.count("registry.refresh_positions", reread)
         self._positions_time = now
 

@@ -24,7 +24,7 @@ from repro.core.overload import (
     ServerOverloadedError,
 )
 from repro.core.queues import RequestQueue
-from repro.core.selector import DeviceSelector, ScoredDevice
+from repro.core.selector import DeviceSelector
 from repro.core.server import SenseAidServer, UploadAck
 from repro.core.sharding import (
     ConsistentHashRing,
@@ -57,7 +57,6 @@ __all__ = [
     "RecoveryViolation",
     "RequestClass",
     "RequestQueue",
-    "ScoredDevice",
     "SelectorWeights",
     "SenseAidConfig",
     "SenseAidServer",

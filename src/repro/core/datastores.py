@@ -19,7 +19,7 @@ record/task codecs defined here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Iterator, List, Optional
 
 from repro.core.tasks import TaskSpec
 from repro.devices.sensors import SensorType
@@ -164,6 +164,11 @@ class DeviceDatastore:
             return self._records[device_id]
         except KeyError:
             raise KeyError(f"device {device_id!r} is not registered") from None
+
+    def __iter__(self) -> Iterator[DeviceRecord]:
+        """All records in registration order, unsorted: for passes
+        whose result does not depend on the order."""
+        return iter(self._records.values())
 
     def records(self) -> List[DeviceRecord]:
         """All records, sorted by device id for determinism."""

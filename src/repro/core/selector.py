@@ -18,7 +18,6 @@ the user's critical level, or after being marked unresponsive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 from repro.core.config import SelectorWeights
@@ -27,16 +26,6 @@ from repro.core.datastores import DeviceRecord
 #: Bound on the TTL term, in seconds, so a long-quiet device cannot
 #: out-score the fairness term.
 TTL_CAP_S = 300.0
-
-
-@dataclass(frozen=True)
-class ScoredDevice:
-    """A selector verdict for one candidate."""
-
-    device_id: str
-    score: float
-    eligible: bool
-    reason: str = ""
 
 
 class DeviceSelector:
@@ -63,35 +52,33 @@ class DeviceSelector:
             + w.phi * ttl_term
         )
 
-    def eligibility(self, record: DeviceRecord) -> ScoredDevice:
-        """Apply the hard cutoffs; score is NaN-free only if eligible."""
+    @staticmethod
+    def cutoff(record: DeviceRecord) -> Optional[str]:
+        """The hard cutoff that rules a device out, or None if it is
+        eligible: ``"unresponsive"``, ``"over_budget"`` or
+        ``"critical_battery"``, checked in that order."""
         if not record.responsive:
-            return ScoredDevice(record.device_id, float("inf"), False, "unresponsive")
+            return "unresponsive"
         if record.over_budget():
-            return ScoredDevice(record.device_id, float("inf"), False, "over_budget")
+            return "over_budget"
         if record.below_critical_battery():
-            return ScoredDevice(
-                record.device_id, float("inf"), False, "critical_battery"
-            )
-        return ScoredDevice(record.device_id, 0.0, True)
+            return "critical_battery"
+        return None
 
-    def rank(
-        self, candidates: Sequence[DeviceRecord], now: float
-    ) -> List[ScoredDevice]:
-        """Eligible candidates scored and sorted best-first.
+    def rank(self, candidates: Sequence[DeviceRecord], now: float) -> List[str]:
+        """Ids of the eligible candidates, best score first.
 
-        Ties break on device id so runs are deterministic.
+        Ties break on device id so runs are deterministic: the sort is
+        over plain ``(score, device_id)`` pairs.
         """
-        scored = []
-        for record in candidates:
-            verdict = self.eligibility(record)
-            if not verdict.eligible:
-                continue
-            scored.append(
-                ScoredDevice(record.device_id, self.score(record, now), True)
-            )
-        scored.sort(key=lambda s: (s.score, s.device_id))
-        return scored
+        cutoff, score = self.cutoff, self.score
+        ranked = [
+            (score(record, now), record.device_id)
+            for record in candidates
+            if cutoff(record) is None
+        ]
+        ranked.sort()
+        return [device_id for _, device_id in ranked]
 
     def select(
         self, candidates: Sequence[DeviceRecord], n: int, now: float
@@ -107,14 +94,4 @@ class DeviceSelector:
         ranked = self.rank(candidates, now)
         if len(ranked) < n:
             return None
-        return [s.device_id for s in ranked[:n]]
-
-    def ineligible(
-        self, candidates: Sequence[DeviceRecord]
-    ) -> List[ScoredDevice]:
-        """The candidates the cutoffs rejected, with reasons (debugging)."""
-        return [
-            verdict
-            for verdict in (self.eligibility(r) for r in candidates)
-            if not verdict.eligible
-        ]
+        return ranked[:n]

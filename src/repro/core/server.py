@@ -222,9 +222,9 @@ class SenseAidServer:
         #: Per-(sensor, device_type) candidate sets — the static half
         #: of qualification, maintained on register/deregister.
         self._eligible_by_filter: Dict[Tuple[SensorType, Optional[str]], Set[str]] = {}
-        #: Per-task qualified-device memo for the current instant.
+        #: Per-task qualified-device memo, keyed by (task, registry
+        #: version, membership version); see :meth:`qualified_devices`.
         self._qual_cache: Dict[int, Tuple[tuple, List[str]]] = {}
-        self._qual_cache_time: Optional[float] = None
         #: Edge-view snapshot key: (now, registry version, membership).
         self._edge_view_key: Optional[tuple] = None
         #: Admission controller, present only when the config opts in.
@@ -339,7 +339,6 @@ class SenseAidServer:
         # The replacement process starts with cold qualification caches.
         self._eligible_by_filter.clear()
         self._qual_cache.clear()
-        self._qual_cache_time = None
         self._edge_view_key = None
         self._membership_version += 1
         if self._wal is not None:
@@ -584,6 +583,7 @@ class SenseAidServer:
         self.wait_queue.retract_task(task_id)
         self._data_callbacks.pop(str(task_id), None)
         self._task_starts.pop(task_id, None)
+        self._qual_cache.pop(task_id, None)
         if self._wal is not None:
             self._wal.record_task_deleted(task_id)
 
@@ -602,24 +602,35 @@ class SenseAidServer:
         Qualification is incremental: the sensor/device-type half is a
         standing per-filter candidate set maintained on registration
         events, the region half is a spatial-index bucket query, and
-        the combined answer is memoised per (task, instant) — so
-        wait-queue re-checks and same-deadline reassignments reuse one
-        computation instead of re-deriving the set per request.
+        the combined answer is memoised per task on (task, registry
+        version, membership version).  The registry version counts
+        every observed-position re-read as well as membership and
+        topology changes, so the memo lasts across instants until a
+        device moves, registers or leaves, or a tower fails or comes
+        back; a static fleet qualifies each task once.  A hit needs the
+        edge view pulled at this instant (every caller on the request
+        path does that first), since only a pull brings the observed
+        positions, and with them the version, up to date.
         """
         task = request.task
-        now = self._sim.now
-        if self._qual_cache_time != now:
-            self._qual_cache.clear()
-            self._qual_cache_time = now
-        cache_key = (task, self._registry.version, self._membership_version)
+        registry = self._registry
         hit = self._qual_cache.get(task.task_id)
-        if hit is not None and hit[0] == cache_key:
+        view = self._edge_view_key
+        if (
+            hit is not None
+            and view is not None
+            and view[0] == self._sim.now
+            and hit[0] == (task, registry.version, self._membership_version)
+        ):
             self._perf.count("server.qualified_devices.memo_hit")
             return list(hit[1])
-        in_region = self._registry.devices_within(task.center, task.area_radius_m)
+        in_region = registry.devices_within(task.center, task.area_radius_m)
         eligible = self._eligible_for(task)
         qualified = [d for d in in_region if d in eligible]
         self._perf.count("server.qualified_devices", len(in_region))
+        # Keyed after the query, which brings observed positions (and
+        # so the registry version) up to date.
+        cache_key = (task, registry.version, self._membership_version)
         self._qual_cache[task.task_id] = (cache_key, list(qualified))
         return qualified
 
@@ -682,7 +693,7 @@ class SenseAidServer:
         needed = request.devices_needed
         if self.config.select_all_qualified:
             ranked = self.selector.rank(records, now)
-            selected = [s.device_id for s in ranked] if len(ranked) >= needed else None
+            selected = ranked if len(ranked) >= needed else None
         else:
             selected = self.selector.select(records, needed, now)
         if selected is None:
@@ -817,11 +828,11 @@ class SenseAidServer:
                 "request %s short %d reading(s); drafting %s",
                 request_id,
                 missing,
-                [s.device_id for s in substitutes],
+                substitutes,
             )
-        for scored in substitutes:
+        for device_id in substitutes:
             self.stats.reassignments += 1
-            self._assign(tracking.request, scored.device_id, tracking)
+            self._assign(tracking.request, device_id, tracking)
 
     def _check_wait_queue(self) -> None:
         """Periodic wait-queue drain; an idle tick does no fleet work.
@@ -831,8 +842,8 @@ class SenseAidServer:
         :meth:`_refresh_edge_view` makes every pull after the first at
         one instant free, so a tick with an empty wait queue touches no
         device.  Requests of the same task share one qualification via
-        the per-instant memo, so a drain costs one snapshot plus one
-        bucket query per distinct waiting task, not one fleet scan per
+        its memo, so a drain costs one snapshot plus at most one bucket
+        query per distinct waiting task, not one fleet scan per
         request.  A spatial candidate count (an upper bound on the
         qualified set) rejects still-starved requests before any
         record is scored.
@@ -888,7 +899,9 @@ class SenseAidServer:
            fail and restore re-attaches the whole fleet, so a device
            sits on a failed tower only during a total outage.
         3. *Last-comm sync.*  The sync writes ``now - age`` into each
-           record.  Every reader of ``last_comm_time`` is the selector
+           record in place, in one pass over the device store (the
+           writes are independent, so the order does not matter).
+           Every reader of ``last_comm_time`` is the selector
            on one of the three paths, right after a refresh at the same
            instant.  Checkpoints and storage flushes copy the field
            too, but a restored record is re-synced before it is read.
@@ -911,17 +924,18 @@ class SenseAidServer:
         self._registry.refresh_attachments()
         synced = 0
         if self.config.carrier_integrated:
-            for device_id in self.devices.device_ids():
+            age_of = self._registry.seconds_since_last_comm
+            for record in self.devices:
                 try:
-                    age = self._registry.seconds_since_last_comm(device_id)
+                    age = age_of(record.device_id)
                 except KeyError:
                     continue
                 if age is not None:
-                    self.devices.update_state(device_id, last_comm_time=now - age)
+                    record.last_comm_time = now - age
                 synced += 1
         self._perf.count("server.edge_refresh", synced)
-        # Attachment refresh does not bump the registry version, so the
-        # key computed above is still current.
+        # A refresh that re-read a position bumped the registry version,
+        # so the key is taken after it.
         self._edge_view_key = (now, self._registry.version, self._membership_version)
 
     # ------------------------------------------------------------------

@@ -60,6 +60,10 @@ CRC_FIELD = "crc32"
 #: Checkpoint field holding the highest log ``seq`` the snapshot covers.
 SEQ_FIELD = "last_seq"
 
+#: The canonical JSON encoding (sorted keys, no indent, so json's C
+#: encoder), shared by every log entry, checkpoint and CRC body.
+_CANONICAL = json.JSONEncoder(sort_keys=True)
+
 
 # ----------------------------------------------------------------------
 # The checkpoint format
@@ -125,9 +129,7 @@ class CheckpointCorruptError(ValueError):
 def checkpoint_crc(snapshot: dict) -> int:
     """CRC32 over the canonical JSON encoding of the snapshot body
     (everything except the footer field itself)."""
-    body = json.dumps(
-        {k: v for k, v in snapshot.items() if k != CRC_FIELD}, sort_keys=True
-    )
+    body = _CANONICAL.encode({k: v for k, v in snapshot.items() if k != CRC_FIELD})
     return zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
 
 
@@ -195,7 +197,7 @@ class WriteAheadLog:
         entry = {"seq": self._seq, "kind": kind, **fields}
         if self._handle is None:
             self._handle = open(self.log_path, "a", encoding="utf-8")
-        self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
+        self._handle.write(_CANONICAL.encode(entry) + "\n")
         self._handle.flush()
         os.fsync(self._handle.fileno())
         return entry
@@ -309,16 +311,16 @@ class WriteAheadLog:
         entries it subsumes are retained as ``*.prev`` files, then the
         new checkpoint (stamped with the last ``seq`` it covers and its
         CRC footer) replaces atomically, and only then is the log
-        truncated.
+        truncated.  The checkpoint is written in the canonical encoding
+        (compact, sorted keys); any JSON layout of the same object
+        loads, since the CRC is taken over the parsed body.
         """
         snapshot = dict(snapshot)
         snapshot[SEQ_FIELD] = self._seq
         snapshot[CRC_FIELD] = checkpoint_crc(snapshot)
         self.close()
         self._retain_previous()
-        atomic_write(
-            self.checkpoint_path, json.dumps(snapshot, indent=2).encode("utf-8")
-        )
+        atomic_write(self.checkpoint_path, _CANONICAL.encode(snapshot).encode("utf-8"))
         with open(self.log_path, "w", encoding="utf-8") as f:
             f.flush()
             os.fsync(f.fileno())

@@ -17,13 +17,12 @@ traffic synergise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.analysis.energy import savings_pct
 from repro.analysis.tables import format_table
 from repro.cellular.enodeb import TowerRegistry, grid_towers
 from repro.cellular.network import CellularNetwork
-from repro.cellular.packets import TrafficCategory
 from repro.clientlib import SenseAidClient
 from repro.core.config import SenseAidConfig, ServerMode
 from repro.core.server import SenseAidServer

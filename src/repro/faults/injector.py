@@ -30,7 +30,7 @@ auditable — and fingerprintable — from the log alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional, Set, Tuple
 
 from repro.cellular.network import CellularNetwork

@@ -23,7 +23,7 @@ from __future__ import annotations
 import traceback
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.runner.cache import CACHE_SCHEMA_VERSION, ResultCache

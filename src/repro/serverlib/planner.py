@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from repro.cellular.power import RadioPowerProfile
 from repro.core.config import ServerMode
 from repro.core.tasks import TaskSpec
-from repro.devices.sensors import SENSOR_SPECS, SensorType
+from repro.devices.sensors import SENSOR_SPECS
 from repro.devices.traffic import TrafficPattern
 
 #: Size of one sensed-data upload the estimate prices.

@@ -39,7 +39,7 @@ from repro.service.lifecycle import (
     RequestState,
 )
 from repro.service.loadgen import (
-    DEFAULT_MIX,
+    MIX,
     LoadGenerator,
     LoadReport,
     LoadSpec,
@@ -58,7 +58,6 @@ from repro.service.server import (
 
 __all__ = [
     "AppServerBackend",
-    "DEFAULT_MIX",
     "IllegalTransitionError",
     "KINDS_BY_CLASS",
     "LEGAL_TRANSITIONS",
@@ -66,6 +65,7 @@ __all__ = [
     "LoadGenerator",
     "LoadReport",
     "LoadSpec",
+    "MIX",
     "ManualClock",
     "PlannedRequest",
     "REQUEST_CLASS_OF",

@@ -45,6 +45,7 @@ from repro.service.api import (
     ServiceRequest,
     ServiceResponse,
 )
+from repro.service.backend import AppServerBackend
 from repro.service.server import SenseAidService
 
 #: Distinguishes the request ids of concurrent/successive generator
@@ -58,13 +59,16 @@ _CLASS_ORDER: Tuple[RequestClass, ...] = (
     RequestClass.QUERY,
 )
 
-#: Default request mix: mostly data delivery, some control-plane
+#: The request mix: mostly data delivery, some control-plane
 #: mutations, some queries — a participatory-sensing workload shape.
-DEFAULT_MIX: Mapping[str, float] = {
+MIX: Mapping[str, float] = {
     RequestClass.REGISTRATION.value: 0.2,
     RequestClass.UPLOAD.value: 0.6,
     RequestClass.QUERY.value: 0.2,
 }
+
+#: Simulated device population for delivery payloads.
+DEVICES = 64
 
 
 @dataclass(frozen=True)
@@ -76,12 +80,6 @@ class LoadSpec:
     mode: str = "open"  # "open" | "closed"
     rate_rps: float = 200.0
     concurrency: int = 4
-    #: Weight per RequestClass value; zero-weight classes never drawn.
-    mix: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_MIX))
-    #: Task-slot namespace size for generated payloads.
-    slots: int = 16
-    #: Simulated device population for delivery payloads.
-    devices: int = 64
 
     def __post_init__(self) -> None:
         if self.mode not in ("open", "closed"):
@@ -92,9 +90,6 @@ class LoadSpec:
             raise ValueError("rate_rps must be positive")
         if self.concurrency < 1:
             raise ValueError("concurrency must be at least 1")
-        weights = [float(self.mix.get(c.value, 0.0)) for c in _CLASS_ORDER]
-        if any(w < 0 for w in weights) or sum(weights) <= 0:
-            raise ValueError("mix weights must be non-negative and sum > 0")
 
 
 @dataclass(frozen=True, slots=True)
@@ -116,9 +111,14 @@ class PlannedRequest:
 
 
 def build_schedule(spec: LoadSpec) -> List[PlannedRequest]:
-    """Materialise the full arrival schedule for ``spec`` (pure/seeded)."""
+    """Materialise the full arrival schedule for ``spec`` (pure/seeded).
+
+    Requests are drawn from :data:`MIX`, address one of the backend's
+    :attr:`~repro.service.backend.AppServerBackend.SLOTS` task slots, and
+    deliveries come from one of :data:`DEVICES` devices.
+    """
     rng = random.Random(spec.seed)
-    weights = [float(spec.mix.get(c.value, 0.0)) for c in _CLASS_ORDER]
+    weights = [MIX[c.value] for c in _CLASS_ORDER]
     schedule: List[PlannedRequest] = []
     offset = 0.0
     for index in range(spec.n_requests):
@@ -128,11 +128,11 @@ def build_schedule(spec: LoadSpec) -> List[PlannedRequest]:
         kind = kinds[rng.randrange(len(kinds))]
         payload: Dict[str, Any] = {
             "index": index,
-            "slot": rng.randrange(spec.slots),
+            "slot": rng.randrange(AppServerBackend.SLOTS),
         }
         if kind is RequestKind.DELIVER_DATA:
             payload["value"] = round(rng.uniform(980.0, 1040.0), 6)
-            payload["device_hash"] = f"dev{rng.randrange(spec.devices):03d}"
+            payload["device_hash"] = f"dev{rng.randrange(DEVICES):03d}"
         elif kind in (RequestKind.CREATE_TASK, RequestKind.UPDATE_TASK):
             payload["density"] = rng.randrange(1, 4)
         schedule.append(

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import SelectorWeights
 from repro.core.selector import TTL_CAP_S, DeviceSelector
@@ -52,22 +56,16 @@ class TestScore:
 
 class TestEligibility:
     def test_over_budget_ineligible(self):
-        verdict = selector().eligibility(make_record(energy_used_j=496.0))
-        assert not verdict.eligible
-        assert verdict.reason == "over_budget"
+        assert selector().cutoff(make_record(energy_used_j=496.0)) == "over_budget"
 
     def test_critical_battery_ineligible(self):
-        verdict = selector().eligibility(make_record(battery_pct=10.0))
-        assert not verdict.eligible
-        assert verdict.reason == "critical_battery"
+        assert selector().cutoff(make_record(battery_pct=10.0)) == "critical_battery"
 
     def test_unresponsive_ineligible(self):
-        verdict = selector().eligibility(make_record(responsive=False))
-        assert not verdict.eligible
-        assert verdict.reason == "unresponsive"
+        assert selector().cutoff(make_record(responsive=False)) == "unresponsive"
 
     def test_healthy_device_eligible(self):
-        assert selector().eligibility(make_record()).eligible
+        assert selector().cutoff(make_record()) is None
 
 
 class TestSelect:
@@ -104,15 +102,7 @@ class TestSelect:
         records = self._pool(3)
         records[0].times_selected = 2
         records[1].times_selected = 1
-        ranked = selector().rank(records, NOW)
-        assert [r.device_id for r in ranked] == ["d2", "d1", "d0"]
-
-    def test_ineligible_listing(self):
-        records = self._pool(3)
-        records[1].responsive = False
-        bad = selector().ineligible(records)
-        assert len(bad) == 1
-        assert bad[0].device_id == "d1"
+        assert selector().rank(records, NOW) == ["d2", "d1", "d0"]
 
 
 class TestFairnessRotation:
@@ -139,3 +129,76 @@ class TestFairnessRotation:
     def test_weight_validation(self):
         with pytest.raises(ValueError):
             SelectorWeights(alpha=-1.0)
+
+
+# ----------------------------------------------------------------------
+# Equivalence with the verdict-object ranking
+# ----------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Verdict:
+    device_id: str
+    score: float
+    eligible: bool
+    reason: str = ""
+
+
+def _reference_rank(s: DeviceSelector, candidates, now: float):
+    """The ranking as it was first written: one frozen verdict per
+    candidate for the cutoffs and another for the score, sorted on a
+    ``(score, device_id)`` key."""
+
+    def eligibility(record) -> _Verdict:
+        if not record.responsive:
+            return _Verdict(record.device_id, float("inf"), False, "unresponsive")
+        if record.over_budget():
+            return _Verdict(record.device_id, float("inf"), False, "over_budget")
+        if record.below_critical_battery():
+            return _Verdict(record.device_id, float("inf"), False, "critical_battery")
+        return _Verdict(record.device_id, 0.0, True)
+
+    scored = [
+        _Verdict(record.device_id, s.score(record, now), True)
+        for record in candidates
+        if eligibility(record).eligible
+    ]
+    scored.sort(key=lambda v: (v.score, v.device_id))
+    return [v.device_id for v in scored]
+
+
+_WEIGHTS = st.sampled_from(
+    [
+        SelectorWeights(),
+        SelectorWeights(alpha=0.0, beta=1.0, gamma=0.0, phi=0.0),
+        SelectorWeights(alpha=1.0, beta=2.0, gamma=3.0, phi=4.0),
+    ]
+)
+#: Few distinct values per factor, so equal scores are common; each of
+#: the three cutoffs is reachable (budget 496 J, critical level 20%).
+_RECORD = st.fixed_dictionaries(
+    {
+        "energy_used_j": st.sampled_from([0.0, 10.0, 496.0]),
+        "times_selected": st.integers(min_value=0, max_value=2),
+        "battery_pct": st.sampled_from([10.0, 20.0, 60.0, 100.0]),
+        "last_comm_time": st.sampled_from([None, NOW - 2.0, NOW - 250.0, NOW - 500.0]),
+        "responsive": st.booleans(),
+    }
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_WEIGHTS, st.lists(_RECORD, min_size=1, max_size=12), st.data())
+def test_rank_and_select_match_verdict_ranking(weights, fields, data):
+    """``rank`` and ``select`` give the verdict ranking's ids and order
+    for any pool, in any input order (so a sort that drops the id
+    tie-break shows), and ``select`` is None exactly when fewer than
+    ``n`` candidates are eligible."""
+    s = DeviceSelector(weights)
+    records = data.draw(
+        st.permutations([make_record(f"d{i:02d}", **f) for i, f in enumerate(fields)])
+    )
+    expected = _reference_rank(s, records, NOW)
+    assert s.rank(records, NOW) == expected
+    n = data.draw(st.integers(min_value=1, max_value=len(records) + 1))
+    assert s.select(records, n, NOW) == (expected[:n] if len(expected) >= n else None)

@@ -13,6 +13,7 @@ from repro.core.server import SenseAidServer
 from repro.core.tasks import TaskSpec
 from repro.devices.sensors import SensorType
 from repro.environment.geometry import Point
+from repro.environment.mobility import MobilityModel
 from repro.sim.engine import Simulator
 from tests.conftest import make_device
 
@@ -197,6 +198,94 @@ class TestSchedulingWorkflow:
         server.submit_task(make_spec(sampling_duration_s=600.0), lambda p: None)
         sim.run(until=590.0)
         assert len(server.selection_log[0].selected) == 5
+
+
+class _Teleport(MobilityModel):
+    """Stands at ``before`` until ``at``, then at ``after`` for good."""
+
+    def __init__(self, before: Point, after: Point, at: float) -> None:
+        self._before, self._after, self._at = before, after, at
+
+    def position_at(self, time: float) -> Point:
+        return self._before if time < self._at else self._after
+
+    def position_valid_until(self, time: float) -> float:
+        return self._at if time < self._at else float("inf")
+
+
+class TestQualificationMemo:
+    """A task's qualified set is reused across instants until a
+    position, the membership or the topology changes
+    (``server.qualified_devices`` counts computations; the static-fleet
+    bound is in ``test_complexity_contract_counter_bounds``)."""
+
+    @staticmethod
+    def _computed(sim) -> int:
+        return sim.perf.probe("server.qualified_devices").calls
+
+    def test_call_between_rounds_sees_a_move(self):
+        """Outside the request path nothing has pulled the edge view, so
+        a direct call does not trust the memo: it re-reads positions."""
+        sim = Simulator()
+        server, network, _, _ = make_setup(sim, n_devices=2)
+        mover = make_device(
+            sim, "mover", mobility=_Teleport(CENTER, Point(5000.0, 5000.0), 90.0)
+        )
+        SenseAidClient(sim, mover, server, network).register()
+        spec = make_spec(sampling_period_s=60.0, sampling_duration_s=600.0)
+        server.submit_task(spec, lambda p: None)
+        sim.run(until=100.0)
+        assert "mover" in server.selection_log[-1].qualified
+        request = spec.expand_requests(0.0)[0]
+        assert "mover" not in server.qualified_devices(request)
+
+    def test_recomputed_after_each_change(self):
+        """One change between two rounds costs exactly one computation:
+        a device moving out of the region, a registration, a
+        deregistration, a tower failure and its restore, and a task
+        update.  A deleted task's memo goes with it."""
+        sim = Simulator()
+        server, network, _, clients = make_setup(sim, n_devices=4)
+        registry = server._registry
+        mover = make_device(
+            sim, "mover", mobility=_Teleport(CENTER, Point(5000.0, 5000.0), 90.0)
+        )
+        SenseAidClient(sim, mover, server, network).register()
+        spec = make_spec(sampling_period_s=60.0, sampling_duration_s=1200.0)
+        task_id = server.submit_task(spec, lambda p: None)
+        late = make_device(sim, "late", position=CENTER)
+        sim.schedule_at(210.0, SenseAidClient(sim, late, server, network).register)
+        sim.schedule_at(330.0, clients[0].deregister)
+        sim.schedule_at(450.0, registry.fail_tower, "t0")
+        sim.schedule_at(570.0, registry.restore_tower, "t0")
+        sim.schedule_at(690.0, lambda: server.update_task(task_id, spatial_density=3))
+        sim.run(until=1000.0)
+        # Rounds every 60 s; the update at 690 s re-expands the task
+        # from that instant.
+        assert self._computed(sim) == 7
+        by_time = {event.time: event.qualified for event in server.selection_log}
+        assert "mover" in by_time[60.0] and "mover" not in by_time[120.0]
+        assert "late" not in by_time[180.0] and "late" in by_time[240.0]
+        assert "d0" in by_time[300.0] and "d0" not in by_time[360.0]
+        assert all(len(e.selected) == 3 for e in server.selection_log if e.time >= 690.0)
+
+        # A deleted task's memo is dropped: qualifying one of its
+        # requests again right after a round (so the view is current)
+        # computes, where before the delete it reused.
+        request = server.tasks.get(task_id).expand_requests(sim.now)[0]
+        counts = []
+
+        def delete_then_qualify():
+            server.qualified_devices(request)
+            counts.append(self._computed(sim))
+            server.delete_task(task_id)
+            server.qualified_devices(request)
+            counts.append(self._computed(sim))
+
+        # 1050 s is a round of the updated task; this runs after it.
+        sim.schedule_at(1050.0, lambda: sim.schedule(0.0, delete_then_qualify))
+        sim.run(until=1060.0)
+        assert counts == [7, 8]
 
 
 class TestDataPath:

@@ -199,6 +199,12 @@ def test_complexity_contract_counter_bounds():
     assert edge.items <= edge.calls * fleet
     assert probes["server.wait_check"].calls == 63
 
+    # qualified_devices: once per task on a static fleet; every later
+    # round reuses the set, across instants.
+    assert len(server.selection_log) == 12
+    assert probes["server.qualified_devices"].calls == 2
+    assert probes["server.qualified_devices.memo_hit"].calls == 10
+
     # refresh_attachments: O(d × c), c = candidate towers per cell.
     nearest = probes["registry.nearest_tower"]
     assert nearest.calls >= fleet

@@ -954,15 +954,6 @@ class TestSchedule:
         offsets = [p.offset_s for p in schedule]
         assert offsets == sorted(offsets)
 
-    def test_mix_weights_respected(self):
-        spec = LoadSpec(
-            seed=5,
-            n_requests=100,
-            mix={"upload": 1.0},  # only deliveries
-        )
-        schedule = build_schedule(spec)
-        assert {p.kind for p in schedule} == {RequestKind.DELIVER_DATA}
-
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             LoadSpec(mode="bursty")
@@ -970,8 +961,6 @@ class TestSchedule:
             LoadSpec(n_requests=0)
         with pytest.raises(ValueError):
             LoadSpec(rate_rps=0.0)
-        with pytest.raises(ValueError):
-            LoadSpec(mix={"upload": 0.0})
 
     def test_percentile_nearest_rank(self):
         values = [float(v) for v in range(1, 101)]

@@ -24,7 +24,7 @@ from repro.core.server import SenseAidServer
 from repro.devices.sensors import SensorType
 from repro.environment.campus import STUDY_SITES, default_campus
 from repro.environment.geometry import Point
-from repro.environment.mobility import RandomWaypointMobility, StaticMobility
+from repro.environment.mobility import MobilityModel, RandomWaypointMobility, StaticMobility
 from repro.environment.population import PopulationConfig, build_population
 from repro.faults import FaultInjector, FaultPlan, reset_global_ids
 from repro.serverlib import CrowdsensingAppServer
@@ -280,6 +280,29 @@ class TestRegistryIncrementalRefresh:
         v2 = registry.version
         registry.detach_device("a")
         assert registry.version > v2
+
+    def test_version_counts_position_rereads(self):
+        """A refresh that re-reads a position bumps the version, moved or
+        not; one that skips every device, or hits the per-instant memo,
+        leaves it."""
+        sim = Simulator(seed=3)
+        registry = _registry()
+        registry.bind(sim)
+        registry.attach_device(_Dot("still", Point(100.0, 100.0)))
+        sim.run(until=10.0)
+        v0 = registry.version
+        registry.refresh_positions()
+        assert registry.version == v0
+        walker = _Dot("walker", Point(200.0, 200.0))
+        walker.mobility = MobilityModel()  # promises nothing: always re-read
+        registry.attach_device(walker)
+        sim.run(until=20.0)
+        v1 = registry.version
+        registry.refresh_positions()
+        assert registry.version > v1
+        v2 = registry.version
+        registry.refresh_positions()
+        assert registry.version == v2
 
     def test_attachment_matches_nearest_after_mobility(self):
         """Cell-cached attachment ≡ exact nearest-tower, under walking."""

@@ -495,9 +495,21 @@ class TestCheckpointCorruption:
     def test_compact_stamps_crc(self, tmp_path):
         wal = self._two_generations(tmp_path)
         with open(wal.checkpoint_path, encoding="utf-8") as f:
-            raw = json.load(f)
+            text = f.read()
+        raw = json.loads(text)
+        assert text == json.dumps(raw, sort_keys=True)  # compact, canonical
         assert raw["crc32"] == checkpoint_crc(raw)
         assert wal.load_checkpoint()["marker"] == 2
+
+    def test_pretty_printed_checkpoint_still_loads(self, tmp_path):
+        """Checkpoints written with ``indent=2`` load unchanged: the CRC
+        is over the parsed body, not the file's layout."""
+        wal = self._two_generations(tmp_path)
+        snapshot = wal.load_checkpoint()
+        with open(wal.checkpoint_path, "w", encoding="utf-8") as f:
+            f.write(json.dumps(snapshot, indent=2))
+        assert wal.load_checkpoint() == snapshot
+        assert wal.recovery_base()[2] is False
 
     def test_tampered_field_fails_crc(self, tmp_path):
         wal = self._two_generations(tmp_path)
